@@ -16,10 +16,11 @@ import os
 import random
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 from . import __version__
-from .qcoeff import Cyclotomic, LaurentPoly
+from .qcoeff import Cyclotomic, LaurentPoly, is_prime
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
@@ -49,17 +50,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
-
-
-def _is_prime(q):
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _parse_char(text, n=None):
@@ -357,29 +347,28 @@ def _suite_words(args):
                             [(u, v, 1) for u, v in arcs_of_parts(np_)],
                         )
                         glued = union_K(mu, nu, K)
-                        lhs = nc.p_from_m(
-                            nc.star_K_product(
-                                nc.NCSymElem.single(
-                                    "p",
-                                    nc.canonical_index(PartitionIndex(m, mp)),
-                                ),
-                                nc.NCSymElem.single(
-                                    "p",
-                                    nc.canonical_index(PartitionIndex(n, np_)),
-                                ),
-                                K,
-                            )
+                        x = nc.NCSymElem.single(
+                            "p", nc.canonical_index(PartitionIndex(m, mp))
                         )
+                        y = nc.NCSymElem.single(
+                            "p", nc.canonical_index(PartitionIndex(n, np_))
+                        )
+                        product = nc.star_K_product(x, y, K)
+                        where = "p_%s *_%s p_%s" % (
+                            PartitionIndex(m, mp).to_text(),
+                            K.to_text(),
+                            PartitionIndex(n, np_).to_text(),
+                        )
+                        # the word-by-word product keeps the check independent
+                        # of the m-basis rule
+                        if product != nc._star_K_product_words(x, y, K):
+                            return False, where + " differs from the word product"
                         rhs = nc.NCSymElem.single(
                             "p",
                             nc.canonical_index(PartitionIndex(total, glued.parts())),
                         )
-                        if lhs != rhs:
-                            return False, "p_%s *_%s p_%s" % (
-                                PartitionIndex(m, mp).to_text(),
-                                K.to_text(),
-                                PartitionIndex(n, np_).to_text(),
-                            )
+                        if nc.p_from_m(product) != rhs:
+                            return False, where
                         checks += 1
     return True, "%d products" % checks
 
@@ -408,8 +397,14 @@ def cmd_verify(args):
     lines = []
     failed = False
     for name in names:
+        start = time.perf_counter()
         ok, detail = SUITES[name](args)
-        lines.append("%s: %s (%s)" % (name, "ok" if ok else "FAIL", detail))
+        elapsed = time.perf_counter() - start
+        if args.format == "json":
+            report = {"suite": name, "ok": ok, "detail": detail, "elapsed_s": elapsed}
+            lines.append(json.dumps(report, sort_keys=True))
+        else:
+            lines.append("%s: %s (%s)" % (name, "ok" if ok else "FAIL", detail))
         failed = failed or not ok
     return (EXIT_VERIFY if failed else EXIT_OK), "\n".join(lines)
 
@@ -564,7 +559,7 @@ def main(argv=None):
     from .oracle import BudgetError
 
     try:
-        if not _is_prime(args.q):
+        if not is_prime(args.q):
             raise ValueError("--q must be prime, got %d" % args.q)
 
         cache_dir = args.cache_dir or os.environ.get("SUPERCHAR_CACHE")

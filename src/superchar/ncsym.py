@@ -9,9 +9,13 @@ that the K-indexed shuffle products concatenate indices:
 
     p_lam *_K p_mu = p_{lam glued along K with mu}.
 
-Everything here is exact rational arithmetic.  Identities are established on
-finite word expansions (an element of degree n is faithful over an alphabet
-of n letters), and the bridge to the group side -- scaled superclass
+Everything here is exact rational arithmetic.  Shuffle products are
+computed in the m-basis by the Rosas-Sagan rule (a p-basis factor is first
+rewritten in the m-basis), and basis changes walk the coarsenings of each
+index once.  Finite word expansions (an element of degree n is faithful over
+an alphabet of n letters) remain as an independent reference: the product
+computed word by word is what the tests and the ``words`` verify suite
+compare against.  The bridge to the group side -- scaled superclass
 indicators multiply the same way under superinduction at p = 2 -- is checked
 against the brute-force oracle.
 """
@@ -53,7 +57,8 @@ __all__ = [
 
 def canonical_index(K):
     """The same partition with parts sorted by minimum (hash-stable key)."""
-    return PartitionIndex(K.n, K.grouping())
+    grouping = K.grouping()
+    return K if grouping == K.parts else PartitionIndex(K.n, grouping)
 
 
 def _parts_of_word(word):
@@ -65,16 +70,33 @@ def _parts_of_word(word):
     return tuple(sorted((tuple(v) for v in where.values()), key=lambda t: t[0]))
 
 
+def _coarsenings_with_mobius(K):
+    """Yield (parts of M, mobius_partition(K, M)) for every coarsening M of K.
+
+    Each M comes from a set partition of K's blocks into groups, merged
+    group by group.  The groups arrive ordered by their first block and
+    the blocks are sorted by minimum, so the parts are already in canonical
+    form.  The interval [K, M] is a product of full partition lattices, one
+    per group, so the Mobius value is the product of (-1)^(k-1) (k-1)! over
+    the group sizes k.
+    """
+    blocks = K.grouping()
+    for merge in set_partitions(range(len(blocks))):
+        parts = []
+        mu = 1
+        for group in merge:
+            k = len(group)
+            if k == 1:
+                parts.append(blocks[group[0]])
+            else:
+                parts.append(tuple(sorted(v for b in group for v in blocks[b])))
+                mu *= (-1) ** (k - 1) * math.factorial(k - 1)
+        yield tuple(parts), mu
+
+
 def coarsenings(K):
     """All partitions obtained by merging blocks of K (K itself included)."""
-    blocks = K.grouping()
-    out = []
-    for merge in set_partitions(range(len(blocks))):
-        parts = [
-            tuple(sorted(v for b in group for v in blocks[b])) for group in merge
-        ]
-        out.append(canonical_index(PartitionIndex(K.n, parts)))
-    return out
+    return [PartitionIndex(K.n, parts) for parts, _ in _coarsenings_with_mobius(K)]
 
 
 def mobius_partition(A, B):
@@ -198,29 +220,35 @@ class WordExpansion:
         return out
 
 
-def m_expand(K, N):
-    """Word expansion of the monomial m_K over the alphabet 1..N.
-
-    Coefficient 1 sits exactly on the words whose equal-positions partition
-    is K: one word per injective assignment of letters to blocks.
-    """
+def _monomial_words(K, N):
+    """The words over 1..N whose equal-positions partition is K: one word
+    per injective assignment of letters to blocks."""
     blocks = K.grouping()
-    N = int(N)
     if N < len(blocks):
         warnings.warn(
             "alphabet of %d letters cannot separate %d blocks; expansion is empty"
             % (N, len(blocks)),
-            stacklevel=2,
+            stacklevel=3,
         )
-        return WordExpansion(N, K.n, {})
-    coeffs = {}
+        return []
+    words = []
     for letters in itertools.permutations(range(1, N + 1), len(blocks)):
         word = [0] * K.n
         for block, letter in zip(blocks, letters):
             for pos in block:
                 word[pos - 1] = letter
-        coeffs[tuple(word)] = Fraction(1)
-    return WordExpansion(N, K.n, coeffs)
+        words.append(tuple(word))
+    return words
+
+
+def m_expand(K, N):
+    """Word expansion of the monomial m_K over the alphabet 1..N.
+
+    Coefficient 1 sits exactly on the words whose equal-positions partition
+    is K.
+    """
+    N = int(N)
+    return WordExpansion(N, K.n, dict.fromkeys(_monomial_words(K, N), Fraction(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +361,21 @@ class NCSymElem:
 
     def expand(self, N=None):
         """Word expansion over 1..N (default: one letter per position)."""
-        if N is None:
-            N = self.degree
+        N = self.degree if N is None else int(N)
         x = self if self.basis == "m" else m_from_p(self)
-        total = WordExpansion(N, self.degree, {})
+        # distinct monomials own disjoint word sets
+        coeffs = {}
         for K, c in x.coeffs.items():
-            total = total + m_expand(K, N).scale(c)
-        return total
+            for word in _monomial_words(K, N):
+                coeffs[word] = c
+        return WordExpansion(N, self.degree, coeffs)
+
+
+def _from_parts(basis, degree, coeffs):
+    """An element from coefficients keyed by canonical parts tuples."""
+    return NCSymElem(
+        basis, degree, {PartitionIndex(degree, parts): c for parts, c in coeffs.items()}
+    )
 
 
 def p_from_m(x):
@@ -353,9 +389,9 @@ def p_from_m(x):
         raise ValueError("p_from_m starts from the m basis")
     coeffs = {}
     for K, c in x.coeffs.items():
-        for M in coarsenings(K):
-            coeffs[M] = coeffs.get(M, Fraction(0)) + c * mobius_partition(K, M)
-    return NCSymElem("p", x.degree, coeffs)
+        for parts, mu in _coarsenings_with_mobius(K):
+            coeffs[parts] = coeffs.get(parts, 0) + c * mu
+    return _from_parts("p", x.degree, coeffs)
 
 
 def m_from_p(x):
@@ -364,9 +400,9 @@ def m_from_p(x):
         raise ValueError("m_from_p starts from the p basis")
     coeffs = {}
     for K, c in x.coeffs.items():
-        for M in coarsenings(K):
-            coeffs[M] = coeffs.get(M, Fraction(0)) + c
-    return NCSymElem("m", x.degree, coeffs)
+        for parts, _ in _coarsenings_with_mobius(K):
+            coeffs[parts] = coeffs.get(parts, 0) + c
+    return _from_parts("m", x.degree, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +421,66 @@ def _validate_shuffle_index(K, m, n):
         )
 
 
-def star_K_product(x, y, K):
-    """Shuffle product along a two-block index, computed on words.
+def _pushed(K, positions):
+    """The blocks of K carried onto ``positions`` (sorted) by the increasing
+    bijection from {1..n}."""
+    return [tuple(positions[v - 1] for v in block) for block in K.parts]
 
-    The first factor's letters are laid onto the positions of the first
-    block of K (in increasing order), the second factor's onto the second
-    block; the resulting expansion is recognized back into the m-basis.
-    The output alphabet m+n letters is faithful for degree m+n.
+
+def _partial_matchings(left, right):
+    """Canonical parts of every partition whose blocks are those of ``left``
+    and ``right`` (disjoint supports), with each block of ``left`` merged
+    into at most one block of ``right`` and vice versa."""
+
+    def rec(i, free, parts):
+        if i == len(left):
+            yield tuple(sorted(parts + [right[j] for j in free]))
+            return
+        block = left[i]
+        yield from rec(i + 1, free, parts + [block])
+        for j in free:
+            merged = tuple(sorted(block + right[j]))
+            yield from rec(i + 1, [k for k in free if k != j], parts + [merged])
+
+    return rec(0, list(range(len(right))), [])
+
+
+def star_K_product(x, y, K):
+    """Shuffle product along a two-block index, in the m-basis.
+
+    The first factor's positions are laid onto the first block of K (in
+    increasing order), the second factor's onto the second block.  A p-basis
+    factor is rewritten in the m-basis first.  By the Rosas-Sagan rule,
+    m_A *_K m_B is the sum of m_C over the partitions C whose traces on the
+    two blocks of K are the pushed A and B, i.e. one C per partial matching
+    between the blocks of A and those of B.  The result is in the m-basis;
+    ``_star_K_product_words`` computes the same product on word expansions.
+    """
+    m, n = x.degree, y.degree
+    _validate_shuffle_index(K, m, n)
+    if x.basis == "p":
+        x = m_from_p(x)
+    if y.basis == "p":
+        y = m_from_p(y)
+    pos1, pos2 = K.parts
+    right = [(_pushed(B, pos2), cb) for B, cb in y.coeffs.items()]
+    coeffs = {}
+    for A, ca in x.coeffs.items():
+        left = _pushed(A, pos1)
+        for blocks, cb in right:
+            c = ca * cb
+            for parts in _partial_matchings(left, blocks):
+                coeffs[parts] = coeffs.get(parts, 0) + c
+    return _from_parts("m", m + n, coeffs)
+
+
+def _star_K_product_words(x, y, K):
+    """The shuffle product computed on words: the reference for
+    :func:`star_K_product`.
+
+    Both factors are expanded over m+n letters, which is faithful for
+    degree m+n, and multiplied word by word; the resulting expansion is
+    recognized back into the m-basis.
     """
     m, n = x.degree, y.degree
     _validate_shuffle_index(K, m, n)
@@ -442,8 +531,9 @@ def characteristic_map_check(max_total=4, budget=None):
     Group side: superinducing the product of scaled superclass indicators
     (z_mu kappa_mu) x (z_nu kappa_nu) from the K-parabolic to the full group
     lands on z kappa of the glued partition -- computed by the brute-force
-    double sum.  NCSym side: p_mu *_K p_nu = p of the glued partition on
-    word expansions.  Returns the conjunction of all the checks.
+    double sum.  NCSym side: p_mu *_K p_nu = p of the glued partition, with
+    the product computed by the m-basis rule.  Returns the conjunction of
+    all the checks.
     """
     from .oracle import PatternGroup, brute_superinduce, z_value
     from .qcoeff import Cyclotomic

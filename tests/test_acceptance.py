@@ -232,9 +232,11 @@ def test_criterion_07_characteristic_map_is_multiplicative():
     """Both sides of the characteristic map respect the glued product.
     Group side (p = 2, degrees m+n <= 4): superinducing the product of
     scaled superclass indicators z_mu*kappa_mu gives the scaled indicator
-    of the glued superclass.  Word side (degrees m+n <= 6): the
+    of the glued superclass.  NCSym side (degrees m+n <= 6): the
     coarsening-sum basis satisfies p_mu *_K p_nu = p_{mu union_K nu} for
-    every two-block shuffle, computed on full word expansions."""
+    every two-block shuffle, with the product computed by the m-basis
+    (Rosas-Sagan) rule; tests/test_ncsym.py checks that rule against the
+    word-by-word product."""
     assert characteristic_map_check(4) is True
 
     for total in range(2, 7):

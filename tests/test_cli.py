@@ -144,6 +144,45 @@ class TestVerify:
         assert code == 0
         assert out == "orthogonality: ok (29 inner products)\n"
 
+    def test_json_format(self, capsys):
+        argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "3"]
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (0, "words: ok (14 products)\n")
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert set(report) == {"suite", "ok", "detail", "elapsed_s"}
+        assert report["suite"] == "words"
+        assert report["ok"] is True
+        assert report["detail"] == "14 products"
+        assert report["elapsed_s"] >= 0
+
+    def test_json_format_one_object_per_suite(self, capsys):
+        code, out, _ = run(
+            ["verify", "--suite", "all", "--q", "2", "--max-n", "2", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["suite"] for r in reports] == sorted(cli.SUITES)
+        assert all(r["ok"] for r in reports)
+
+    def test_words_suite_catches_a_wrong_product(self, capsys, monkeypatch):
+        from superchar import ncsym
+
+        right = ncsym.star_K_product
+        monkeypatch.setattr(
+            ncsym, "star_K_product", lambda x, y, K: right(x, y, K).scale(2)
+        )
+        argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "2"]
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_VERIFY
+        assert out.startswith("words: FAIL (")
+        assert "differs from the word product" in out
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out)["ok"] is False
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(
             [

@@ -1,5 +1,6 @@
 """Symmetric functions in non-commuting variables: bases, shuffles, the bridge."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from superchar.ncsym import (
     NCSymElem,
     WordExpansion,
+    _coarsenings_with_mobius,
+    _star_K_product_words,
     characteristic_map_check,
     coarsenings,
     concat_product,
@@ -61,6 +64,18 @@ class TestPartitionLattice:
         for n in range(1, 7):
             assert mobius_telescope_check(n)
 
+    def test_coarsening_walk_mobius_matches_the_interval_formula(self):
+        for n in range(7):
+            for parts in set_partitions(range(1, n + 1)):
+                K = pidx(n, parts)
+                seen = []
+                for parts_of_M, mu in _coarsenings_with_mobius(K):
+                    M = pidx(n, parts_of_M)
+                    assert M.parts == M.grouping()
+                    assert mu == mobius_partition(K, M)
+                    seen.append(M)
+                assert len(set(seen)) == len(seen) == BELL[len(parts)]
+
 
 class TestWordExpansion:
     def test_monomial_expansion_two_letters(self):
@@ -93,6 +108,13 @@ class TestWordExpansion:
         x = m_single(2, [[1], [2]], Fraction(1, 2)) + m_single(2, [[1, 2]], 3)
         classes = x.expand(3).class_coefficients()
         assert classes == {((1,), (2,)): Fraction(1, 2), ((1, 2),): Fraction(3)}
+
+    def test_expand_is_the_sum_of_monomial_expansions(self):
+        x = p_single(3, [[1], [2], [3]], Fraction(-2, 3)) + p_single(3, [[1, 3], [2]], 5)
+        total = WordExpansion(4, 3, {})
+        for K, c in m_from_p(x).coeffs.items():
+            total = total + m_expand(K, 4).scale(c)
+        assert x.expand(4) == total
 
 
 class TestBasisChange:
@@ -145,6 +167,37 @@ class TestShuffleProducts:
         x = m_single(2, [[1], [2]])
         y = m_single(2, [[1, 2]])
         assert concat_product(x, y) == star_K_product(x, y, pidx(4, [[1, 2], [3, 4]]))
+
+    def test_matches_the_word_product(self):
+        # every single-factor pair along every two-block index: all four
+        # basis pairings up to total degree 4, m times m at degree 5
+        for total in range(2, 6):
+            pairings = ["mm"] if total == 5 else ["mm", "mp", "pm", "pp"]
+            for m in range(1, total):
+                for block1 in itertools.combinations(range(1, total + 1), m):
+                    block2 = [v for v in range(1, total + 1) if v not in block1]
+                    K = pidx(total, [block1, block2])
+                    for (bx, by), pa, pb in itertools.product(
+                        pairings,
+                        set_partitions(range(1, m + 1)),
+                        set_partitions(range(1, total - m + 1)),
+                    ):
+                        x = NCSymElem.single(bx, pidx(m, pa))
+                        y = NCSymElem.single(by, pidx(total - m, pb))
+                        got = star_K_product(x, y, K)
+                        want = _star_K_product_words(x, y, K)
+                        assert got == want, (x.to_text(), y.to_text(), K)
+                        assert got.to_text() == want.to_text()
+
+    def test_mixed_basis_factors(self):
+        x = m_single(2, [[1], [2]], 3) + m_single(2, [[1, 2]], Fraction(1, 2))
+        y = p_single(2, [[1], [2]], -1)
+        K = pidx(4, [[1, 3], [2, 4]])
+        out = star_K_product(x, y, K)
+        assert out.basis == "m"
+        assert out == star_K_product(x, m_from_p(y), K)
+        assert out == _star_K_product_words(x, y, K)
+        assert star_K_product(y, x, K) == _star_K_product_words(y, x, K)
 
     def test_concat_associativity(self):
         for a in range(1, 5):
