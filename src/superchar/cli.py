@@ -52,20 +52,30 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
-def _parse_char(text, n=None):
+def _parse_char(text, q, n=None):
     """A character/superclass label: either full 'n=5; 1-3:1' text or the
-    arc body alone ('1-3:1', possibly empty) with n supplied separately."""
+    arc body alone ('1-3:1', possibly empty) with n supplied separately.
+    A supplied n must agree with the text's own, and labels must be
+    nonzero residues mod q."""
     text = text.strip()
     if text.startswith("n"):
-        return LabeledSetPartition.from_text(text)
-    if n is None:
+        lam = LabeledSetPartition.from_text(text)
+        if n is not None and lam.n() != n:
+            raise ValueError("%r has n=%d, but n=%d was given" % (text, lam.n(), n))
+    elif n is None:
         raise ValueError("arc list %r needs --n" % text)
-    full = "n=%d; %s" % (n, text) if text else "n=%d" % n
-    return LabeledSetPartition.from_text(full)
+    else:
+        lam = LabeledSetPartition.from_text("n=%d; %s" % (n, text) if text else "n=%d" % n)
+    _check_labels(lam, q)
+    return lam
 
 
-def _full_index(n):
-    return PartitionIndex(n, [range(1, n + 1)])
+def _check_labels(lam, q):
+    for a in lam.arcs:
+        if a.label >= q:
+            raise ValueError(
+                "arc %d-%d:%d has a label outside 1..%d" % (a.left, a.right, a.label, q - 1)
+            )
 
 
 def _render_combo(x, fmt):
@@ -91,21 +101,21 @@ def _render_cyclotomic(v, fmt):
 
 
 def cmd_restrict(args):
-    lam = _parse_char(args.char, args.n)
+    lam = _parse_char(args.char, args.q, args.n)
     n = lam.n()
     K = PartitionIndex.from_text(args.subgroup, n=n)
-    x = CharCombo.of(lam, _full_index(n))
+    x = CharCombo.of(lam, PartitionIndex.full(n))
     return EXIT_OK, _render_combo(restrict_combo(x, K, args.q), args.format)
 
 
 def cmd_tensor(args):
     if len(args.char) < 2:
         raise ValueError("tensor needs at least two --char factors")
-    chars = [_parse_char(c, args.n) for c in args.char]
+    chars = [_parse_char(c, args.q, args.n) for c in args.char]
     n = chars[0].n()
     if any(c.n() != n for c in chars):
         raise ValueError("tensor factors live on different groups")
-    amb = _full_index(n)
+    amb = PartitionIndex.full(n)
     out = CharCombo.of(chars[0], amb)
     for c in chars[1:]:
         out = tensor(out, CharCombo.of(c, amb), args.q)
@@ -113,24 +123,24 @@ def cmd_tensor(args):
 
 
 def cmd_sind(args):
-    mu = _parse_char(args.char, args.n)
+    mu = _parse_char(args.char, args.q, args.n)
     n = mu.n()
     K = PartitionIndex.from_text(args.subgroup, n=n)
     return EXIT_OK, _render_combo(superinduce(mu, K, args.q), args.format)
 
 
 def cmd_sinf(args):
-    lam = _parse_char(args.char, args.n)
+    lam = _parse_char(args.char, args.q, args.n)
     n = lam.n()
     K = PartitionIndex.from_text(args.subgroup, n=n)
-    L = PartitionIndex.from_text(args.ambient, n=n) if args.ambient else _full_index(n)
+    L = PartitionIndex.from_text(args.ambient, n=n) if args.ambient else PartitionIndex.full(n)
     inflated = sinf(lam, K, L)
     return EXIT_OK, _render_combo(CharCombo.of(inflated, L), args.format)
 
 
 def cmd_star(args):
-    lam = LabeledSetPartition.from_text(args.left)
-    mu = LabeledSetPartition.from_text(args.right)
+    lam = _parse_char(args.left, args.q)
+    mu = _parse_char(args.right, args.q)
     m, n = lam.n(), mu.n()
     if args.blocks:
         K = PartitionIndex.from_text(args.blocks, n=m + n)
@@ -142,12 +152,14 @@ def cmd_star(args):
 def _parse_combo(text, q):
     """A combination: either rendered combo text or a bare character."""
     text = text.strip()
-    if "chi[" in text:
-        first = text.index("chi[") + 4
-        n = LabeledSetPartition.from_text(text[first : text.index("]", first)]).n()
-        return CharCombo.from_text(text, _full_index(n))
-    lam = LabeledSetPartition.from_text(text)
-    return CharCombo.of(lam, _full_index(lam.n()))
+    if "chi[" not in text:
+        return CharCombo.of(_parse_char(text, q))
+    first = text.index("chi[") + 4
+    n = LabeledSetPartition.from_text(text[first : text.index("]", first)]).n()
+    x = CharCombo.from_text(text, PartitionIndex.full(n))
+    for lam in x.terms:
+        _check_labels(lam, q)
+    return x
 
 
 def cmd_inner(args):
@@ -157,8 +169,8 @@ def cmd_inner(args):
 
 
 def cmd_value(args):
-    lam = _parse_char(args.char, args.n)
-    mu = _parse_char(args.at, lam.n())
+    lam = _parse_char(args.char, args.q, args.n)
+    mu = _parse_char(args.at, args.q, lam.n())
     return EXIT_OK, _render_cyclotomic(char_value(lam, mu, args.q), args.format)
 
 
@@ -227,11 +239,9 @@ def _suite_orthogonality(args):
 
 
 def _suite_restriction(args):
-    from .setpart import enumerate_compatible
-
     checks = 0
     for n in range(2, args.max_n + 1):
-        full = _full_index(n)
+        full = PartitionIndex.full(n)
         for lam in enumerate_labeled(range(1, n + 1), args.q):
             x = CharCombo.of(lam, full)
             for parts in set_partitions(range(1, n + 1)):
@@ -253,7 +263,7 @@ def _suite_tensor(args):
     checks = 0
     # exhaustive pointwise correctness on small groups
     for n in range(2, min(args.max_n, 4) + 1):
-        amb = _full_index(n)
+        amb = PartitionIndex.full(n)
         labels = list(enumerate_labeled(range(1, n + 1), args.q))
         for lam, mu in itertools.product(labels, repeat=2):
             t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), args.q)
@@ -268,7 +278,7 @@ def _suite_tensor(args):
                 checks += 1
     # seeded commutativity sample at the largest size
     n = args.max_n
-    amb = _full_index(n)
+    amb = PartitionIndex.full(n)
     labels = list(enumerate_labeled(range(1, n + 1), args.q))
     for _ in range(args.samples):
         lam, mu = rnd.choice(labels), rnd.choice(labels)
@@ -292,10 +302,7 @@ def _suite_superinduction(args):
         row_of = {lam: r["values"] for lam, r in zip(gt.labels, rows)}
         for parts in set_partitions(range(1, n + 1)):
             K = PartitionIndex(n, parts)
-            positions = [
-                (i, j) for part in K.parts for i in part for j in part if i < j
-            ]
-            H = PatternGroup(n, positions, args.q, index=K)
+            H = PatternGroup.parabolic(K, args.q)
             ht = H.superclass_table()
             for mu in enumerate_compatible(K, args.q):
                 pipeline = superinduce(mu, K, args.q)
@@ -565,7 +572,8 @@ def main(argv=None):
         cache_dir = args.cache_dir or os.environ.get("SUPERCHAR_CACHE")
         run = COMMANDS[args.command]
 
-        if cache_dir:
+        # verify exists to recompute, so it neither reads nor writes the cache
+        if cache_dir and args.command != "verify":
             path = os.path.join(cache_dir, _request_digest(args) + ".json")
             cached = _cache_load(path)
             if cached is not None and os.path.exists(path) and not args.verify_cache:

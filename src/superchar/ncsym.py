@@ -22,6 +22,7 @@ against the brute-force oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -70,6 +71,21 @@ def _parts_of_word(word):
     return tuple(sorted((tuple(v) for v in where.values()), key=lambda t: t[0]))
 
 
+@functools.lru_cache(maxsize=None)
+def _merges_with_mobius(r):
+    """The set partitions of range(r), each with its Mobius factor (see
+    ``_coarsenings_with_mobius``).  They depend only on r, so every index
+    with r blocks shares them."""
+    out = []
+    for merge in set_partitions(range(r)):
+        mu = 1
+        for group in merge:
+            k = len(group)
+            mu *= (-1) ** (k - 1) * math.factorial(k - 1)
+        out.append((merge, mu))
+    return tuple(out)
+
+
 def _coarsenings_with_mobius(K):
     """Yield (parts of M, mobius_partition(K, M)) for every coarsening M of K.
 
@@ -81,16 +97,13 @@ def _coarsenings_with_mobius(K):
     the group sizes k.
     """
     blocks = K.grouping()
-    for merge in set_partitions(range(len(blocks))):
+    for merge, mu in _merges_with_mobius(len(blocks)):
         parts = []
-        mu = 1
         for group in merge:
-            k = len(group)
-            if k == 1:
+            if len(group) == 1:
                 parts.append(blocks[group[0]])
             else:
                 parts.append(tuple(sorted(v for b in group for v in blocks[b])))
-                mu *= (-1) ** (k - 1) * math.factorial(k - 1)
         yield tuple(parts), mu
 
 
@@ -549,14 +562,7 @@ def characteristic_map_check(max_total=4, budget=None):
             for block1 in itertools.combinations(range(1, total + 1), m):
                 block2 = tuple(v for v in range(1, total + 1) if v not in block1)
                 K = PartitionIndex(total, [block1, block2])
-                positions = [
-                    (i, j)
-                    for part in K.parts
-                    for i in part
-                    for j in part
-                    if i < j
-                ]
-                H = PatternGroup(total, positions, p, index=K)
+                H = PatternGroup.parabolic(K, p)
                 ht = H.superclass_table()
                 for mu_parts in set_partitions(range(1, m + 1)):
                     mu = _labeled_of_parts(mu_parts, m)

@@ -36,7 +36,6 @@ __all__ = [
     "char_value",
     "char_value_in",
     "combo_value",
-    "restrict_arc_interval",
     "restrict_arc_subset",
     "tensor_pair",
     "straighten",
@@ -57,6 +56,16 @@ __all__ = [
 ]
 
 
+def _add(acc, key, c):
+    """acc[key] += c, keeping only nonzero coefficients."""
+    s = acc.get(key)
+    s = c if s is None else s + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 class CharCombo:
     """A finite linear combination of supercharacters of U_K with Laurent
     polynomial coefficients.
@@ -71,6 +80,7 @@ class CharCombo:
     def __init__(self, ambient, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
         full_support = frozenset(range(1, ambient.n + 1))
+        lookup = ambient.part_lookup()
         acc = {}
         for lam, c in items:
             if not isinstance(c, LaurentPoly):
@@ -79,20 +89,12 @@ class CharCombo:
                 continue
             if lam.support != full_support:
                 raise ValueError("term support does not match ambient n=%d" % ambient.n)
-            lookup = ambient.part_lookup()
             for arc in lam.arcs:
                 if lookup[arc.left] != lookup[arc.right]:
                     raise ValueError(
                         "arc %d-%d straddles parts of the ambient" % (arc.left, arc.right)
                     )
-            if lam in acc:
-                c = acc[lam] + c
-                if c:
-                    acc[lam] = c
-                else:
-                    del acc[lam]
-            else:
-                acc[lam] = c
+            _add(acc, lam, c)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", acc)
 
@@ -126,11 +128,7 @@ class CharCombo:
         self._same_ambient(other)
         acc = dict(self.terms)
         for lam, c in other.terms.items():
-            s = acc.get(lam, LaurentPoly.zero()) + c
-            if s:
-                acc[lam] = s
-            else:
-                acc.pop(lam, None)
+            _add(acc, lam, c)
         return CharCombo(self.ambient, acc)
 
     def __neg__(self):
@@ -324,16 +322,6 @@ def combo_value(x, mu, p):
     return total
 
 
-def crossings_in(lam, index):
-    """Crossing pairs whose two arcs lie in a common part of the index."""
-    lookup = index.part_lookup()
-    count = 0
-    for (a, b) in lam.crossing_pairs():
-        if lookup[a.left] == lookup[b.left]:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Restriction of a single arc character
 # ---------------------------------------------------------------------------
@@ -342,36 +330,31 @@ def _single(n, arcs):
     return LabeledSetPartition(range(1, n + 1), arcs)
 
 
-def _subset_bracket(i, l, a, S, n, p):
+def _combo(K, acc):
+    """The combination on U_K of a dict from sorted arc tuples on {1..n} to
+    coefficients."""
+    return CharCombo(K, [(_single(K.n, arcs), c) for arcs, c in acc.items()])
+
+
+def _subset_bracket(i, l, a, S, p):
     """The parenthesized factor of the subset restriction rule (the rule's
-    full value is q^{#{i<k<l, k not in S}} times this bracket)."""
-    S = sorted(set(S))
-    ambient = PartitionIndex.from_subset(S, n)
+    full value is q^{#{i<k<l, k not in S}} times this bracket), as
+    (arcs, coefficient) pairs with every arc inside the sorted subset S."""
     between = [m for m in S if i < m < l]
     units = range(1, p)
+    one = LaurentPoly.one()
     i_in, l_in = i in S, l in S
-    terms = []
     if i_in and l_in:
-        terms.append((_single(n, [(i, l, a)]), LaurentPoly.one()))
-    elif (not i_in) and l_in:
-        terms.append((_single(n, ()), LaurentPoly.one()))
-        for j in between:
-            for b in units:
-                terms.append((_single(n, [(j, l, b)]), LaurentPoly.one()))
-    elif i_in and not l_in:
-        terms.append((_single(n, ()), LaurentPoly.one()))
-        for k in between:
-            for b in units:
-                terms.append((_single(n, [(i, k, b)]), LaurentPoly.one()))
-    else:
-        s = len(between)
-        const = LaurentPoly.q_minus_one() * s + LaurentPoly.one()
-        terms.append((_single(n, ()), const))
-        qm1 = LaurentPoly.q_minus_one()
-        for jj, kk in itertools.combinations(between, 2):
-            for c in units:
-                terms.append((_single(n, [(jj, kk, c)]), qm1))
-    return CharCombo(ambient, terms)
+        return [(((i, l, a),), one)]
+    if l_in:
+        return [((), one)] + [(((j, l, b),), one) for j in between for b in units]
+    if i_in:
+        return [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+    qm1 = LaurentPoly.q_minus_one()
+    terms = [((), qm1 * len(between) + one)]
+    for jj, kk in itertools.combinations(between, 2):
+        terms += [(((jj, kk, c),), qm1) for c in units]
+    return terms
 
 
 def restrict_arc_subset(i, l, a, S, n, p):
@@ -383,48 +366,11 @@ def restrict_arc_subset(i, l, a, S, n, p):
     S = sorted(set(S))
     if not S or S[0] < 1 or S[-1] > n:
         raise ValueError("subset out of range")
-    e = sum(1 for k in range(i + 1, l) if k not in set(S))
-    return _subset_bracket(i, l, a, S, n, p).scale(LaurentPoly.q_power(e))
-
-
-def restrict_arc_interval(i, l, a, j, k, n, p):
-    """Restriction of a single-arc supercharacter to an interval subgroup
-    U_[j,k], by the five-way case analysis (kept literal, as an independent
-    path from the subset rule)."""
-    if not (1 <= i < l <= n):
-        raise ValueError("need 1 <= i < l <= n")
-    if not (1 <= j < k <= n):
-        raise ValueError("need 1 <= j < k <= n")
-    ambient = PartitionIndex.from_subset(range(j, k + 1), n)
-    units = range(1, p)
-    one = LaurentPoly.one()
-    terms = []
-    if j <= i and l <= k:
-        terms.append((_single(n, [(i, l, a)]), one))
-    elif i < j < l <= k:
-        q_pow = LaurentPoly.q_power(j - i - 1)
-        terms.append((_single(n, ()), q_pow))
-        for jp in range(j, l):
-            for b in units:
-                terms.append((_single(n, [(jp, l, b)]), q_pow))
-    elif j <= i < k < l:
-        q_pow = LaurentPoly.q_power(l - k - 1)
-        terms.append((_single(n, ()), q_pow))
-        for kp in range(i + 1, k + 1):
-            for b in units:
-                terms.append((_single(n, [(i, kp, b)]), q_pow))
-    elif i < j and k < l:
-        base = LaurentPoly.q_power(l - i - 1 - (k - j + 1))
-        const = (LaurentPoly.q_minus_one() * (k - j) + LaurentPoly.q_power(1)) * base
-        terms.append((_single(n, ()), const))
-        side = LaurentPoly.q_minus_one() * base
-        for jp in range(j, k + 1):
-            for kp in range(jp + 1, k + 1):
-                for b in units:
-                    terms.append((_single(n, [(jp, kp, b)]), side))
-    else:
-        terms.append((_single(n, ()), LaurentPoly.q_power(l - i - 1)))
-    return CharCombo(ambient, terms)
+    power = LaurentPoly.q_power(sum(1 for k in range(i + 1, l) if k not in S))
+    return CharCombo(
+        PartitionIndex.from_subset(S, n),
+        [(_single(n, arcs), c * power) for arcs, c in _subset_bracket(i, l, a, S, p)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +456,6 @@ def _conflicting_pair(arcs):
 def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
     basis by repeatedly rewriting the least conflicting pair."""
-    full = PartitionIndex.full(n)
     arcs = tuple(sorted(Arc(*a) for a in arcs))
     acc = {}
     work = [(arcs, LaurentPoly.one())]
@@ -518,12 +463,7 @@ def straighten(arcs, n, p):
         cur, coeff = work.pop()
         pair = _conflicting_pair(cur)
         if pair is None:
-            lam = _single(n, cur)
-            s = acc.get(lam, LaurentPoly.zero()) + coeff
-            if s:
-                acc[lam] = s
-            else:
-                acc.pop(lam, None)
+            _add(acc, cur, coeff)
             continue
         x, y = pair
         rest = list(cur)
@@ -534,13 +474,39 @@ def straighten(arcs, n, p):
         for lam, c in expansion.terms.items():
             new = tuple(sorted(rest + list(lam.arcs)))
             new_measure = (len(new), sum(a.right - a.left for a in new))
-            assert new_measure < measure, "straightening measure must drop"
+            if not new_measure < measure:
+                raise RuntimeError("straightening measure must drop")
             work.append((new, coeff * c))
-    return CharCombo(full, acc)
+    return _combo(PartitionIndex.full(n), acc)
 
 
-def _transport_arcs(arcs, mapping):
-    return tuple(Arc(mapping[a.left], mapping[a.right], a.label) for a in arcs)
+def _local(arcs, fwd):
+    """The arcs that start in a part, renumbered by the part's numbering
+    ``fwd`` (vertex -> 1..m)."""
+    return tuple((fwd[i], fwd[l], a) for i, l, a in arcs if i in fwd)
+
+
+def _superimpose(K, factor, coeff, acc):
+    """Add coeff times a product over the parts of K into ``acc``.
+
+    U_K is the direct product of its parts' groups, so every branching rule
+    computes one factor per part and superimposes the factors.  For each
+    part, ``factor(part, fwd)`` is given the part and the increasing
+    numbering ``fwd`` of its vertices by 1..m, and returns the part's factor
+    as (arcs on {1..m}, LaurentPoly) pairs.  The arcs are carried back onto
+    the part, and each choice of one term per part adds its superimposed
+    arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
+    """
+    partial = [((), coeff)]
+    for part in K.parts:
+        fwd = {v: t for t, v in enumerate(part, 1)}
+        terms = [
+            (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
+            for arcs, c in factor(part, fwd)
+        ]
+        partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
+    for arcs, c in partial:
+        _add(acc, tuple(sorted(arcs)), c)
 
 
 def tensor(x, y, p):
@@ -548,37 +514,17 @@ def tensor(x, y, p):
     back into the supercharacter basis part by part."""
     x._same_ambient(y)
     K = x.ambient
-    n = K.n
-    acc = CharCombo.zero(K)
+    acc = {}
     for lam1, c1 in x.terms.items():
         for lam2, c2 in y.terms.items():
-            coeff = c1 * c2
-            partial = [((), LaurentPoly.one())]
-            for part in K.parts:
-                fwd = {v: t + 1 for t, v in enumerate(part)}
-                back = {t + 1: v for t, v in enumerate(part)}
-                arcs = [a for a in lam1.arcs if a.left in fwd] + [
-                    a for a in lam2.arcs if a.left in fwd
-                ]
-                local = straighten(_transport_arcs(arcs, fwd), len(part), p)
-                nxt = []
-                for base_arcs, base_c in partial:
-                    for lam_loc, c_loc in local.terms.items():
-                        nxt.append(
-                            (
-                                base_arcs + _transport_arcs(lam_loc.arcs, back),
-                                base_c * c_loc,
-                            )
-                        )
-                partial = nxt
-            acc = acc + CharCombo(
-                K,
-                [
-                    (_single(n, sorted(arcs_all)), coeff * c_all)
-                    for arcs_all, c_all in partial
-                ],
-            )
-    return acc
+            arcs = lam1.arcs + lam2.arcs
+
+            def factor(part, fwd):
+                local = straighten(_local(arcs, fwd), len(part), p)
+                return [(lam.arcs, c) for lam, c in local.terms.items()]
+
+            _superimpose(K, factor, c1 * c2, acc)
+    return _combo(K, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -595,43 +541,25 @@ def restrict(lam, K, p):
     n = K.n
     if lam.support != frozenset(range(1, n + 1)):
         raise ValueError("partition support must be {1..%d}" % n)
-    acc_parts = []
-    for part in K.parts:
-        factor = CharCombo.one(PartitionIndex.from_subset(part, n))
-        fwd = {v: t + 1 for t, v in enumerate(part)}
-        back = {t + 1: v for t, v in enumerate(part)}
+
+    def factor(part, fwd):
+        m = len(part)
+        product = {(): LaurentPoly.one()}
         for arc in lam.arcs:
-            bracket = _subset_bracket(arc.left, arc.right, arc.label, part, n, p)
-            # multiply factor by bracket inside U_part (transport to {1..m})
-            m = len(part)
-            acc = {}
-            for l1, c1 in factor.terms.items():
-                for l2, c2 in bracket.terms.items():
-                    merged = straighten(
-                        _transport_arcs(l1.arcs, fwd) + _transport_arcs(l2.arcs, fwd),
-                        m,
-                        p,
-                    )
-                    for lam_loc, c_loc in merged.terms.items():
-                        key = _single(n, sorted(_transport_arcs(lam_loc.arcs, back)))
-                        s = acc.get(key, LaurentPoly.zero()) + c1 * c2 * c_loc
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
-            factor = CharCombo(factor.ambient, acc)
-        acc_parts.append(factor)
-    # superimpose across parts
-    combined = [((), LaurentPoly.one())]
-    for factor in acc_parts:
-        nxt = []
-        for base_arcs, base_c in combined:
-            for lam_t, c_t in factor.terms.items():
-                nxt.append((base_arcs + lam_t.arcs, base_c * c_t))
-        combined = nxt
-    return CharCombo(
-        K, [(_single(n, sorted(arcs)), c) for arcs, c in combined]
-    )
+            bracket = [
+                (_local(arcs, fwd), c) for arcs, c in _subset_bracket(*arc, part, p)
+            ]
+            nxt = {}
+            for arcs1, c1 in product.items():
+                for arcs2, c2 in bracket:
+                    for loc, c_loc in straighten(arcs1 + arcs2, m, p).terms.items():
+                        _add(nxt, loc.arcs, c1 * c2 * c_loc)
+            product = nxt
+        return product.items()
+
+    acc = {}
+    _superimpose(K, factor, LaurentPoly.one(), acc)
+    return _combo(K, acc)
 
 
 def restrict_combo(x, K, p):
@@ -640,40 +568,19 @@ def restrict_combo(x, K, p):
     L = x.ambient
     if not K.refines(L):
         raise ValueError("target index must refine the ambient")
-    n = L.n
-    acc = CharCombo.zero(K)
+    acc = {}
     for lam, c in x.terms.items():
-        partial = [((), c)]
-        for part in L.parts:
-            fwd = {v: t + 1 for t, v in enumerate(part)}
-            back = {t + 1: v for t, v in enumerate(part)}
+
+        def factor(part, fwd):
             m = len(part)
-            sub = LabeledSetPartition(
-                range(1, m + 1),
-                _transport_arcs(
-                    tuple(a for a in lam.arcs if a.left in fwd), fwd
-                ),
-            )
+            sub = LabeledSetPartition(range(1, m + 1), _local(lam.arcs, fwd))
             K_part = PartitionIndex(
-                m,
-                [
-                    tuple(sorted(fwd[v] for v in kp))
-                    for kp in K.parts
-                    if kp and kp[0] in fwd
-                ],
+                m, [[fwd[v] for v in kp] for kp in K.parts if kp[0] in fwd]
             )
-            local = restrict(sub, K_part, p)
-            nxt = []
-            for base_arcs, base_c in partial:
-                for lam_loc, c_loc in local.terms.items():
-                    nxt.append(
-                        (base_arcs + _transport_arcs(lam_loc.arcs, back), base_c * c_loc)
-                    )
-            partial = nxt
-        acc = acc + CharCombo(
-            K, [(_single(n, sorted(arcs)), cc) for arcs, cc in partial]
-        )
-    return acc
+            return [(mu.arcs, cc) for mu, cc in restrict(sub, K_part, p).terms.items()]
+
+        _superimpose(L, factor, c, acc)
+    return _combo(K, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +615,7 @@ def inner_product(x, y):
     for lam, cx in x.terms.items():
         cy = y.terms.get(lam)
         if cy is not None:
-            total = total + (cx * cy).shift(crossings_in(lam, x.ambient))
+            total = total + (cx * cy).shift(lam.crossings_within(x.ambient))
     return total
 
 
@@ -716,22 +623,23 @@ def superinduce(mu, K, p, L=None):
     """Superinduction from U_K up to U_L (default: the full group), computed
     through its adjointness with restriction: the coefficient of chi^nu is
     q^(crossings of mu in K minus crossings of nu in L) times the coefficient
-    of chi^mu in the restriction of chi^nu."""
+    of chi^mu in the restriction of chi^nu.  An arc of mu across two parts
+    of K is refused with ValueError."""
     n = K.n
     if L is None:
         L = PartitionIndex.full(n)
     if not K.refines(L):
         raise ValueError("superinduction needs the source index to refine the target")
+    c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
-    c_mu = crossings_in(mu, K)
     terms = []
     for nu in enumerate_compatible(L, p):
         if not _containment_prune(mu, nu):
             continue
         b = restrict_combo(CharCombo.of(nu, L), K, p).coeff(mu)
         if b:
-            terms.append((nu, b.shift(c_mu - crossings_in(nu, L))))
+            terms.append((nu, b.shift(c_mu - nu.crossings_within(L))))
     return CharCombo(L, terms)
 
 
@@ -806,7 +714,8 @@ def superinduce_via_permchar(mu, K, p, L=None):
     deg_L = degree_in(sinf(mu, K, L), L)
     (ek, ck), = deg_K.coeffs.items() if deg_K.coeffs else [(0, 0)]
     (el, cl), = deg_L.coeffs.items() if deg_L.coeffs else [(0, 0)]
-    assert ck == 1 and cl == 1, "degrees are monic q-powers"
+    if ck != 1 or cl != 1:
+        raise RuntimeError("degrees must be monic q-powers")
     k = _is_contiguous_twoblock(K)
     if k is not None and L.grouping() == PartitionIndex.full(n).grouping():
         sind_triv = superinduce_trivial_twoblock(k, n, p)

@@ -103,10 +103,6 @@ class LabeledSetPartition:
             out.append(tuple(chain))
         return tuple(sorted(out, key=lambda part: part[0]))
 
-    def arc_dict(self):
-        """{(left, right): label} for fast lookups."""
-        return {(a.left, a.right): a.label for a in self.arcs}
-
     def crossing_pairs(self):
         """All pairs of arcs (i-k, j-l) with i < j < k < l."""
         out = []
@@ -170,14 +166,6 @@ class LabeledSetPartition:
         support = [n + 1 - v for v in self.support]
         arcs = [(n + 1 - a.right, n + 1 - a.left, a.label) for a in self.arcs]
         return LabeledSetPartition(support, arcs)
-
-    def restrict_arcs_to(self, vertices):
-        """Keep only the arcs with both endpoints in ``vertices`` (support
-        unchanged)."""
-        vs = set(vertices)
-        return LabeledSetPartition(
-            self.support, [a for a in self.arcs if a.left in vs and a.right in vs]
-        )
 
     # -- dunder -------------------------------------------------------------
 

@@ -221,6 +221,55 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert "needs --n" in err
 
+    def test_label_outside_the_field_is_refused(self, capsys):
+        # label 2 is 0 at p = 2
+        code, _, err = run(
+            ["value", "--char", "n=2; 1-2:2", "--at", "1-2:1", "--q", "2"], capsys
+        )
+        assert code == cli.EXIT_PARSE
+        assert "outside 1..1" in err
+
+    def test_incompatible_superinduction_is_refused(self, capsys):
+        # the arc 1-3 straddles the parts {1} and {2,3}
+        code, _, err = run(
+            ["sind", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"], capsys
+        )
+        assert code == cli.EXIT_PARSE
+        assert "straddles" in err
+
+    def test_conflicting_n_is_refused(self, capsys):
+        code, _, err = run(
+            [
+                "restrict",
+                "--char",
+                "n=3; 1-3:1",
+                "--n",
+                "5",
+                "--subgroup",
+                "{1|2,3}",
+                "--q",
+                "2",
+            ],
+            capsys,
+        )
+        assert code == cli.EXIT_PARSE
+        assert "n=5 was given" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["star", "--left", "n=2; 1-2:3", "--right", "n=1", "--q", "3"],
+            ["star", "--left", "n=1", "--right", "n=2; 1-2:3", "--q", "3"],
+            ["inner", "--left", "n=3; 1-3:2", "--right", "n=3", "--q", "2"],
+            ["inner", "--left", "n=3", "--right", "(1)*chi[n=3; 1-3:2]", "--q", "2"],
+            ["sind", "--char", "n=3; 1-3:5", "--subgroup", "{1,2,3}", "--q", "5"],
+        ],
+    )
+    def test_every_label_is_checked(self, argv, capsys):
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_PARSE
+        assert "has a label outside" in err
+
     def test_argparse_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "--n", "3"])  # --q is required
@@ -304,6 +353,16 @@ class TestCache:
         assert "disagreed with recomputation" in err2
         repaired = json.loads(open(path, encoding="utf-8").read())
         assert out == repaired["output"] + "\n"
+
+    def test_verify_is_never_cached(self, tmp_path, capsys):
+        # verify recomputes by design, so a second run reports its own timing
+        argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "2", "--format", "json"]
+        argv += ["--cache-dir", str(tmp_path)]
+        for _ in range(2):
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["ok"] is True
+        assert os.listdir(tmp_path) == []
 
     def test_cache_dir_from_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SUPERCHAR_CACHE", str(tmp_path))

@@ -19,6 +19,7 @@ from superchar.ring import (
     kappa_to_chi,
     reflect_combo,
     restrict,
+    restrict_combo,
     sinf,
     star_K,
     superinduce,
@@ -26,6 +27,7 @@ from superchar.ring import (
     superinduce_via_permchar,
     tensor,
 )
+from superchar import ring
 from superchar.ring import _parts_are_intervals_within
 from superchar.setpart import (
     Arc,
@@ -40,6 +42,13 @@ from superchar.setpart import (
 
 def lsp(n, arcs):
     return LabeledSetPartition(range(1, n + 1), [Arc(*a) for a in arcs])
+
+
+def refinements(L):
+    """Every index K whose parts each sit inside a part of L."""
+    per_part = [list(set_partitions(part)) for part in L.parts]
+    for choice in itertools.product(*per_part):
+        yield PartitionIndex(L.n, [block for blocks in choice for block in blocks])
 
 
 class TestDegree:
@@ -118,6 +127,28 @@ class TestRestrict:
                     mirrored = restrict(lam.reflect(), K.reflect(), 2)
                     assert mirrored == reflect_combo(restrict(lam, K, 2))
 
+    def test_restriction_is_transitive(self):
+        # restricting from U_n to U_L and then to U_K equals restricting
+        # straight to U_K; the second step runs on a non-full ambient.  The
+        # label sums make coefficients p-specific (2 against q at p = 2 for
+        # 1-3 down to {1|2|3}), so compare at q = p
+        for p, max_n in ((2, 4), (3, 4)):
+            for n in range(2, max_n + 1):
+                full = PartitionIndex.full(n)
+                indices = [PartitionIndex(n, parts) for parts in set_partitions(range(1, n + 1))]
+                for lam in enumerate_labeled(range(1, n + 1), p):
+                    x = CharCombo.of(lam, full)
+                    for L in indices:
+                        via_L = restrict_combo(x, L, p)
+                        for K in refinements(L):
+                            a = restrict_combo(via_L, K, p)
+                            b = restrict_combo(x, K, p)
+                            assert a.ambient == b.ambient
+                            for mu in set(a.terms) | set(b.terms):
+                                assert a.coeff(mu).eval_at(Fraction(p)) == b.coeff(
+                                    mu
+                                ).eval_at(Fraction(p))
+
 
 class TestTensor:
     def test_values_multiply_pointwise(self):
@@ -132,6 +163,31 @@ class TestTensor:
                         assert combo_value(prod, nu, p) == char_value(
                             lam, nu, p
                         ) * char_value(mu, nu, p)
+
+    def test_values_multiply_pointwise_on_two_part_ambients(self):
+        for p, max_n in ((2, 4), (3, 3)):
+            for n in range(2, max_n + 1):
+                for parts in set_partitions(range(1, n + 1)):
+                    K = PartitionIndex(n, parts)
+                    if len(K.parts) != 2:
+                        continue
+                    labels = list(enumerate_compatible(K, p))
+                    for lam in labels:
+                        for mu in labels:
+                            x, y = CharCombo.of(lam, K), CharCombo.of(mu, K)
+                            prod = tensor(x, y, p)
+                            for nu in labels:
+                                assert combo_value(prod, nu, p) == combo_value(
+                                    x, nu, p
+                                ) * combo_value(y, nu, p)
+
+    def test_straightening_refuses_a_rewrite_that_does_not_shrink(self, monkeypatch):
+        # the rewrite of 1-2 and 1-4 is replaced by one of the same measure
+        # (two arcs, total length 4); straightening must stop, not loop
+        stuck = CharCombo.of(lsp(4, [(1, 4, 1), (2, 3, 1)]))
+        monkeypatch.setattr(ring, "tensor_pair", lambda arc1, arc2, n, p: stuck)
+        with pytest.raises(RuntimeError, match="measure must drop"):
+            ring.straighten([(1, 2, 1), (1, 4, 1)], 4, 2)
 
     def test_commutes_on_random_pairs(self):
         rng = random.Random(21)
@@ -191,6 +247,15 @@ class TestSuperinduce:
             ],
         )
         assert got == want
+
+    def test_incompatible_character_is_refused(self):
+        # the arc 1-3 straddles the parts {1} and {2,3}, so mu is no
+        # supercharacter of U_K
+        K = PartitionIndex(3, [[1], [2, 3]])
+        with pytest.raises(ValueError, match="straddles"):
+            superinduce(lsp(3, [(1, 3, 1)]), K, 2)
+        with pytest.raises(ValueError, match="straddles"):
+            superinduce(lsp(3, [(1, 3, 1)]), K, 2, L=K)
 
     def test_factorized_route_agrees_on_interval_indices(self):
         for p, max_n in ((2, 4), (3, 3)):
