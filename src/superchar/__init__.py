@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* qcoeff   -- exact scalars: Laurent polynomials in q, F_p, Q(zeta_p)
+* qcoeff   -- exact scalars: Laurent polynomials in q and Q(zeta_p)
 * setpart  -- labeled set partitions and parabolic index partitions
 * ring     -- supercharacter combinations and the branching operations
 * oracle   -- brute-force finite-group verification at desk scale

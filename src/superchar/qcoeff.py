@@ -1,10 +1,9 @@
 """Exact coefficient arithmetic.
 
-Three scalar domains, all exact:
+Two scalar domains, both exact:
 
 * :class:`LaurentPoly` -- integer Laurent polynomials in one variable ``q``,
   stored sparsely as ``{exponent: coeff}`` with no zero coefficients.
-* :class:`FieldElem` -- elements of the prime field F_p.
 * :class:`Cyclotomic` -- elements of Q(zeta_p) for a prime p, written on the
   rational basis ``1, zeta, ..., zeta^(p-2)`` with the reduction
   ``zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))``.
@@ -20,11 +19,7 @@ from fractions import Fraction
 
 __all__ = [
     "LaurentPoly",
-    "FieldElem",
     "Cyclotomic",
-    "field_units",
-    "theta",
-    "laurent_eval",
     "is_prime",
 ]
 
@@ -255,80 +250,6 @@ class LaurentPoly:
         return cls({int(e): int(c) for e, c in obj.items()})
 
 
-def laurent_eval(f, x):
-    """Exact evaluation of a LaurentPoly at a rational point."""
-    return f.eval_at(x)
-
-
-# ---------------------------------------------------------------------------
-# Prime field scalars
-# ---------------------------------------------------------------------------
-
-class FieldElem:
-    """A residue in F_p, p prime."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        if not is_prime(p):
-            raise ValueError("field size must be prime, got %r" % (p,))
-        object.__setattr__(self, "value", int(value) % p)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return FieldElem(other, self.p)
-        if not isinstance(other, FieldElem):
-            raise TypeError("expected FieldElem or int")
-        if other.p != self.p:
-            raise ValueError("mixed field sizes %d and %d" % (self.p, other.p))
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElem(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElem(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElem(self.value * other.value, self.p)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.p)
-
-    def inv(self):
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return FieldElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return isinstance(other, FieldElem) and (self.value, self.p) == (other.value, other.p)
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return "FieldElem(%d, p=%d)" % (self.value, self.p)
-
-
-def field_units(p):
-    """The q-1 nonzero elements of F_p in ascending order."""
-    if not is_prime(p):
-        raise ValueError("field size must be prime, got %r" % (p,))
-    return [FieldElem(a, p) for a in range(1, p)]
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic rationals Q(zeta_p)
 # ---------------------------------------------------------------------------
@@ -517,14 +438,3 @@ class Cyclotomic:
     def from_json(cls, obj):
         return cls(int(obj["p"]), [Fraction(c) for c in obj["coords"]])
 
-
-def theta(a, p=None):
-    """The fixed nontrivial character F_p -> Q(zeta_p)^x, a -> zeta_p^a.
-
-    Accepts a FieldElem (p inferred) or an int together with p.
-    """
-    if isinstance(a, FieldElem):
-        return Cyclotomic.zeta_power(a.p, a.value)
-    if p is None:
-        raise ValueError("theta on a plain int needs p")
-    return Cyclotomic.zeta_power(p, int(a))

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .qcoeff import Cyclotomic, LaurentPoly
 from .setpart import (
-    Arc,
     LabeledSetPartition,
     PartitionIndex,
     enumerate_compatible,
@@ -36,7 +35,6 @@ __all__ = [
     "char_value",
     "char_value_in",
     "combo_value",
-    "restrict_arc_subset",
     "tensor_pair",
     "straighten",
     "tensor",
@@ -250,23 +248,25 @@ def degree_in(lam, index):
 
 @functools.lru_cache(maxsize=None)
 def _char_value_std(arcs_lam, arcs_mu, p):
-    """Character value for standardized supports {1..n}; arcs as Arc tuples."""
+    """Character value for standardized supports {1..n}; arcs as sorted
+    (i, l, a) tuples."""
     mu_left = {}
     mu_right = {}
     mu_label = {}
     for arc in arcs_mu:
-        mu_left[arc.left] = arc
-        mu_right[arc.right] = arc
-        mu_label[(arc.left, arc.right)] = arc.label
+        i, l, a = arc
+        mu_left[i] = arc
+        mu_right[l] = arc
+        mu_label[(i, l)] = a
     total = Cyclotomic.one(p)
     for (i, l, a) in arcs_lam:
         blocker = mu_left.get(i)
-        if blocker is not None and blocker.right < l:
+        if blocker is not None and blocker[1] < l:
             return Cyclotomic.zero(p)
         blocker = mu_right.get(l)
-        if blocker is not None and blocker.left > i:
+        if blocker is not None and blocker[0] > i:
             return Cyclotomic.zero(p)
-        inside = sum(1 for b in arcs_mu if i < b.left and b.right < l)
+        inside = sum(1 for b in arcs_mu if i < b[0] and b[1] < l)
         exponent = (l - i - 1) - inside
         t = mu_label.get((i, l), 0)
         factor = Cyclotomic.zeta_power(p, (a * t) % p)
@@ -284,31 +284,24 @@ def char_value(lam, mu, p):
     """
     if lam.support != mu.support:
         raise ValueError("character and superclass supports differ")
-    n = len(lam.support)
-    if lam.support == frozenset(range(1, n + 1)):
+    if lam.support == frozenset(range(1, len(lam.support) + 1)):
         return _char_value_std(lam.arcs, mu.arcs, p)
-    lam_std, _ = lam.standardize()
-    mu_std, _ = mu.standardize()
-    return _char_value_std(lam_std.arcs, mu_std.arcs, p)
+    fwd = _numbering(sorted(lam.support))
+    return _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
 
 
 def char_value_in(lam, mu, index, p):
     """chi^lam(u_mu) inside U_K: the product of per-part values.
 
-    Each factor lives on the part alone, so the support is cut down to the
-    part before standardizing -- gap positions of a non-contiguous part do
-    not exist inside U_K and must not enter the exponent counts.
+    Each factor lives on the part alone, so the arcs are renumbered by the
+    part's own vertices -- gap positions of a non-contiguous part do not
+    exist inside U_K and must not enter the exponent counts.  Arcs that
+    leave the part do not enter its factor.
     """
     total = Cyclotomic.one(p)
     for part in index.parts:
-        ps = set(part)
-        sub_l = LabeledSetPartition(
-            part, [a for a in lam.arcs if a.left in ps and a.right in ps]
-        ).standardize()[0]
-        sub_m = LabeledSetPartition(
-            part, [a for a in mu.arcs if a.left in ps and a.right in ps]
-        ).standardize()[0]
-        total = total * _char_value_std(sub_l.arcs, sub_m.arcs, p)
+        fwd = _numbering(part)
+        total = total * _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
     return total
 
 
@@ -323,8 +316,13 @@ def combo_value(x, mu, p):
 
 
 # ---------------------------------------------------------------------------
-# Restriction of a single arc character
+# Arc tuples: the internal representation of the branching rules
 # ---------------------------------------------------------------------------
+#
+# Inside the rules a character is a sorted tuple of (i, l, a) arcs and a
+# combination is a dict from such tuples to LaurentPoly coefficients.  Each
+# public rule validates once, when it builds its one CharCombo (``_combo``
+# turns a dict into one).
 
 def _single(n, arcs):
     return LabeledSetPartition(range(1, n + 1), arcs)
@@ -334,6 +332,39 @@ def _combo(K, acc):
     """The combination on U_K of a dict from sorted arc tuples on {1..n} to
     coefficients."""
     return CharCombo(K, [(_single(K.n, arcs), c) for arcs, c in acc.items()])
+
+
+def _numbering(part):
+    """The increasing numbering of a sorted part by 1..m."""
+    return {v: t for t, v in enumerate(part, 1)}
+
+
+def _local(arcs, fwd):
+    """The arcs with both ends in a part, renumbered by the part's
+    numbering ``fwd`` (vertex -> 1..m)."""
+    return tuple((fwd[i], fwd[l], a) for i, l, a in arcs if i in fwd and l in fwd)
+
+
+def _superimpose(K, factor, coeff, acc):
+    """Add coeff times a product over the parts of K into ``acc``.
+
+    U_K is the direct product of its parts' groups, so every branching rule
+    computes one factor per part and superimposes the factors.  For each
+    part, ``factor(part, fwd)`` is given the part and the increasing
+    numbering ``fwd`` of its vertices by 1..m, and returns the part's factor
+    as (arcs on {1..m}, LaurentPoly) pairs.  The arcs are carried back onto
+    the part, and each choice of one term per part adds its superimposed
+    arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
+    """
+    partial = [((), coeff)]
+    for part in K.parts:
+        terms = [
+            (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
+            for arcs, c in factor(part, _numbering(part))
+        ]
+        partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
+    for arcs, c in partial:
+        _add(acc, tuple(sorted(arcs)), c)
 
 
 def _subset_bracket(i, l, a, S, p):
@@ -357,108 +388,67 @@ def _subset_bracket(i, l, a, S, p):
     return terms
 
 
-def restrict_arc_subset(i, l, a, S, n, p):
-    """Restriction of a single-arc supercharacter to U_S, by the case rule:
-    an overall q-power (counting the removed interior columns) times a
-    bracket depending on which of the endpoints survive in S."""
-    if not (1 <= i < l <= n):
-        raise ValueError("need 1 <= i < l <= n")
-    S = sorted(set(S))
-    if not S or S[0] < 1 or S[-1] > n:
-        raise ValueError("subset out of range")
-    power = LaurentPoly.q_power(sum(1 for k in range(i + 1, l) if k not in S))
-    return CharCombo(
-        PartitionIndex.from_subset(S, n),
-        [(_single(n, arcs), c * power) for arcs, c in _subset_bracket(i, l, a, S, p)],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Tensor products and straightening
 # ---------------------------------------------------------------------------
 
 def tensor_pair(arc1, arc2, n, p):
-    """Product of two single-arc supercharacters of U_n as a combination.
+    """Product of two single-arc supercharacters of U_n, as (sorted arc
+    tuple, coefficient) pairs.
 
     Compatible arcs (all endpoints distinct, or meeting head-to-tail) simply
     superimpose; arcs sharing a left endpoint, a right endpoint, or both
     rewrite into strictly smaller diagrams.
     """
-    a1, a2 = Arc(*arc1), Arc(*arc2)
+    (i1, l1, a1), (i2, l2, a2) = arc1, arc2
     units = range(1, p)
     one = LaurentPoly.one()
-    full = PartitionIndex.full(n)
 
-    def combo(terms):
-        return CharCombo(full, terms)
-
-    if (a1.left, a1.right) == (a2.left, a2.right):
-        i, l = a1.left, a1.right
-        if (a1.label + a2.label) % p == 0:
-            terms = [(_single(n, ()), one)]
-            for jp in range(i + 1, l):
-                for c in units:
-                    terms.append((_single(n, [(i, jp, c)]), one))
-            for kp in range(i + 1, l):
-                for c in units:
-                    terms.append((_single(n, [(kp, l, c)]), one))
-            for jp in range(i + 1, l):
-                for kp in range(i + 1, l):
-                    for c in units:
-                        for d in units:
-                            terms.append(
-                                (_single(n, [(i, jp, c), (kp, l, d)]), one)
-                            )
-            return combo(terms)
-        s = a1.right - a1.left - 1
-        merged = (i, l, (a1.label + a2.label) % p)
-        const = LaurentPoly.q_minus_one() * s + LaurentPoly.one()
-        terms = [(_single(n, [merged]), const)]
+    if (i1, l1) == (i2, l2):
+        i, l = i1, l1
+        inner = range(i + 1, l)
+        if (a1 + a2) % p == 0:
+            # (1 + every arc i-j) superimposed with (1 + every arc k-l)
+            lefts = [()] + [((i, j, c),) for j in inner for c in units]
+            rights = [()] + [((k, l, c),) for k in inner for c in units]
+            return [(x + y, one) for x in lefts for y in rights]
+        merged = (i, l, (a1 + a2) % p)
         qm1 = LaurentPoly.q_minus_one()
-        for jp in range(i + 1, l):
-            for kp in range(jp + 1, l):
-                for c in units:
-                    terms.append((_single(n, [(jp, kp, c), merged]), qm1))
-        return combo(terms)
+        return [((merged,), qm1 * (l - i - 1) + one)] + [
+            ((merged, (j, k, c)), qm1) for j in inner for k in range(j + 1, l) for c in units
+        ]
 
-    if a1.left == a2.left:
-        short, long_ = (a1, a2) if a1.right < a2.right else (a2, a1)
-        i, k, l = short.left, short.right, long_.right
-        keep = (i, l, long_.label)
-        terms = [(_single(n, [keep]), one)]
-        for jp in range(i + 1, k):
-            for c in units:
-                terms.append((_single(n, [(jp, k, c), keep]), one))
-        return combo(terms)
+    if i1 == i2:
+        # the shorter arc i-k gives way to the longer i-l
+        (i, k, _), keep = sorted((tuple(arc1), tuple(arc2)))
+        return [((keep,), one)] + [
+            ((keep, (j, k, c)), one) for j in range(i + 1, k) for c in units
+        ]
 
-    if a1.right == a2.right:
-        long_, short = (a1, a2) if a1.left < a2.left else (a2, a1)
-        i, j, l = long_.left, short.left, long_.right
-        keep = (i, l, long_.label)
-        terms = [(_single(n, [keep]), one)]
-        for kp in range(j + 1, l):
-            for c in units:
-                terms.append((_single(n, [(j, kp, c), keep]), one))
-        return combo(terms)
+    if l1 == l2:
+        # the shorter arc j-l gives way to the longer i-l
+        keep, (j, l, _) = sorted((tuple(arc1), tuple(arc2)))
+        return [((keep,), one)] + [
+            ((keep, (j, k, c)), one) for k in range(j + 1, l) for c in units
+        ]
 
     # head-to-tail chains and disjoint arcs superimpose directly
-    return combo([(_single(n, sorted((tuple(a1), tuple(a2)))), one)])
+    return [(tuple(sorted((tuple(arc1), tuple(arc2)))), one)]
 
 
 def _conflicting_pair(arcs):
     """Lexicographically least pair sharing a left or a right endpoint."""
     for x, y in itertools.combinations(arcs, 2):
-        if x.left == y.left or x.right == y.right:
+        if x[0] == y[0] or x[1] == y[1]:
             return x, y
     return None
 
 
-def straighten(arcs, n, p):
-    """Expand a multiset of labeled arcs on {1..n} into the supercharacter
-    basis by repeatedly rewriting the least conflicting pair."""
-    arcs = tuple(sorted(Arc(*a) for a in arcs))
+def _straighten(arcs, n, p):
+    """straighten's core: the expansion as a dict from sorted arc tuples to
+    coefficients."""
     acc = {}
-    work = [(arcs, LaurentPoly.one())]
+    work = [(tuple(sorted(arcs)), LaurentPoly.one())]
     while work:
         cur, coeff = work.pop()
         pair = _conflicting_pair(cur)
@@ -469,44 +459,23 @@ def straighten(arcs, n, p):
         rest = list(cur)
         rest.remove(x)
         rest.remove(y)
-        measure = (len(cur), sum(a.right - a.left for a in cur))
-        expansion = tensor_pair(x, y, n, p)
-        for lam, c in expansion.terms.items():
-            new = tuple(sorted(rest + list(lam.arcs)))
-            new_measure = (len(new), sum(a.right - a.left for a in new))
-            if not new_measure < measure:
+        measure = (len(cur), sum(l - i for i, l, _ in cur))
+        for arcs2, c in tensor_pair(x, y, n, p):
+            new = tuple(sorted(rest + list(arcs2)))
+            if not (len(new), sum(l - i for i, l, _ in new)) < measure:
                 raise RuntimeError("straightening measure must drop")
             work.append((new, coeff * c))
-    return _combo(PartitionIndex.full(n), acc)
+    return acc
 
 
-def _local(arcs, fwd):
-    """The arcs that start in a part, renumbered by the part's numbering
-    ``fwd`` (vertex -> 1..m)."""
-    return tuple((fwd[i], fwd[l], a) for i, l, a in arcs if i in fwd)
-
-
-def _superimpose(K, factor, coeff, acc):
-    """Add coeff times a product over the parts of K into ``acc``.
-
-    U_K is the direct product of its parts' groups, so every branching rule
-    computes one factor per part and superimposes the factors.  For each
-    part, ``factor(part, fwd)`` is given the part and the increasing
-    numbering ``fwd`` of its vertices by 1..m, and returns the part's factor
-    as (arcs on {1..m}, LaurentPoly) pairs.  The arcs are carried back onto
-    the part, and each choice of one term per part adds its superimposed
-    arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
-    """
-    partial = [((), coeff)]
-    for part in K.parts:
-        fwd = {v: t for t, v in enumerate(part, 1)}
-        terms = [
-            (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
-            for arcs, c in factor(part, fwd)
-        ]
-        partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
-    for arcs, c in partial:
-        _add(acc, tuple(sorted(arcs)), c)
+def straighten(arcs, n, p):
+    """Expand a multiset of labeled arcs on {1..n} into the supercharacter
+    basis by repeatedly rewriting the least conflicting pair."""
+    arcs = [tuple(a) for a in arcs]
+    for i, l, _ in arcs:
+        if not 1 <= i < l <= n:
+            raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
+    return _combo(PartitionIndex.full(n), _straighten(arcs, n, p))
 
 
 def tensor(x, y, p):
@@ -520,8 +489,7 @@ def tensor(x, y, p):
             arcs = lam1.arcs + lam2.arcs
 
             def factor(part, fwd):
-                local = straighten(_local(arcs, fwd), len(part), p)
-                return [(lam.arcs, c) for lam, c in local.terms.items()]
+                return _straighten(_local(arcs, fwd), len(part), p).items()
 
             _superimpose(K, factor, c1 * c2, acc)
     return _combo(K, acc)
@@ -531,35 +499,45 @@ def tensor(x, y, p):
 # Restriction to parabolic subgroups
 # ---------------------------------------------------------------------------
 
-def restrict(lam, K, p):
-    """Restriction of chi^lam from U_n to the parabolic U_K.
+def _restrict(arcs, K, p, L):
+    """The restriction from U_L to a refinement U_K of the character whose
+    arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
+    tuples to coefficients.
 
-    Each arc factors over the parts of K (each part's subset-rule bracket);
-    within every part the per-arc brackets multiply by straightening, and
-    parts combine by superimposition.
+    Each part of K sees only the arcs of its own part of L.  Within the
+    part, the per-arc subset-rule brackets multiply by straightening, and
+    the parts combine by superimposition.
     """
-    n = K.n
-    if lam.support != frozenset(range(1, n + 1)):
-        raise ValueError("partition support must be {1..%d}" % n)
+    where = L.part_lookup()
 
     def factor(part, fwd):
         m = len(part)
         product = {(): LaurentPoly.one()}
-        for arc in lam.arcs:
+        for arc in arcs:
+            if where[arc[0]] != where[part[0]]:
+                continue
             bracket = [
-                (_local(arcs, fwd), c) for arcs, c in _subset_bracket(*arc, part, p)
+                (_local(sub, fwd), c) for sub, c in _subset_bracket(*arc, part, p)
             ]
             nxt = {}
             for arcs1, c1 in product.items():
                 for arcs2, c2 in bracket:
-                    for loc, c_loc in straighten(arcs1 + arcs2, m, p).terms.items():
-                        _add(nxt, loc.arcs, c1 * c2 * c_loc)
+                    for loc, c_loc in _straighten(arcs1 + arcs2, m, p).items():
+                        _add(nxt, loc, c1 * c2 * c_loc)
             product = nxt
         return product.items()
 
     acc = {}
     _superimpose(K, factor, LaurentPoly.one(), acc)
-    return _combo(K, acc)
+    return acc
+
+
+def restrict(lam, K, p):
+    """Restriction of chi^lam from U_n to the parabolic U_K."""
+    n = K.n
+    if lam.support != frozenset(range(1, n + 1)):
+        raise ValueError("partition support must be {1..%d}" % n)
+    return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(n)))
 
 
 def restrict_combo(x, K, p):
@@ -570,16 +548,8 @@ def restrict_combo(x, K, p):
         raise ValueError("target index must refine the ambient")
     acc = {}
     for lam, c in x.terms.items():
-
-        def factor(part, fwd):
-            m = len(part)
-            sub = LabeledSetPartition(range(1, m + 1), _local(lam.arcs, fwd))
-            K_part = PartitionIndex(
-                m, [[fwd[v] for v in kp] for kp in K.parts if kp[0] in fwd]
-            )
-            return [(mu.arcs, cc) for mu, cc in restrict(sub, K_part, p).terms.items()]
-
-        _superimpose(L, factor, c, acc)
+        for mu, b in _restrict(lam.arcs, K, p, L).items():
+            _add(acc, mu, c * b)
     return _combo(K, acc)
 
 
@@ -637,7 +607,7 @@ def superinduce(mu, K, p, L=None):
     for nu in enumerate_compatible(L, p):
         if not _containment_prune(mu, nu):
             continue
-        b = restrict_combo(CharCombo.of(nu, L), K, p).coeff(mu)
+        b = _restrict(nu.arcs, K, p, L).get(mu.arcs)
         if b:
             terms.append((nu, b.shift(c_mu - nu.crossings_within(L))))
     return CharCombo(L, terms)
@@ -659,7 +629,6 @@ def superinduce_trivial_twoblock(k, n, p):
     straddle the cut, weighted by an inverse q-power of its crossings."""
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
-    K = PartitionIndex(n, [tuple(range(1, k + 1)), tuple(range(k + 1, n + 1))])
     terms = []
     for lam in enumerate_labeled(range(1, n + 1), p):
         if all(a.left <= k < a.right for a in lam.arcs):
@@ -748,15 +717,7 @@ def chi_to_kappa(x, p):
     if len(x.ambient.parts) != 1:
         raise ValueError("basis conversion lives on the full group")
     n = x.ambient.n
-    out = {}
-    for mu in enumerate_labeled(range(1, n + 1), p):
-        total = Cyclotomic.zero(p)
-        for lam, c in x.terms.items():
-            v = _char_value_std(lam.arcs, mu.arcs, p)
-            if v:
-                total = total + c.eval_at(p) * v
-        out[mu] = total
-    return out
+    return {mu: combo_value(x, mu, p) for mu in enumerate_labeled(range(1, n + 1), p)}
 
 
 def kappa_to_chi(values, p):
@@ -797,7 +758,7 @@ def kappa_to_chi(values, p):
 def _sinfres_single(arc, lo, hi, n, p):
     """Restrict a single-arc character to the interval subgroup on [lo,hi]
     and read the result back in the full group (inflation keeps the arcs)."""
-    sub = restrict_arc_subset(arc[0], arc[1], arc[2], range(lo, hi + 1), n, p)
+    sub = restrict(_single(n, [arc]), PartitionIndex.from_subset(range(lo, hi + 1), n), p)
     return sinf_combo(sub, PartitionIndex.full(n))
 
 

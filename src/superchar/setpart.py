@@ -9,7 +9,7 @@ whole validity story.
 
 Labels are stored as plain positive ints and interpreted mod a prime p; the
 prime is passed to whichever operation enumerates labels or evaluates
-characters (see qcoeff.FieldElem for the arithmetic boundary).
+characters.
 
 A :class:`PartitionIndex` names a parabolic subgroup: an ordered list of
 disjoint parts covering {1..n}.  Part order matters for the two-block glue

@@ -201,6 +201,31 @@ class TestVerify:
         assert code == cli.EXIT_BUDGET
         assert "budget refused" in err
 
+    def test_all_runs_the_suites_defined_at_q(self, capsys):
+        # the characteristic map lives at q = 2, so q = 3 skips only it
+        code, out, _ = run(["verify", "--suite", "all", "--q", "3", "--max-n", "2"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert all(": ok (" in line for line in lines)
+        assert not any(line.startswith("charmap") for line in lines)
+        code, _, err = run(["verify", "--suite", "charmap", "--q", "3", "--max-n", "2"], capsys)
+        assert code == cli.EXIT_PARSE
+        assert "q = 2" in err
+
+    def test_symbolic_superinduction_over_budget_is_refused(self, capsys):
+        # U_9(2) has 21147 labels to walk
+        argv = ["sind", "--char", "n=9", "--subgroup", "{1,2,3,4|5,6,7,8,9}", "--q", "2"]
+        code, out, err = run(argv + ["--budget", "10"], capsys)
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert "21147 labels" in err
+        star = ["star", "--left", "n=2; 1-2:1", "--right", "n=2; 1-2:1", "--q", "2"]
+        code, out, _ = run(star + ["--budget", "14"], capsys)
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        code, out, _ = run(star + ["--budget", "15"], capsys)
+        assert code == 0
+        assert out == run(star, capsys)[1]
+
 
 class TestErrors:
     def test_nonprime_field_size(self, capsys):

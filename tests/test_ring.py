@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superchar.qcoeff import Cyclotomic, LaurentPoly, laurent_eval
+from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.ring import (
     CharCombo,
     char_value,
@@ -65,7 +65,7 @@ class TestDegree:
         for p in (2, 3):
             for lam in enumerate_labeled(range(1, 5), p):
                 empty = lsp(4, [])
-                want = Cyclotomic.from_rational(p, laurent_eval(degree(lam), p))
+                want = Cyclotomic.from_rational(p, degree(lam).eval_at(p))
                 assert char_value(lam, empty, p) == want
 
     def test_linear_iff_every_arc_is_adjacent(self):
@@ -184,10 +184,17 @@ class TestTensor:
     def test_straightening_refuses_a_rewrite_that_does_not_shrink(self, monkeypatch):
         # the rewrite of 1-2 and 1-4 is replaced by one of the same measure
         # (two arcs, total length 4); straightening must stop, not loop
-        stuck = CharCombo.of(lsp(4, [(1, 4, 1), (2, 3, 1)]))
+        stuck = [(((1, 4, 1), (2, 3, 1)), LaurentPoly.one())]
         monkeypatch.setattr(ring, "tensor_pair", lambda arc1, arc2, n, p: stuck)
         with pytest.raises(RuntimeError, match="measure must drop"):
             ring.straighten([(1, 2, 1), (1, 4, 1)], 4, 2)
+
+    def test_straightening_refuses_arcs_off_the_group(self):
+        # two copies of 5-6:1 cancel at p = 2, leaving no arc off {1..4}
+        # behind, so only an input check can refuse them
+        for arcs in ([(5, 6, 1), (5, 6, 1)], [(3, 2, 1)], [(0, 2, 1)]):
+            with pytest.raises(ValueError):
+                ring.straighten(arcs, 4, 2)
 
     def test_commutes_on_random_pairs(self):
         rng = random.Random(21)

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from superchar.qcoeff import LaurentPoly, laurent_eval
+from superchar.qcoeff import LaurentPoly
 from superchar.setpart import (
     Arc,
     LabeledSetPartition,
@@ -213,7 +213,7 @@ class TestEnumerationAndCounting:
         assert count_sn_poly(3) == LaurentPoly({2: 1, 1: 1, 0: -1})
         for p in (2, 3, 5):
             for n in range(0, 8):
-                assert laurent_eval(count_sn_poly(n), p) == count_sn(n, p)
+                assert count_sn_poly(n).eval_at(p) == count_sn(n, p)
 
     def test_set_partition_stream(self):
         for n in range(0, 8):
