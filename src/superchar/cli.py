@@ -20,11 +20,10 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .qcoeff import Cyclotomic, LaurentPoly, is_prime
+from .qcoeff import is_prime
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
-    arcs_of_parts,
     count_sn,
     enumerate_compatible,
     enumerate_labeled,
@@ -40,7 +39,6 @@ from .ring import (
     sinf,
     star_K,
     superinduce,
-    superinduce_trivial_twoblock,
     tensor,
 )
 
@@ -192,6 +190,8 @@ def cmd_ncsym(args):
     from . import ncsym as nc
 
     if args.op == "product":
+        if args.left is None or args.right is None:
+            raise ValueError("ncsym product needs --left and --right")
         K1 = PartitionIndex.from_text(args.left)
         K2 = PartitionIndex.from_text(args.right)
         x = nc.NCSymElem.single(args.basis, nc.canonical_index(K1))
@@ -299,6 +299,7 @@ def _suite_tensor(args):
 
 def _suite_superinduction(args):
     from .oracle import PatternGroup, brute_inner_product, brute_superinduce
+    from .reference import superinduce_trivial_twoblock
     from .ring import char_value_in
 
     checks = 0
@@ -342,6 +343,7 @@ def _suite_superinduction(args):
 
 def _suite_words(args):
     from . import ncsym as nc
+    from .reference import _labeled_of_parts, _star_K_product_words
 
     checks = 0
     for total in range(2, args.max_n + 1):
@@ -352,15 +354,9 @@ def _suite_words(args):
                 K = PartitionIndex(total, [block1, block2])
                 for mp in set_partitions(range(1, m + 1)):
                     for np_ in set_partitions(range(1, n + 1)):
-                        mu = LabeledSetPartition(
-                            range(1, m + 1),
-                            [(u, v, 1) for u, v in arcs_of_parts(mp)],
+                        glued = union_K(
+                            _labeled_of_parts(mp, m), _labeled_of_parts(np_, n), K
                         )
-                        nu = LabeledSetPartition(
-                            range(1, n + 1),
-                            [(u, v, 1) for u, v in arcs_of_parts(np_)],
-                        )
-                        glued = union_K(mu, nu, K)
                         x = nc.NCSymElem.single(
                             "p", nc.canonical_index(PartitionIndex(m, mp))
                         )
@@ -375,7 +371,7 @@ def _suite_words(args):
                         )
                         # the word-by-word product keeps the check independent
                         # of the m-basis rule
-                        if product != nc._star_K_product_words(x, y, K):
+                        if product != _star_K_product_words(x, y, K):
                             return False, where + " differs from the word product"
                         rhs = nc.NCSymElem.single(
                             "p",
@@ -388,11 +384,11 @@ def _suite_words(args):
 
 
 def _suite_charmap(args):
-    from . import ncsym as nc
+    from .reference import characteristic_map_check
 
     if args.q != 2:
         raise ValueError("the characteristic map lives at q = 2")
-    ok = nc.characteristic_map_check(args.max_n, budget=args.budget)
+    ok = characteristic_map_check(args.max_n, budget=args.budget)
     return ok, "degrees up to %d" % args.max_n
 
 

@@ -15,11 +15,10 @@ instead of grinding.  The default enumeration bound is 3^6 = 729 elements
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .qcoeff import Cyclotomic, is_prime
-from .setpart import LabeledSetPartition, PartitionIndex, enumerate_compatible
+from .setpart import PartitionIndex, enumerate_compatible
 
 __all__ = [
     "BudgetError",
@@ -28,12 +27,6 @@ __all__ = [
     "brute_superinduce",
     "brute_inner_product",
     "z_value",
-    "sg_matrices",
-    "sg_ones",
-    "sg_sow",
-    "sg_identity_a",
-    "sg_identity_b",
-    "permchar_hypothesis_check",
     "DEFAULT_MAX_GROUP",
     "DEFAULT_MAX_BRUTE",
 ]
@@ -114,10 +107,6 @@ class PatternGroup:
                         positions.append((i, j))
         return cls(index.n, positions, p, max_size=max_size, index=index)
 
-    @classmethod
-    def from_subset(cls, subset, n, p, max_size=None):
-        return cls.parabolic(PartitionIndex.from_subset(subset, n), p, max_size=max_size)
-
     # -- element encoding ----------------------------------------------------
 
     def vec_of_index(self, idx):
@@ -190,23 +179,6 @@ class PatternGroup:
                 row[j] = s % p
             out.append(tuple(row))
         return tuple(out)
-
-    def group_inverse(self, A):
-        """Inverse of a unipotent matrix: alternating geometric series of the
-        strictly upper part."""
-        n, p = self.n, self.p
-        N = tuple(tuple((A[i][j] if j > i else 0) for j in range(n)) for i in range(n))
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        out = ident
-        term = ident
-        sign = -1
-        for _ in range(n - 1):
-            term = self.matmul(term, N)
-            out = tuple(
-                tuple((out[i][j] + sign * term[i][j]) % p for j in range(n)) for i in range(n)
-            )
-            sign = -sign
-        return out
 
     def elementary(self, pos, a):
         """The group element 1 + a*E_pos."""
@@ -433,26 +405,12 @@ class PatternGroup:
 
     def char_values_of_functional(self, coords):
         """Supercharacter values (per superclass) of the dual orbit through
-        the functional given as {(i,j): value}."""
+        the functional given as {(i,j): value}: its ``character_table`` row."""
         vec = [0] * len(self.positions)
         for pos, v in coords.items():
             vec[self.pos_at[pos]] = v % self.p
-        orbits, orbit_of, right_sizes = self._dual_orbits()
-        oid = orbit_of[tuple(vec)]
-        table = self.superclass_table()
-        p = self.p
-        out = []
-        for rep in table.reps:
-            X = self.vec_of_index(rep)
-            counts = [0] * p
-            for mu in orbits[oid]:
-                counts[sum(a * x for a, x in zip(mu, X)) % p] += 1
-            total = Cyclotomic.zero(p)
-            for r, c in enumerate(counts):
-                if c:
-                    total = total + c * Cyclotomic.zeta_power(p, r)
-            out.append(Fraction(right_sizes[oid], len(orbits[oid])) * total)
-        return tuple(out)
+        oid = self._dual_orbits()[1][tuple(vec)]
+        return next(row["values"] for row in self.character_table() if row["orbit"] == oid)
 
     # -- composition tables ---------------------------------------------------
 
@@ -495,22 +453,6 @@ class SuperclassTable:
 
     def class_of_label(self, lam):
         return self.class_of[self.group.index_of_superclass_label(lam)]
-
-    def to_json(self):
-        return {
-            "n": self.group.n,
-            "p": self.group.p,
-            "positions": [list(pos) for pos in self.group.positions],
-            "classes": [
-                {
-                    "rep": self.group.vec_of_index(rep),
-                    "size": len(members),
-                    "label": (lam.to_text() if lam is not None else None),
-                }
-                for rep, members, lam in zip(self.reps, self.members, self.labels)
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Brute-force operations
@@ -591,128 +533,3 @@ def brute_inner_product(group, f_vals, g_vals):
     for size, a, b in zip(table.sizes(), f_vals, g_vals):
         total = total + size * (a * b.conj())
     return Fraction(1, group.size) * total
-
-
-# ---------------------------------------------------------------------------
-# Partial permutation matrices and the two power-sum identities
-# ---------------------------------------------------------------------------
-
-def sg_matrices(m, n):
-    """All m x n 0-1 matrices with at most one 1 per row and per column,
-    as tuples of row-tuples, deterministically ordered."""
-    out = []
-    for k in range(min(m, n) + 1):
-        for rows in itertools.combinations(range(m), k):
-            for cols in itertools.permutations(range(n), k):
-                w = [[0] * n for _ in range(m)]
-                for r, c in zip(rows, cols):
-                    w[r][c] = 1
-                out.append(tuple(tuple(r) for r in w))
-    out.sort()
-    return out
-
-
-def sg_ones(w):
-    return sum(sum(row) for row in w)
-
-
-def sg_sow(w):
-    """Zeros of w lying below a 1 in their column or left of a 1 in their row."""
-    m, n = len(w), len(w[0]) if w else 0
-    count = 0
-    for j in range(m):
-        for k in range(n):
-            if w[j][k]:
-                continue
-            if any(w[i][k] for i in range(j)) or any(w[j][l] for l in range(k + 1, n)):
-                count += 1
-    return count
-
-
-def sg_identity_a(m, n):
-    """sum over w of (q-1)^ones(w) q^sow(w), as a Laurent polynomial.
-    Equals q^(mn)."""
-    from .qcoeff import LaurentPoly
-
-    total = LaurentPoly.zero()
-    qm1 = LaurentPoly.q_minus_one()
-    for w in sg_matrices(m, n):
-        total = total + (qm1 ** sg_ones(w)).shift(sg_sow(w))
-    return total
-
-
-def sg_identity_b(m, n):
-    """The signed sum over w of (-1)^(w_1n) (q-1)^(ones(w) - w_1n) q^sow(w).
-
-    Shapes whose top-right corner carries a 1 enter with one fewer label
-    factor (the corner label is summed against theta, contributing -1), so
-    the signed sum vanishes identically in q.
-    """
-    from .qcoeff import LaurentPoly
-
-    total = LaurentPoly.zero()
-    qm1 = LaurentPoly.q_minus_one()
-    for w in sg_matrices(m, n):
-        corner = w[0][n - 1]
-        term = (qm1 ** (sg_ones(w) - corner)).shift(sg_sow(w))
-        total = total + (-term if corner else term)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Permutation-character factorization of superinduction
-# ---------------------------------------------------------------------------
-
-def permchar_hypothesis_check(G, H, mu_coords, budget=None):
-    """Check, by enumeration, the proportionality hypothesis and the
-    factorization conclusion for a supercharacter of H inside G.
-
-    mu_coords: functional on the H-mask as {(i,j): value}.
-
-    hypothesis: chi(1) * Sinf(chi)(h) == Sinf(chi)(1) * chi(h) for all h in H,
-    where Sinf(chi) is the G-supercharacter of the functional extended by 0.
-
-    conclusion: SInd(chi) == (chi(1)/Sinf(chi)(1)) * Sinf(chi) * SInd(triv),
-    compared on every G-superclass.
-
-    Returns (hypothesis_holds, conclusion_holds, ratio).
-    """
-    p = G.p
-    g_table = G.superclass_table()
-    h_table = H.superclass_table()
-
-    chi_h = H.char_values_of_functional(mu_coords)
-    sinf_g = G.char_values_of_functional(mu_coords)
-
-    # identity sits in class of the zero algebra element
-    id_class_h = h_table.class_of[0]
-    id_class_g = g_table.class_of[0]
-    chi_deg = chi_h[id_class_h]
-    sinf_deg = sinf_g[id_class_g]
-
-    hypothesis = True
-    for h_idx in range(H.size):
-        # h as an element of G: same algebra support
-        coords = {
-            pos: v for pos, v in zip(H.positions, H.vec_of_index(h_idx)) if v
-        }
-        g_alg = [0] * len(G.positions)
-        for pos, v in coords.items():
-            g_alg[G.pos_at[pos]] = v
-        g_cid = g_table.class_of[G.index_of_vec(tuple(g_alg))]
-        h_cid = h_table.class_of[h_idx]
-        if chi_deg * sinf_g[g_cid] != sinf_deg * chi_h[h_cid]:
-            hypothesis = False
-            break
-
-    triv = tuple(Cyclotomic.one(p) for _ in range(len(h_table)))
-    sind_triv = brute_superinduce(G, H, triv, budget=budget)
-    sind_chi = brute_superinduce(G, H, chi_h, budget=budget)
-
-    ratio_cyc = chi_deg * sinf_deg.inv()
-    conclusion = all(
-        sind_chi[c] == ratio_cyc * sinf_g[c] * sind_triv[c]
-        for c in range(len(g_table))
-    )
-    ratio = chi_deg.as_rational() / sinf_deg.as_rational()
-    return hypothesis, conclusion, ratio

@@ -157,9 +157,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
     def eval_at(self, x):
         """Exact evaluation; returns a Fraction (or int when x is int and
         no negative exponents occur).  Evaluation at 0 with a negative

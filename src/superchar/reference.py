@@ -1,0 +1,587 @@
+"""Reference routes: second implementations kept as test oracles.
+
+Each operation has one public implementation in ``ring``, ``oracle`` or
+``ncsym``.  The functions here recompute answers, or identities behind
+them, by independent routes: superinduction by a permutation-character
+factorization and by a closed form, product identities, word expansions,
+the partition lattice, and the characteristic map checked against the
+brute-force oracle.  Only the tests and the verify suites import them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import warnings
+from fractions import Fraction
+
+from .ncsym import (
+    NCSymElem,
+    _coarsenings_with_mobius,
+    _validate_shuffle_index,
+    canonical_index,
+    m_from_p,
+    p_from_m,
+    star_K_product,
+)
+from .oracle import PatternGroup, brute_superinduce, z_value
+from .qcoeff import Cyclotomic, LaurentPoly
+from .ring import (
+    CharCombo,
+    _single,
+    combo_value,
+    degree_in,
+    restrict,
+    sinf,
+    superinduce,
+    tensor,
+)
+from .setpart import (
+    LabeledSetPartition,
+    PartitionIndex,
+    arcs_of_parts,
+    enumerate_labeled,
+    set_partitions,
+    union_K,
+)
+
+
+# ---------------------------------------------------------------------------
+# Superinduction by other routes
+# ---------------------------------------------------------------------------
+
+def superinduce_trivial_twoblock(k, n, p):
+    """Closed form for superinducing the trivial character from the parabolic
+    with parts {1..k} and {k+1..n}: one term per partition whose arcs all
+    straddle the cut, weighted by an inverse q-power of its crossings."""
+    if not (1 <= k < n):
+        raise ValueError("need 1 <= k < n")
+    terms = []
+    for lam in enumerate_labeled(range(1, n + 1), p):
+        if all(a.left <= k < a.right for a in lam.arcs):
+            terms.append((lam, LaurentPoly.q_power(-lam.num_crossings())))
+    return CharCombo(PartitionIndex.full(n), terms)
+
+
+def _parts_are_intervals_within(K, L):
+    """True when every part of K occupies consecutive positions of its
+    enclosing L-part."""
+    lookup = L.part_lookup()
+    for part in K.parts:
+        ambient = sorted(L.parts[lookup[part[0]]])
+        first = ambient.index(part[0])
+        if list(part) != ambient[first : first + len(part)]:
+            return False
+    return True
+
+
+def superinduce_via_permchar(mu, K, p, L=None):
+    """Superinduction through the permutation-character factorization: the
+    degree ratio (a q-power) times the inflated character tensored with the
+    superinduced trivial character.
+
+    The factorization is an identity only when every part of K is an
+    interval inside its L-part.  With a gap in a part, positions of U_L
+    sitting under one of its arcs belong to other parts, and the inflated
+    character is no longer proportional to the original on U_K (the
+    enumeration oracle exhibits failures at n = 4: K = {1,4|2,3} with a
+    1-4 arc).  Such indices are refused; ``superinduce`` handles them.
+    """
+    n = K.n
+    if L is None:
+        L = PartitionIndex.full(n)
+    if not _parts_are_intervals_within(K, L):
+        raise ValueError(
+            "the factorization needs each part of %s to be an interval "
+            "inside its part of %s; use superinduce for general indices"
+            % (K.to_text(), L.to_text())
+        )
+    deg_K = degree_in(mu, K)
+    deg_L = degree_in(sinf(mu, K, L), L)
+    (ek, ck), = deg_K.coeffs.items() if deg_K.coeffs else [(0, 0)]
+    (el, cl), = deg_L.coeffs.items() if deg_L.coeffs else [(0, 0)]
+    if ck != 1 or cl != 1:
+        raise RuntimeError("degrees must be monic q-powers")
+    sind_triv = superinduce(_single(n, ()), K, p, L)
+    lifted = CharCombo.of(mu, L)
+    return tensor(lifted, sind_triv, p).scale(LaurentPoly.q_power(ek - el))
+
+
+# ---------------------------------------------------------------------------
+# Restriction-inflation identities and the order-reversing symmetry
+# ---------------------------------------------------------------------------
+
+def sinf_combo(x, L):
+    """Lift a combination on U_K to U_L (K must refine L): identical terms,
+    coarser ambient."""
+    if not x.ambient.refines(L):
+        raise ValueError("ambient must refine the inflation target")
+    return CharCombo(L, dict(x.terms))
+
+
+def _sinfres_single(arc, lo, hi, n, p):
+    """Restrict a single-arc character to the interval subgroup on [lo,hi]
+    and read the result back in the full group (inflation keeps the arcs)."""
+    sub = restrict(_single(n, [arc]), PartitionIndex.from_subset(range(lo, hi + 1), n), p)
+    return sinf_combo(sub, PartitionIndex.full(n))
+
+
+def sinfres_identities_check(i, j, k, l, a, b, n, p):
+    """Check the four restriction-inflation product identities for the
+    quadruple i<j<k<l by exhaustive pointwise evaluation."""
+    if not (1 <= i < j < k < l <= n):
+        raise ValueError("need 1 <= i < j < k < l <= n")
+    full = PartitionIndex.full(n)
+    neg_a = (-a) % p
+
+    def chi(*arcs):
+        return CharCombo.of(_single(n, arcs), full)
+
+    checks = [
+        (
+            tensor_values(chi((i, k, a)), chi((i, l, b)), n, p),
+            tensor_values(_sinfres_single((i, k, a), i + 1, l, n, p), chi((i, l, b)), n, p),
+        ),
+        (
+            tensor_values(chi((i, l, a)), chi((j, l, b)), n, p),
+            tensor_values(chi((i, l, a)), _sinfres_single((j, l, b), i, l - 1, n, p), n, p),
+        ),
+        (
+            tensor_values(chi((i, l, a)), chi((i, l, neg_a)), n, p),
+            tensor_values(
+                _sinfres_single((i, l, a), i + 1, l, n, p),
+                _sinfres_single((i, l, neg_a), i, l - 1, n, p),
+                n,
+                p,
+            ),
+        ),
+    ]
+    if (a + b) % p != 0:
+        ab = (a + b) % p
+        checks.append(
+            (
+                tensor_values(chi((i, l, a)), chi((i, l, b)), n, p),
+                tensor_values(
+                    chi((i, l, ab)), _sinfres_single((i, l, ab), i + 1, l - 1, n, p), n, p
+                ),
+            )
+        )
+    return all(lhs == rhs for lhs, rhs in checks)
+
+
+def tensor_values(x, y, n, p):
+    """Value vector of a pointwise product over all superclass labels (no
+    straightening involved -- tensor values are plain products)."""
+    labels = enumerate_labeled(range(1, n + 1), p)
+    return tuple(combo_value(x, mu, p) * combo_value(y, mu, p) for mu in labels)
+
+
+def reflect_combo(x):
+    """Conjugate a combination by the order-reversing symmetry."""
+    n = x.ambient.n
+    return CharCombo(
+        x.ambient.reflect(),
+        [(lam.reflect(n), c) for lam, c in x.terms.items()],
+    )
+
+
+# ---------------------------------------------------------------------------
+# Partial permutation matrices and the two power-sum identities
+# ---------------------------------------------------------------------------
+
+def sg_matrices(m, n):
+    """All m x n 0-1 matrices with at most one 1 per row and per column,
+    as tuples of row-tuples, deterministically ordered."""
+    out = []
+    for k in range(min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.permutations(range(n), k):
+                w = [[0] * n for _ in range(m)]
+                for r, c in zip(rows, cols):
+                    w[r][c] = 1
+                out.append(tuple(tuple(r) for r in w))
+    out.sort()
+    return out
+
+
+def sg_ones(w):
+    return sum(sum(row) for row in w)
+
+
+def sg_sow(w):
+    """Zeros of w lying below a 1 in their column or left of a 1 in their row."""
+    m, n = len(w), len(w[0]) if w else 0
+    count = 0
+    for j in range(m):
+        for k in range(n):
+            if w[j][k]:
+                continue
+            if any(w[i][k] for i in range(j)) or any(w[j][l] for l in range(k + 1, n)):
+                count += 1
+    return count
+
+
+def sg_identity_a(m, n):
+    """sum over w of (q-1)^ones(w) q^sow(w), as a Laurent polynomial.
+    Equals q^(mn)."""
+    total = LaurentPoly.zero()
+    qm1 = LaurentPoly.q_minus_one()
+    for w in sg_matrices(m, n):
+        total = total + (qm1 ** sg_ones(w)).shift(sg_sow(w))
+    return total
+
+
+def sg_identity_b(m, n):
+    """The signed sum over w of (-1)^(w_1n) (q-1)^(ones(w) - w_1n) q^sow(w).
+
+    Shapes whose top-right corner carries a 1 enter with one fewer label
+    factor (the corner label is summed against theta, contributing -1), so
+    the signed sum vanishes identically in q.
+    """
+    total = LaurentPoly.zero()
+    qm1 = LaurentPoly.q_minus_one()
+    for w in sg_matrices(m, n):
+        corner = w[0][n - 1]
+        term = (qm1 ** (sg_ones(w) - corner)).shift(sg_sow(w))
+        total = total + (-term if corner else term)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Permutation-character factorization of superinduction, by enumeration
+# ---------------------------------------------------------------------------
+
+def permchar_hypothesis_check(G, H, mu_coords, budget=None):
+    """Check, by enumeration, the proportionality hypothesis and the
+    factorization conclusion for a supercharacter of H inside G.
+
+    mu_coords: functional on the H-mask as {(i,j): value}.
+
+    hypothesis: chi(1) * Sinf(chi)(h) == Sinf(chi)(1) * chi(h) for all h in H,
+    where Sinf(chi) is the G-supercharacter of the functional extended by 0.
+
+    conclusion: SInd(chi) == (chi(1)/Sinf(chi)(1)) * Sinf(chi) * SInd(triv),
+    compared on every G-superclass.
+
+    Returns (hypothesis_holds, conclusion_holds, ratio).
+    """
+    p = G.p
+    g_table = G.superclass_table()
+    h_table = H.superclass_table()
+
+    chi_h = H.char_values_of_functional(mu_coords)
+    sinf_g = G.char_values_of_functional(mu_coords)
+
+    # identity sits in class of the zero algebra element
+    id_class_h = h_table.class_of[0]
+    id_class_g = g_table.class_of[0]
+    chi_deg = chi_h[id_class_h]
+    sinf_deg = sinf_g[id_class_g]
+
+    hypothesis = True
+    for h_idx in range(H.size):
+        # h as an element of G: same algebra support
+        coords = {
+            pos: v for pos, v in zip(H.positions, H.vec_of_index(h_idx)) if v
+        }
+        g_alg = [0] * len(G.positions)
+        for pos, v in coords.items():
+            g_alg[G.pos_at[pos]] = v
+        g_cid = g_table.class_of[G.index_of_vec(tuple(g_alg))]
+        h_cid = h_table.class_of[h_idx]
+        if chi_deg * sinf_g[g_cid] != sinf_deg * chi_h[h_cid]:
+            hypothesis = False
+            break
+
+    triv = tuple(Cyclotomic.one(p) for _ in range(len(h_table)))
+    sind_triv = brute_superinduce(G, H, triv, budget=budget)
+    sind_chi = brute_superinduce(G, H, chi_h, budget=budget)
+
+    ratio_cyc = chi_deg * sinf_deg.inv()
+    conclusion = all(
+        sind_chi[c] == ratio_cyc * sinf_g[c] * sind_triv[c]
+        for c in range(len(g_table))
+    )
+    ratio = chi_deg.as_rational() / sinf_deg.as_rational()
+    return hypothesis, conclusion, ratio
+
+
+# ---------------------------------------------------------------------------
+# NCSym word expansions and the word-by-word shuffle product
+# ---------------------------------------------------------------------------
+
+def _parts_of_word(word):
+    """Equal-positions partition of a word: 1-based positions grouped by
+    letter, parts sorted by minimum."""
+    where = {}
+    for pos, letter in enumerate(word, start=1):
+        where.setdefault(letter, []).append(pos)
+    return tuple(sorted((tuple(v) for v in where.values()), key=lambda t: t[0]))
+
+
+class WordExpansion:
+    """Exact expansion of a degree-n element over a finite alphabet.
+
+    Words are length-n tuples of letters 1..alphabet with rational
+    coefficients.  Construction asserts the defining symmetry: the
+    coefficient only depends on the equal-positions partition of the word,
+    and a class is either absent or fully present.
+    """
+
+    __slots__ = ("alphabet", "degree", "coeffs")
+
+    def __init__(self, alphabet, degree, coeffs):
+        alphabet = int(alphabet)
+        degree = int(degree)
+        if alphabet < 0 or degree < 0:
+            raise ValueError("alphabet and degree must be nonnegative")
+        clean = {}
+        for word, c in coeffs.items():
+            word = tuple(int(v) for v in word)
+            if len(word) != degree:
+                raise ValueError("word %r is not of degree %d" % (word, degree))
+            if any(v < 1 or v > alphabet for v in word):
+                raise ValueError("word %r leaves the alphabet 1..%d" % (word, alphabet))
+            c = Fraction(c)
+            if c:
+                clean[word] = c
+        # symmetry: constant and complete on every equal-positions class
+        by_class = {}
+        for word, c in clean.items():
+            by_class.setdefault(_parts_of_word(word), []).append(c)
+        for parts, values in by_class.items():
+            if any(c != values[0] for c in values[1:]):
+                raise ValueError(
+                    "expansion is not symmetric on the class of %s" % (parts,)
+                )
+            expected = math.perm(alphabet, len(parts))
+            if len(values) != expected:
+                raise ValueError(
+                    "class of %s holds %d of its %d words"
+                    % (parts, len(values), expected)
+                )
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WordExpansion is immutable")
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, WordExpansion)
+            and self.alphabet == other.alphabet
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+    def __add__(self, other):
+        if (self.alphabet, self.degree) != (other.alphabet, other.degree):
+            raise ValueError("expansions live on different word sets")
+        coeffs = dict(self.coeffs)
+        for word, c in other.coeffs.items():
+            coeffs[word] = coeffs.get(word, Fraction(0)) + c
+        return WordExpansion(self.alphabet, self.degree, coeffs)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return WordExpansion(
+            self.alphabet, self.degree, {w: c * v for w, v in self.coeffs.items()}
+        )
+
+    def class_coefficients(self):
+        """Map equal-positions partition -> the common coefficient."""
+        out = {}
+        for word, c in self.coeffs.items():
+            parts = _parts_of_word(word)
+            if parts not in out:
+                out[parts] = c
+        return out
+
+
+def _monomial_words(K, N):
+    """The words over 1..N whose equal-positions partition is K: one word
+    per injective assignment of letters to blocks."""
+    blocks = K.grouping()
+    if N < len(blocks):
+        warnings.warn(
+            "alphabet of %d letters cannot separate %d blocks; expansion is empty"
+            % (N, len(blocks)),
+            stacklevel=3,
+        )
+        return []
+    words = []
+    for letters in itertools.permutations(range(1, N + 1), len(blocks)):
+        word = [0] * K.n
+        for block, letter in zip(blocks, letters):
+            for pos in block:
+                word[pos - 1] = letter
+        words.append(tuple(word))
+    return words
+
+
+def m_expand(K, N):
+    """Word expansion of the monomial m_K over the alphabet 1..N.
+
+    Coefficient 1 sits exactly on the words whose equal-positions partition
+    is K.
+    """
+    N = int(N)
+    return WordExpansion(N, K.n, dict.fromkeys(_monomial_words(K, N), Fraction(1)))
+
+
+def expand(x, N=None):
+    """Word expansion of an NCSym element over 1..N (default: one letter
+    per position)."""
+    N = x.degree if N is None else int(N)
+    m = x if x.basis == "m" else m_from_p(x)
+    # distinct monomials own disjoint word sets
+    coeffs = {}
+    for K, c in m.coeffs.items():
+        for word in _monomial_words(K, N):
+            coeffs[word] = c
+    return WordExpansion(N, x.degree, coeffs)
+
+
+def _star_K_product_words(x, y, K):
+    """The shuffle product computed on words: the reference for
+    :func:`superchar.ncsym.star_K_product`.
+
+    Both factors are expanded over m+n letters, which is faithful for
+    degree m+n, and multiplied word by word; the resulting expansion is
+    recognized back into the m-basis.
+    """
+    m, n = x.degree, y.degree
+    _validate_shuffle_index(K, m, n)
+    N = max(m + n, 1)
+    xe = expand(x, N)
+    ye = expand(y, N)
+    pos1, pos2 = K.parts
+    coeffs = {}
+    for u, cu in xe.coeffs.items():
+        for v, cv in ye.coeffs.items():
+            word = [0] * (m + n)
+            for pos, letter in zip(pos1, u):
+                word[pos - 1] = letter
+            for pos, letter in zip(pos2, v):
+                word[pos - 1] = letter
+            word = tuple(word)
+            coeffs[word] = coeffs.get(word, Fraction(0)) + cu * cv
+    product = WordExpansion(N, m + n, coeffs)
+    # recognition: symmetry was asserted on construction, so the class
+    # coefficients are the m-basis coefficients
+    out = {}
+    for parts, c in product.class_coefficients().items():
+        out[PartitionIndex(m + n, parts)] = c
+    return NCSymElem("m", m + n, out)
+
+
+# ---------------------------------------------------------------------------
+# The partition lattice
+# ---------------------------------------------------------------------------
+
+def coarsenings(K):
+    """All partitions obtained by merging blocks of K (K itself included)."""
+    return [PartitionIndex(K.n, parts) for parts, _ in _coarsenings_with_mobius(K)]
+
+
+def mobius_partition(A, B):
+    """Mobius function of the interval [A, B] in the partition lattice.
+
+    A must refine B; the interval is a product of full partition lattices,
+    one per block of B, giving the product of (-1)^(k-1) (k-1)! over the
+    number k of A-blocks inside each B-block.
+    """
+    if not A.refines(B):
+        raise ValueError("Mobius function needs A refining B")
+    lk = A.part_lookup()
+    value = 1
+    for block in B.parts:
+        k = len({lk[v] for v in block})
+        sign = -1 if (k - 1) % 2 else 1
+        value *= sign * math.factorial(k - 1)
+    return value
+
+
+def mobius_telescope_check(n):
+    """Sum of mobius(M, B) over A <= M <= B is the delta on A == B; checked
+    for every refinement pair of partitions of {1..n}."""
+    idx = [canonical_index(PartitionIndex(n, pp)) for pp in set_partitions(range(1, n + 1))]
+    for B in idx:
+        below = [A for A in idx if A.refines(B)]
+        for A in below:
+            total = sum(mobius_partition(M, B) for M in below if A.refines(M))
+            if total != (1 if A == B else 0):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The bridge to the group side (q = 2)
+# ---------------------------------------------------------------------------
+
+def _labeled_of_parts(parts, n):
+    """The labeled partition with the arc skeleton of an unlabeled one; all
+    labels 1, which is the only choice at p = 2."""
+    return LabeledSetPartition(range(1, n + 1), [(u, v, 1) for u, v in arcs_of_parts(parts)])
+
+
+def characteristic_map_check(max_total=4, budget=None):
+    """Products match across the bridge at p = 2, for all degrees m + n up
+    to ``max_total`` and all two-block shuffles.
+
+    Group side: superinducing the product of scaled superclass indicators
+    (z_mu kappa_mu) x (z_nu kappa_nu) from the K-parabolic to the full group
+    lands on z kappa of the glued partition -- computed by the brute-force
+    double sum.  NCSym side: p_mu *_K p_nu = p of the glued partition, with
+    the product computed by the m-basis rule.  Returns the conjunction of
+    all the checks.
+    """
+    p = 2
+    for total in range(2, max_total + 1):
+        G = PatternGroup.full(total, p)
+        gt = G.superclass_table()
+        for m in range(1, total):
+            n = total - m
+            Gm = PatternGroup.full(m, p)
+            Gn = PatternGroup.full(n, p)
+            for block1 in itertools.combinations(range(1, total + 1), m):
+                block2 = tuple(v for v in range(1, total + 1) if v not in block1)
+                K = PartitionIndex(total, [block1, block2])
+                H = PatternGroup.parabolic(K, p)
+                ht = H.superclass_table()
+                for mu_parts in set_partitions(range(1, m + 1)):
+                    mu = _labeled_of_parts(mu_parts, m)
+                    z_mu = z_value(Gm, mu)
+                    for nu_parts in set_partitions(range(1, n + 1)):
+                        nu = _labeled_of_parts(nu_parts, n)
+                        z_nu = z_value(Gn, nu)
+                        glued = union_K(mu, nu, K)
+                        z_glued = z_value(G, glued)
+                        scale = Fraction(z_mu * z_nu)
+                        chi_vals = tuple(
+                            Cyclotomic.from_rational(p, scale if lab == glued else 0)
+                            for lab in ht.labels
+                        )
+                        vals = brute_superinduce(G, H, chi_vals, budget=budget)
+                        for lab, got in zip(gt.labels, vals):
+                            want = Fraction(z_glued) if lab == glued else Fraction(0)
+                            if got.as_rational() != want:
+                                return False
+                        # NCSym side of the same product
+                        lhs = p_from_m(
+                            star_K_product(
+                                NCSymElem.single("p", canonical_index(PartitionIndex(m, mu_parts))),
+                                NCSymElem.single("p", canonical_index(PartitionIndex(n, nu_parts))),
+                                K,
+                            )
+                        )
+                        rhs = NCSymElem.single(
+                            "p", canonical_index(PartitionIndex(total, glued.parts()))
+                        )
+                        if lhs != rhs:
+                            return False
+    return True

@@ -41,16 +41,11 @@ __all__ = [
     "restrict",
     "restrict_combo",
     "sinf",
-    "sinf_combo",
     "inner_product",
     "superinduce",
-    "superinduce_trivial_twoblock",
-    "superinduce_via_permchar",
     "star_K",
     "chi_to_kappa",
     "kappa_to_chi",
-    "sinfres_identities_check",
-    "reflect_combo",
 ]
 
 
@@ -152,10 +147,6 @@ class CharCombo:
             self.ambient.grouping() == other.ambient.grouping()
             and self.terms == other.terms
         )
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __bool__(self):
         return bool(self.terms)
@@ -569,14 +560,6 @@ def sinf(lam, K, L):
     return lam
 
 
-def sinf_combo(x, L):
-    """Lift a combination on U_K to U_L (K must refine L): identical terms,
-    coarser ambient."""
-    if not x.ambient.refines(L):
-        raise ValueError("ambient must refine the inflation target")
-    return CharCombo(L, dict(x.terms))
-
-
 def inner_product(x, y):
     """<x, y> over the common ambient: supercharacters are orthogonal with
     squared norm q^(number of same-part crossings)."""
@@ -623,79 +606,6 @@ def _containment_prune(mu, nu):
     return True
 
 
-def superinduce_trivial_twoblock(k, n, p):
-    """Closed form for superinducing the trivial character from the parabolic
-    with parts {1..k} and {k+1..n}: one term per partition whose arcs all
-    straddle the cut, weighted by an inverse q-power of its crossings."""
-    if not (1 <= k < n):
-        raise ValueError("need 1 <= k < n")
-    terms = []
-    for lam in enumerate_labeled(range(1, n + 1), p):
-        if all(a.left <= k < a.right for a in lam.arcs):
-            terms.append((lam, LaurentPoly.q_power(-lam.num_crossings())))
-    return CharCombo(PartitionIndex.full(n), terms)
-
-
-def _is_contiguous_twoblock(K):
-    if len(K.parts) != 2:
-        return None
-    first, second = K.parts
-    k = len(first)
-    if first == tuple(range(1, k + 1)) and second == tuple(range(k + 1, K.n + 1)):
-        return k
-    return None
-
-
-def _parts_are_intervals_within(K, L):
-    """True when every part of K occupies consecutive positions of its
-    enclosing L-part."""
-    lookup = L.part_lookup()
-    for part in K.parts:
-        ambient = sorted(L.parts[lookup[part[0]]])
-        first = ambient.index(part[0])
-        if list(part) != ambient[first : first + len(part)]:
-            return False
-    return True
-
-
-def superinduce_via_permchar(mu, K, p, L=None):
-    """Superinduction through the permutation-character factorization: the
-    degree ratio (a q-power) times the inflated character tensored with the
-    superinduced trivial character.
-
-    The factorization is an identity only when every part of K is an
-    interval inside its L-part.  With a gap in a part, positions of U_L
-    sitting under one of its arcs belong to other parts, and the inflated
-    character is no longer proportional to the original on U_K (the
-    enumeration oracle exhibits failures at n = 4: K = {1,4|2,3} with a
-    1-4 arc).  Such indices are refused; ``superinduce`` handles them.
-    """
-    n = K.n
-    if L is None:
-        L = PartitionIndex.full(n)
-    if not _parts_are_intervals_within(K, L):
-        raise ValueError(
-            "the factorization needs each part of %s to be an interval "
-            "inside its part of %s; use superinduce for general indices"
-            % (K.to_text(), L.to_text())
-        )
-    deg_K = degree_in(mu, K)
-    deg_L = degree_in(sinf(mu, K, L), L)
-    (ek, ck), = deg_K.coeffs.items() if deg_K.coeffs else [(0, 0)]
-    (el, cl), = deg_L.coeffs.items() if deg_L.coeffs else [(0, 0)]
-    if ck != 1 or cl != 1:
-        raise RuntimeError("degrees must be monic q-powers")
-    k = _is_contiguous_twoblock(K)
-    if k is not None and L.grouping() == PartitionIndex.full(n).grouping():
-        sind_triv = superinduce_trivial_twoblock(k, n, p)
-    else:
-        sind_triv = superinduce(
-            LabeledSetPartition(range(1, n + 1), ()), K, p, L
-        )
-    lifted = CharCombo.of(mu, L)
-    return tensor(lifted, sind_triv, p).scale(LaurentPoly.q_power(ek - el))
-
-
 def star_K(lam, mu, K, p):
     """The glued product: transport lam (degree m) and mu (degree n) onto the
     two blocks of K and superinduce up to U_(m+n)."""
@@ -721,103 +631,29 @@ def chi_to_kappa(x, p):
 
 
 def kappa_to_chi(values, p):
-    """Inverse conversion: given one exact value per superclass label of
-    U_n, solve the square supercharacter-table system by exact elimination
-    over Q(zeta_p).  Returns superchar label -> Cyclotomic coefficient."""
-    labels = sorted(values.keys(), key=lambda lam: (len(lam.support), lam.arcs))
-    if not labels:
+    """Inverse conversion: given one exact value f(mu) per superclass label
+    of U_n, read off the supercharacter coefficients by column
+    orthogonality.  With ||chi^nu||^2 = q^{cr nu} at q = p, the coefficient
+    of chi^lam is the sum over mu of f(mu) conj chi^lam(u_mu) /
+    (q^{cr lam} z_mu), where z_mu = sum over nu of |chi^nu(u_mu)|^2 /
+    q^{cr nu} is |U_n| over the size of the superclass of u_mu.  Returns
+    superchar label -> Cyclotomic coefficient."""
+    if not values:
         return {}
-    n = len(labels[0].support)
-    expect = list(enumerate_labeled(range(1, n + 1), p))
-    if set(labels) != set(expect):
+    n = min(len(lam.support) for lam in values)
+    labels = list(enumerate_labeled(range(1, n + 1), p))
+    if set(values) != set(labels):
         raise ValueError("need a value for every superclass label of U_%d" % n)
-    labels = expect
-    size = len(labels)
-    # rows: superclasses mu; columns: characters lam; augmented with values
-    mat = [
-        [_char_value_std(lam.arcs, mu.arcs, p) for lam in labels] + [values[mu]]
-        for mu in labels
-    ]
+    inv_norms = [Fraction(1, p ** lam.num_crossings()) for lam in labels]
+    table = [[_char_value_std(lam.arcs, mu.arcs, p) for mu in labels] for lam in labels]
     zero = Cyclotomic.zero(p)
-    for col in range(size):
-        piv = next(r for r in range(col, size) if mat[r][col] != zero)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col].inv()
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(size):
-            if r != col and mat[r][col] != zero:
-                f = mat[r][col]
-                mat[r] = [vr - f * vc for vr, vc in zip(mat[r], mat[col])]
-    return {lam: mat[i][size] for i, lam in enumerate(labels) if mat[i][size] != zero}
-
-
-# ---------------------------------------------------------------------------
-# Identity checks and symmetries
-# ---------------------------------------------------------------------------
-
-def _sinfres_single(arc, lo, hi, n, p):
-    """Restrict a single-arc character to the interval subgroup on [lo,hi]
-    and read the result back in the full group (inflation keeps the arcs)."""
-    sub = restrict(_single(n, [arc]), PartitionIndex.from_subset(range(lo, hi + 1), n), p)
-    return sinf_combo(sub, PartitionIndex.full(n))
-
-
-def sinfres_identities_check(i, j, k, l, a, b, n, p):
-    """Check the four restriction-inflation product identities for the
-    quadruple i<j<k<l by exhaustive pointwise evaluation."""
-    if not (1 <= i < j < k < l <= n):
-        raise ValueError("need 1 <= i < j < k < l <= n")
-    full = PartitionIndex.full(n)
-    neg_a = (-a) % p
-
-    def chi(*arcs):
-        return CharCombo.of(_single(n, arcs), full)
-
-    checks = [
-        (
-            tensor_values(chi((i, k, a)), chi((i, l, b)), n, p),
-            tensor_values(_sinfres_single((i, k, a), i + 1, l, n, p), chi((i, l, b)), n, p),
-        ),
-        (
-            tensor_values(chi((i, l, a)), chi((j, l, b)), n, p),
-            tensor_values(chi((i, l, a)), _sinfres_single((j, l, b), i, l - 1, n, p), n, p),
-        ),
-        (
-            tensor_values(chi((i, l, a)), chi((i, l, neg_a)), n, p),
-            tensor_values(
-                _sinfres_single((i, l, a), i + 1, l, n, p),
-                _sinfres_single((i, l, neg_a), i, l - 1, n, p),
-                n,
-                p,
-            ),
-        ),
-    ]
-    if (a + b) % p != 0:
-        ab = (a + b) % p
-        checks.append(
-            (
-                tensor_values(chi((i, l, a)), chi((i, l, b)), n, p),
-                tensor_values(
-                    chi((i, l, ab)), _sinfres_single((i, l, ab), i + 1, l - 1, n, p), n, p
-                ),
-            )
-        )
-    return all(lhs == rhs for lhs, rhs in checks)
-
-
-def tensor_values(x, y, n, p):
-    """Value vector of a pointwise product over all superclass labels (no
-    straightening involved -- tensor values are plain products)."""
-    out = []
-    for mu in enumerate_labeled(range(1, n + 1), p):
-        out.append(combo_value(x, mu, p) * combo_value(y, mu, p))
-    return tuple(out)
-
-
-def reflect_combo(x):
-    """Conjugate a combination by the order-reversing symmetry."""
-    n = x.ambient.n
-    return CharCombo(
-        x.ambient.reflect(),
-        [(lam.reflect(n), c) for lam, c in x.terms.items()],
-    )
+    weights = []  # f(mu) / z_mu
+    for j, mu in enumerate(labels):
+        z = sum((row[j] * row[j].conj() * w for row, w in zip(table, inv_norms)), zero)
+        weights.append(1 / z.as_rational() * values[mu])
+    out = {}
+    for lam, row, w in zip(labels, table, inv_norms):
+        c = sum((f * v.conj() for f, v in zip(weights, row) if v), zero) * w
+        if c:
+            out[lam] = c
+    return out

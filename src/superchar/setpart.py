@@ -133,13 +133,6 @@ class LabeledSetPartition:
 
     # -- transformations ----------------------------------------------------
 
-    def extend(self, new_support):
-        """The same arcs viewed on a larger support."""
-        new_support = frozenset(int(v) for v in new_support)
-        if not self.support <= new_support:
-            raise ValueError("extension support must contain the old support")
-        return LabeledSetPartition(new_support, self.arcs)
-
     def relabel(self, mapping):
         """Push the partition through an increasing bijection of supports."""
         vals = [mapping[v] for v in sorted(self.support)]
@@ -257,10 +250,6 @@ class PartitionIndex:
         return cls(n, [range(1, n + 1)])
 
     @classmethod
-    def discrete(cls, n):
-        return cls(n, [[v] for v in range(1, n + 1)])
-
-    @classmethod
     def from_subset(cls, subset, n):
         """The index with one part ``subset`` and singletons elsewhere."""
         subset = tuple(sorted(set(int(v) for v in subset)))
@@ -290,20 +279,11 @@ class PartitionIndex:
         lk = other.part_lookup()
         return all(len({lk[v] for v in part}) == 1 for part in self.parts)
 
-    def induced_on(self, vertices):
-        """Parts intersected with ``vertices`` (order kept, empties dropped)."""
-        vs = set(vertices)
-        kept = [tuple(v for v in part if v in vs) for part in self.parts]
-        return [part for part in kept if part]
-
     def reflect(self):
         """Mirror i -> n+1-i, reversing the part order."""
         return PartitionIndex(
             self.n, [tuple(sorted(self.n + 1 - v for v in part)) for part in reversed(self.parts)]
         )
-
-    def is_full(self):
-        return len(self.parts) == 1
 
     def __eq__(self, other):
         return (

@@ -11,33 +11,26 @@ import itertools
 import time
 from fractions import Fraction
 
-from superchar.ncsym import (
-    NCSymElem,
-    canonical_index,
+from superchar.ncsym import NCSymElem, canonical_index, p_from_m, star_K_product
+from superchar.oracle import PatternGroup, brute_inner_product, brute_superinduce
+from superchar.qcoeff import Cyclotomic, LaurentPoly
+from superchar.reference import (
     characteristic_map_check,
-    p_from_m,
-    star_K_product,
-)
-from superchar.oracle import (
-    PatternGroup,
-    brute_inner_product,
-    brute_superinduce,
     permchar_hypothesis_check,
     sg_identity_a,
     sg_identity_b,
     sg_ones,
     sg_sow,
+    sinfres_identities_check,
+    superinduce_trivial_twoblock,
 )
-from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.ring import (
     CharCombo,
     char_value,
     char_value_in,
     combo_value,
     restrict,
-    sinfres_identities_check,
     superinduce,
-    superinduce_trivial_twoblock,
     tensor,
 )
 from superchar.setpart import (

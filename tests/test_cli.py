@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import superchar
 from superchar import cli
 
 
@@ -281,6 +284,15 @@ class TestErrors:
         assert "n=5 was given" in err
 
     @pytest.mark.parametrize(
+        "factors", [["--left", "{1|2}"], ["--right", "{1|2}"], []]
+    )
+    def test_ncsym_product_without_a_factor_is_refused(self, factors, capsys):
+        argv = ["ncsym", "--op", "product", "--q", "2"] + factors
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert "needs --left and --right" in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["star", "--left", "n=2; 1-2:3", "--right", "n=1", "--q", "3"],
@@ -307,6 +319,26 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "module, needed",
+    [("cli", ["cli", "qcoeff", "ring", "setpart"]), ("ncsym", ["ncsym", "qcoeff", "setpart"])],
+)
+def test_import_loads_only_the_modules_needed(module, needed):
+    # the verify suites import oracle, ncsym and reference when they run;
+    # a process that only loads the CLI, or NCSym, must not pay for them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
+    probe = (
+        "import sys, superchar.%s; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'superchar')))"
+        % module
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["superchar"] + ["superchar." + m for m in needed]
 
 
 class TestCache:

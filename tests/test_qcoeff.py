@@ -58,11 +58,6 @@ class TestLaurentPoly:
         assert LaurentPoly.q_minus_one() ** 2 == LaurentPoly({2: 1, 1: -2, 0: 1})
         assert LaurentPoly.q_power(-3, 2) == LaurentPoly({-3: 2})
 
-    def test_is_monomial(self):
-        assert LaurentPoly({3: 5}).is_monomial()
-        assert not LaurentPoly({3: 5, 0: 1}).is_monomial()
-        assert not LaurentPoly.zero().is_monomial()
-
     def test_text_and_json_round_trips(self):
         f = LaurentPoly({2: 3, -1: -1, 0: 1})
         assert LaurentPoly.from_text("3*q^2 - q^-1 + 1") == f

@@ -17,18 +17,20 @@ from superchar.ring import (
     degree_in,
     inner_product,
     kappa_to_chi,
-    reflect_combo,
     restrict,
     restrict_combo,
     sinf,
     star_K,
     superinduce,
-    superinduce_trivial_twoblock,
-    superinduce_via_permchar,
     tensor,
 )
 from superchar import ring
-from superchar.ring import _parts_are_intervals_within
+from superchar.reference import (
+    _parts_are_intervals_within,
+    reflect_combo,
+    superinduce_trivial_twoblock,
+    superinduce_via_permchar,
+)
 from superchar.setpart import (
     Arc,
     LabeledSetPartition,

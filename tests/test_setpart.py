@@ -106,14 +106,6 @@ class TestPartsAndCrossings:
 
 
 class TestTransport:
-    def test_extend(self):
-        lam = LabeledSetPartition((2, 3, 5, 7), [Arc(2, 5, 1), Arc(5, 7, 2)])
-        assert lam.extend(lam.support) == lam
-        big = lam.extend(range(1, 8))
-        assert big.parts() == ((1,), (2, 5, 7), (3,), (4,), (6,))
-        with pytest.raises(ValueError):
-            lam.extend({2, 3})
-
     def test_standardize(self):
         lam = LabeledSetPartition((2, 3, 5, 7), [Arc(2, 5, 3)])
         std, mapping = lam.standardize()
@@ -127,13 +119,6 @@ class TestTransport:
         for _ in range(300):
             lam = random_labeled(rng, range(1, 13), 5)
             assert lam.standardize()[0].num_crossings() == lam.num_crossings()
-
-    def test_extend_then_standardize_is_identity_on_initial_segments(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            lam = random_labeled(rng, range(1, 8), 3).standardize()[0]
-            n = lam.n()
-            assert lam.extend(range(1, n + 1)).standardize()[0] == lam
 
     def test_reflect(self):
         assert LabeledSetPartition(range(1, 4), [Arc(1, 2, 2)]).reflect().to_text() == "n=3; 2-3:2"
@@ -267,9 +252,6 @@ class TestPartitionIndex:
         K = PartitionIndex(5, [[1, 4], [2, 3], [5]])
         assert K.reflect().grouping() == PartitionIndex(5, [[1], [2, 5], [3, 4]]).grouping()
         assert K.same_part(1, 4) and not K.same_part(1, 2)
-        assert K.induced_on({2, 3, 4}) == [(4,), (2, 3)]
-        assert PartitionIndex.full(3).is_full()
-        assert not PartitionIndex.discrete(3).is_full()
 
 
 def test_arcs_of_parts():
