@@ -203,12 +203,11 @@ def cmd_ncsym(args):
             out = nc.concat_product(x, y)
         if args.basis == "p":
             out = nc.p_from_m(out)
-    elif args.op == "to-p":
+    elif args.op in ("to-p", "to-m"):
+        if args.element is None:
+            raise ValueError("ncsym %s needs --element" % args.op)
         x = nc.NCSymElem.from_json(json.loads(args.element))
-        out = nc.p_from_m(x)
-    elif args.op == "to-m":
-        x = nc.NCSymElem.from_json(json.loads(args.element))
-        out = nc.m_from_p(x)
+        out = nc.p_from_m(x) if args.op == "to-p" else nc.m_from_p(x)
     else:
         raise ValueError("unknown ncsym op %r" % args.op)
     if args.format == "json":

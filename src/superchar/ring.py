@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .qcoeff import Cyclotomic, LaurentPoly
@@ -490,36 +491,40 @@ def tensor(x, y, p):
 # Restriction to parabolic subgroups
 # ---------------------------------------------------------------------------
 
+def _part_factor(arcs, part, fwd, where, p):
+    """The factor of one part of K in the restriction from U_L of the
+    character with ``arcs``: a dict from arc tuples on {1..m}, in the
+    part's numbering ``fwd``, to coefficients.
+
+    The part sees only the arcs of its own part of L (``where`` maps a
+    vertex to its part of L).  The per-arc subset-rule brackets multiply by
+    straightening.
+    """
+    m = len(part)
+    product = {(): LaurentPoly.one()}
+    for arc in arcs:
+        if where[arc[0]] != where[part[0]]:
+            continue
+        bracket = [(_local(sub, fwd), c) for sub, c in _subset_bracket(*arc, part, p)]
+        nxt = {}
+        for arcs1, c1 in product.items():
+            for arcs2, c2 in bracket:
+                for loc, c_loc in _straighten(arcs1 + arcs2, m, p).items():
+                    _add(nxt, loc, c1 * c2 * c_loc)
+        product = nxt
+    return product
+
+
 def _restrict(arcs, K, p, L):
     """The restriction from U_L to a refinement U_K of the character whose
     arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
-    tuples to coefficients.
-
-    Each part of K sees only the arcs of its own part of L.  Within the
-    part, the per-arc subset-rule brackets multiply by straightening, and
-    the parts combine by superimposition.
-    """
+    tuples to coefficients: the parts' factors, superimposed."""
     where = L.part_lookup()
-
-    def factor(part, fwd):
-        m = len(part)
-        product = {(): LaurentPoly.one()}
-        for arc in arcs:
-            if where[arc[0]] != where[part[0]]:
-                continue
-            bracket = [
-                (_local(sub, fwd), c) for sub, c in _subset_bracket(*arc, part, p)
-            ]
-            nxt = {}
-            for arcs1, c1 in product.items():
-                for arcs2, c2 in bracket:
-                    for loc, c_loc in _straighten(arcs1 + arcs2, m, p).items():
-                        _add(nxt, loc, c1 * c2 * c_loc)
-            product = nxt
-        return product.items()
-
     acc = {}
-    _superimpose(K, factor, LaurentPoly.one(), acc)
+    _superimpose(
+        K, lambda part, fwd: _part_factor(arcs, part, fwd, where, p).items(),
+        LaurentPoly.one(), acc,
+    )
     return acc
 
 
@@ -577,7 +582,14 @@ def superinduce(mu, K, p, L=None):
     through its adjointness with restriction: the coefficient of chi^nu is
     q^(crossings of mu in K minus crossings of nu in L) times the coefficient
     of chi^mu in the restriction of chi^nu.  An arc of mu across two parts
-    of K is refused with ValueError."""
+    of K is refused with ValueError.
+
+    The parts of K are disjoint, so that coefficient is the product over
+    the parts P of P's restriction factor read at mu's arcs on P.  A factor
+    depends only on the trace of nu's arcs on P, so each call memoizes the
+    factors on it: P's size and, for each arc in P's part of L whose span
+    meets P, both endpoints' ranks against P (odd on P, even in a gap)
+    and, when both ends lie on P, its label."""
     n = K.n
     if L is None:
         L = PartitionIndex.full(n)
@@ -586,24 +598,38 @@ def superinduce(mu, K, p, L=None):
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
+    where = L.part_lookup()
+    parts = []  # (part, numbering, vertex ranks, part of L, mu's local arcs)
+    for part in K.parts:
+        fwd = _numbering(part)
+        rank = {v: bisect_left(part, v) + bisect_right(part, v) for v in range(1, n + 1)}
+        parts.append((part, fwd, rank, where[part[0]], _local(mu.arcs, fwd)))
+    memo = {}
     terms = []
     for nu in enumerate_compatible(L, p):
-        if not _containment_prune(mu, nu):
+        if not _containment_prune(mu.arcs, nu.arcs):
             continue
-        b = _restrict(nu.arcs, K, p, L).get(mu.arcs)
-        if b:
+        b = LaurentPoly.one()
+        for part, fwd, rank, j, loc in parts:
+            key = (len(part), tuple((rank[i], rank[l], a if rank[i] & rank[l] & 1 else 0)
+                                    for i, l, a in nu.arcs
+                                    if where[i] == j and rank[i] != rank[l]))
+            if key not in memo:
+                memo[key] = _part_factor(nu.arcs, part, fwd, where, p)
+            c = memo[key].get(loc)
+            if c is None:
+                break
+            b = b * c
+        else:
             terms.append((nu, b.shift(c_mu - nu.crossings_within(L))))
     return CharCombo(L, terms)
 
 
-def _containment_prune(mu, nu):
+def _containment_prune(mu_arcs, nu_arcs):
     """Necessary condition for chi^mu to appear in the restriction of
     chi^nu: every arc of mu lies inside the closed interval of some arc of
     nu (the restriction cases only ever shrink arcs)."""
-    for a in mu.arcs:
-        if not any(b.left <= a.left and a.right <= b.right for b in nu.arcs):
-            return False
-    return True
+    return all(any(j <= i and l <= k for j, k, _ in nu_arcs) for i, l, _ in mu_arcs)
 
 
 def star_K(lam, mu, K, p):

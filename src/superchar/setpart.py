@@ -29,6 +29,7 @@ __all__ = [
     "PartitionIndex",
     "set_partitions",
     "enumerate_labeled",
+    "labeled_arcs",
     "count_sn",
     "count_sn_poly",
     "union_K",
@@ -372,30 +373,29 @@ def arcs_of_parts(parts):
     return tuple(arcs)
 
 
-def enumerate_labeled(elements, p):
-    """All F_p-labeled set partitions of ``elements``, deterministically:
-    shapes in restricted-growth order, then labels lexicographically over
-    the sorted arc list."""
-    elems = sorted(set(int(v) for v in elements))
-    for parts in set_partitions(elems):
+def labeled_arcs(elements, p):
+    """The F_p-labeled set partitions of ``elements`` as sorted (i, l, a)
+    arc tuples, deterministically: shapes in restricted-growth order, then
+    labels lexicographically over the sorted arc list."""
+    for parts in set_partitions(elements):
         skeleton = arcs_of_parts(parts)
-        if not skeleton:
-            yield LabeledSetPartition(elems, [])
-            continue
         for labels in itertools.product(range(1, p), repeat=len(skeleton)):
-            yield LabeledSetPartition(
-                elems, [(l, r, lab) for (l, r), lab in zip(skeleton, labels)]
-            )
+            yield tuple((l, r, lab) for (l, r), lab in zip(skeleton, labels))
+
+
+def enumerate_labeled(elements, p):
+    """All F_p-labeled set partitions of ``elements``, in the order of
+    :func:`labeled_arcs`."""
+    elems = sorted(set(int(v) for v in elements))
+    for arcs in labeled_arcs(elems, p):
+        yield LabeledSetPartition(elems, arcs)
 
 
 def enumerate_compatible(index, p):
     """All labeled partitions of {1..n} whose arcs stay inside the parts of
     ``index`` -- the supercharacter/superclass labels of the subgroup."""
-    per_part = []
-    for part in index.parts:
-        per_part.append([lam.arcs for lam in enumerate_labeled(part, p)])
     support = range(1, index.n + 1)
-    for choice in itertools.product(*per_part):
+    for choice in itertools.product(*(labeled_arcs(part, p) for part in index.parts)):
         arcs = [a for group in choice for a in group]
         yield LabeledSetPartition(support, arcs)
 

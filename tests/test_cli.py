@@ -292,6 +292,12 @@ class TestErrors:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert "needs --left and --right" in err
 
+    @pytest.mark.parametrize("op", ["to-p", "to-m"])
+    def test_ncsym_conversion_without_an_element_is_refused(self, op, capsys):
+        code, out, err = run(["ncsym", "--op", op, "--q", "2"], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert "ncsym %s needs --element" % op in err
+
     @pytest.mark.parametrize(
         "argv",
         [

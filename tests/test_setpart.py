@@ -15,6 +15,7 @@ from superchar.setpart import (
     count_sn_poly,
     enumerate_compatible,
     enumerate_labeled,
+    labeled_arcs,
     set_partitions,
     union_K,
 )
@@ -181,6 +182,14 @@ class TestEnumerationAndCounting:
                 assert count_sn(n, p) == sum(
                     1 for _ in enumerate_labeled(range(1, n + 1), p)
                 )
+
+    def test_arc_tuples_follow_the_labeled_enumeration(self):
+        for elements in ([], [4], [1, 2, 3], [2, 5, 6, 9], range(1, 6)):
+            for p in (2, 3):
+                got = list(labeled_arcs(elements, p))
+                assert got == [lam.arcs for lam in enumerate_labeled(elements, p)]
+                assert len(got) == count_sn(len(elements), p)
+        assert list(labeled_arcs([3], 5)) == [()]
 
     def test_enumeration_is_deterministic_and_duplicate_free(self):
         seen = [lam.to_text() for lam in enumerate_labeled(range(1, 5), 3)]
