@@ -180,6 +180,8 @@ def cmd_value(args):
 
 
 def cmd_count(args):
+    if args.n is None:
+        raise ValueError("count needs --n")
     value = count_sn(args.n, args.q)
     if args.format == "json":
         return EXIT_OK, json.dumps({"n": args.n, "q": args.q, "count": value})

@@ -255,8 +255,8 @@ class Cyclotomic:
     """Element of Q(zeta_p) on the basis 1, zeta, ..., zeta^(p-2).
 
     For p=2 this degenerates to Q itself (zeta = -1).  Coordinates are
-    Fractions; the class supports field arithmetic including inversion and
-    complex conjugation (zeta^k -> zeta^(p-k)).
+    Fractions; the class supports ring arithmetic and complex conjugation
+    (zeta^k -> zeta^(p-k)).
     """
 
     __slots__ = ("p", "coords")
@@ -357,35 +357,6 @@ class Cyclotomic:
         for k, a in enumerate(self.coords):
             vec[(p - k) % p] += a
         return Cyclotomic._from_full(p, vec)
-
-    def inv(self):
-        """Multiplicative inverse, by solving the (p-1)x(p-1) rational
-        system for x with x*self = 1."""
-        p = self.p
-        if not self:
-            raise ZeroDivisionError("0 is not invertible")
-        # Column j of the multiplication matrix is the coordinate vector of
-        # zeta^j * self.
-        cols = [(Cyclotomic.zeta_power(p, j) * self).coords for j in range(p - 1)]
-        n = p - 1
-        aug = [[cols[j][i] for j in range(n)] + [Fraction(1 if i == 0 else 0)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv_p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return Cyclotomic(p, [aug[i][n] for i in range(n)])
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
 
     # -- queries ------------------------------------------------------------
 

@@ -297,12 +297,11 @@ def permchar_hypothesis_check(G, H, mu_coords, budget=None):
     sind_triv = brute_superinduce(G, H, triv, budget=budget)
     sind_chi = brute_superinduce(G, H, chi_h, budget=budget)
 
-    ratio_cyc = chi_deg * sinf_deg.inv()
+    ratio = chi_deg.as_rational() / sinf_deg.as_rational()
     conclusion = all(
-        sind_chi[c] == ratio_cyc * sinf_g[c] * sind_triv[c]
+        sind_chi[c] == ratio * sinf_g[c] * sind_triv[c]
         for c in range(len(g_table))
     )
-    ratio = chi_deg.as_rational() / sinf_deg.as_rational()
     return hypothesis, conclusion, ratio
 
 

@@ -342,49 +342,27 @@ def _superimpose(K, factor, coeff, acc):
 
     U_K is the direct product of its parts' groups, so every branching rule
     computes one factor per part and superimposes the factors.  For each
-    part, ``factor(part, fwd)`` is given the part and the increasing
-    numbering ``fwd`` of its vertices by 1..m, and returns the part's factor
-    as (arcs on {1..m}, LaurentPoly) pairs.  The arcs are carried back onto
-    the part, and each choice of one term per part adds its superimposed
-    arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
+    part, ``factor(part)`` returns the part's factor as (arcs, LaurentPoly)
+    pairs, with the arcs in the part's numbering 1..m.  The arcs are carried
+    back onto the part, and each choice of one term per part adds its
+    superimposed arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
     """
     partial = [((), coeff)]
     for part in K.parts:
         terms = [
             (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
-            for arcs, c in factor(part, _numbering(part))
+            for arcs, c in factor(part)
         ]
         partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
     for arcs, c in partial:
         _add(acc, tuple(sorted(arcs)), c)
 
 
-def _subset_bracket(i, l, a, S, p):
-    """The parenthesized factor of the subset restriction rule (the rule's
-    full value is q^{#{i<k<l, k not in S}} times this bracket), as
-    (arcs, coefficient) pairs with every arc inside the sorted subset S."""
-    between = [m for m in S if i < m < l]
-    units = range(1, p)
-    one = LaurentPoly.one()
-    i_in, l_in = i in S, l in S
-    if i_in and l_in:
-        return [(((i, l, a),), one)]
-    if l_in:
-        return [((), one)] + [(((j, l, b),), one) for j in between for b in units]
-    if i_in:
-        return [((), one)] + [(((i, k, b),), one) for k in between for b in units]
-    qm1 = LaurentPoly.q_minus_one()
-    terms = [((), qm1 * len(between) + one)]
-    for jj, kk in itertools.combinations(between, 2):
-        terms += [(((jj, kk, c),), qm1) for c in units]
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # Tensor products and straightening
 # ---------------------------------------------------------------------------
 
-def tensor_pair(arc1, arc2, n, p):
+def tensor_pair(arc1, arc2, p):
     """Product of two single-arc supercharacters of U_n, as (sorted arc
     tuple, coefficient) pairs.
 
@@ -436,7 +414,7 @@ def _conflicting_pair(arcs):
     return None
 
 
-def _straighten(arcs, n, p):
+def _straighten(arcs, p):
     """straighten's core: the expansion as a dict from sorted arc tuples to
     coefficients."""
     acc = {}
@@ -452,7 +430,7 @@ def _straighten(arcs, n, p):
         rest.remove(x)
         rest.remove(y)
         measure = (len(cur), sum(l - i for i, l, _ in cur))
-        for arcs2, c in tensor_pair(x, y, n, p):
+        for arcs2, c in tensor_pair(x, y, p):
             new = tuple(sorted(rest + list(arcs2)))
             if not (len(new), sum(l - i for i, l, _ in new)) < measure:
                 raise RuntimeError("straightening measure must drop")
@@ -467,7 +445,7 @@ def straighten(arcs, n, p):
     for i, l, _ in arcs:
         if not 1 <= i < l <= n:
             raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
-    return _combo(PartitionIndex.full(n), _straighten(arcs, n, p))
+    return _combo(PartitionIndex.full(n), _straighten(arcs, p))
 
 
 def tensor(x, y, p):
@@ -480,8 +458,8 @@ def tensor(x, y, p):
         for lam2, c2 in y.terms.items():
             arcs = lam1.arcs + lam2.arcs
 
-            def factor(part, fwd):
-                return _straighten(_local(arcs, fwd), len(part), p).items()
+            def factor(part):
+                return _straighten(_local(arcs, _numbering(part)), p).items()
 
             _superimpose(K, factor, c1 * c2, acc)
     return _combo(K, acc)
@@ -491,25 +469,56 @@ def tensor(x, y, p):
 # Restriction to parabolic subgroups
 # ---------------------------------------------------------------------------
 
-def _part_factor(arcs, part, fwd, where, p):
-    """The factor of one part of K in the restriction from U_L of the
-    character with ``arcs``: a dict from arc tuples on {1..m}, in the
-    part's numbering ``fwd``, to coefficients.
-
-    The part sees only the arcs of its own part of L (``where`` maps a
-    vertex to its part of L).  The per-arc subset-rule brackets multiply by
-    straightening.
-    """
-    m = len(part)
-    product = {(): LaurentPoly.one()}
-    for arc in arcs:
-        if where[arc[0]] != where[part[0]]:
+def _trace(arcs, part, where):
+    """All that part P of K sees of the character of U_L with ``arcs``
+    (``where`` maps a vertex to its part of L): for each arc in P's part of
+    L whose span meets P, its endpoints' ranks against P (2k-1 on P's k-th
+    vertex, 2k in the gap after it) and its label if both ends lie on P."""
+    block = where[part[0]]
+    trace = []
+    for i, l, a in arcs:
+        if where[i] != block:
             continue
-        bracket = [(_local(sub, fwd), c) for sub, c in _subset_bracket(*arc, part, p)]
+        ri = bisect_left(part, i) + bisect_right(part, i)
+        rl = bisect_left(part, l) + bisect_right(part, l)
+        if ri != rl:
+            trace.append((ri, rl, a if ri & rl & 1 else 0))
+    return tuple(trace)
+
+
+def _factor(trace, p):
+    """P's factor in a restriction from U_L, from P's ``_trace``: a dict
+    from arc tuples in P's numbering 1..m to coefficients.
+
+    Each arc of the trace contributes the parenthesized factor of the
+    subset restriction rule for the vertex set P, and these brackets
+    multiply by straightening.
+    """
+    units = range(1, p)
+    one = LaurentPoly.one()
+    qm1 = LaurentPoly.q_minus_one()
+    product = {(): one}
+    for ri, rl, a in trace:
+        # i is P's last vertex at or left of the arc's left end (0 if none),
+        # l its first vertex at or right of the right end (m+1 if none);
+        # P's vertices strictly under the arc lie between them
+        i, l = (ri + 1) // 2, rl // 2 + 1
+        between = range(i + 1, l)
+        if ri & rl & 1:
+            bracket = [(((i, l, a),), one)]
+        elif rl & 1:
+            bracket = [((), one)] + [(((j, l, b),), one) for j in between for b in units]
+        elif ri & 1:
+            bracket = [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+        else:
+            bracket = [((), qm1 * len(between) + one)] + [
+                (((j, k, c),), qm1)
+                for j, k in itertools.combinations(between, 2) for c in units
+            ]
         nxt = {}
         for arcs1, c1 in product.items():
             for arcs2, c2 in bracket:
-                for loc, c_loc in _straighten(arcs1 + arcs2, m, p).items():
+                for loc, c_loc in _straighten(arcs1 + arcs2, p).items():
                     _add(nxt, loc, c1 * c2 * c_loc)
         product = nxt
     return product
@@ -522,7 +531,7 @@ def _restrict(arcs, K, p, L):
     where = L.part_lookup()
     acc = {}
     _superimpose(
-        K, lambda part, fwd: _part_factor(arcs, part, fwd, where, p).items(),
+        K, lambda part: _factor(_trace(arcs, part, where), p).items(),
         LaurentPoly.one(), acc,
     )
     return acc
@@ -585,38 +594,29 @@ def superinduce(mu, K, p, L=None):
     of K is refused with ValueError.
 
     The parts of K are disjoint, so that coefficient is the product over
-    the parts P of P's restriction factor read at mu's arcs on P.  A factor
-    depends only on the trace of nu's arcs on P, so each call memoizes the
-    factors on it: P's size and, for each arc in P's part of L whose span
-    meets P, both endpoints' ranks against P (odd on P, even in a gap)
-    and, when both ends lie on P, its label."""
-    n = K.n
+    the parts P of P's restriction factor read at mu's arcs on P.  The
+    factor is a function of nu's ``_trace`` on P, so each call memoizes the
+    factors on the trace."""
     if L is None:
-        L = PartitionIndex.full(n)
+        L = PartitionIndex.full(K.n)
     if not K.refines(L):
         raise ValueError("superinduction needs the source index to refine the target")
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
     where = L.part_lookup()
-    parts = []  # (part, numbering, vertex ranks, part of L, mu's local arcs)
-    for part in K.parts:
-        fwd = _numbering(part)
-        rank = {v: bisect_left(part, v) + bisect_right(part, v) for v in range(1, n + 1)}
-        parts.append((part, fwd, rank, where[part[0]], _local(mu.arcs, fwd)))
+    parts = [(part, _local(mu.arcs, _numbering(part))) for part in K.parts]
     memo = {}
     terms = []
     for nu in enumerate_compatible(L, p):
         if not _containment_prune(mu.arcs, nu.arcs):
             continue
         b = LaurentPoly.one()
-        for part, fwd, rank, j, loc in parts:
-            key = (len(part), tuple((rank[i], rank[l], a if rank[i] & rank[l] & 1 else 0)
-                                    for i, l, a in nu.arcs
-                                    if where[i] == j and rank[i] != rank[l]))
-            if key not in memo:
-                memo[key] = _part_factor(nu.arcs, part, fwd, where, p)
-            c = memo[key].get(loc)
+        for part, loc in parts:
+            trace = _trace(nu.arcs, part, where)
+            if trace not in memo:
+                memo[trace] = _factor(trace, p)
+            c = memo[trace].get(loc)
             if c is None:
                 break
             b = b * c

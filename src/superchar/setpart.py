@@ -248,7 +248,8 @@ class PartitionIndex:
 
     @classmethod
     def full(cls, n):
-        return cls(n, [range(1, n + 1)])
+        """The one-part index of U_n; at n = 0, the empty index."""
+        return cls(n, [range(1, n + 1)] if n else [])
 
     @classmethod
     def from_subset(cls, subset, n):

@@ -22,6 +22,17 @@ class TestCommands:
         code, out, err = run(["count", "--n", "3", "--q", "2"], capsys)
         assert (code, out, err) == (0, "5\n", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["restrict", "--char", "n=0", "--subgroup", "{}", "--q", "2"],
+            ["sind", "--char", "n=0", "--subgroup", "{}", "--q", "2"],
+            ["tensor", "--char", "n=0", "--char", "n=0", "--q", "2"],
+        ],
+    )
+    def test_the_trivial_group(self, argv, capsys):
+        assert run(argv, capsys) == (0, "(1)*chi[n=0]\n", "")
+
     def test_count_json(self, capsys):
         code, out, _ = run(["count", "--n", "3", "--q", "2", "--format", "json"], capsys)
         assert code == 0
@@ -140,6 +151,11 @@ class TestCommands:
 
 
 class TestVerify:
+    def test_tensor_suite_runs_on_the_trivial_group(self, capsys):
+        code, out, _ = run(["verify", "--suite", "tensor", "--q", "2", "--max-n", "0"], capsys)
+        assert code == 0
+        assert out.startswith("tensor: ok")
+
     def test_orthogonality_suite_passes(self, capsys):
         code, out, _ = run(
             ["verify", "--suite", "orthogonality", "--q", "2", "--max-n", "3"], capsys
@@ -297,6 +313,11 @@ class TestErrors:
         code, out, err = run(["ncsym", "--op", op, "--q", "2"], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert "ncsym %s needs --element" % op in err
+
+    def test_count_without_n_is_refused(self, capsys):
+        code, out, err = run(["count", "--q", "2"], capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert "count needs --n" in err
 
     @pytest.mark.parametrize(
         "argv",

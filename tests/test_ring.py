@@ -187,7 +187,7 @@ class TestTensor:
         # the rewrite of 1-2 and 1-4 is replaced by one of the same measure
         # (two arcs, total length 4); straightening must stop, not loop
         stuck = [(((1, 4, 1), (2, 3, 1)), LaurentPoly.one())]
-        monkeypatch.setattr(ring, "tensor_pair", lambda arc1, arc2, n, p: stuck)
+        monkeypatch.setattr(ring, "tensor_pair", lambda arc1, arc2, p: stuck)
         with pytest.raises(RuntimeError, match="measure must drop"):
             ring.straighten([(1, 2, 1), (1, 4, 1)], 4, 2)
 
@@ -371,6 +371,12 @@ class TestKappaBasis:
             triv: Cyclotomic.from_rational(2, Fraction(1, 2)),
             arc: Cyclotomic.from_rational(2, Fraction(-1, 2)),
         }
+
+    def test_a_missing_superclass_value_is_refused(self):
+        values = chi_to_kappa(CharCombo.one(PartitionIndex.full(3)), 2)
+        del values[lsp(3, [(1, 3, 1)])]
+        with pytest.raises(ValueError, match="every superclass label of U_3"):
+            kappa_to_chi(values, 2)
 
     def test_round_trips(self):
         for p in (2, 3):

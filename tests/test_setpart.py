@@ -232,6 +232,12 @@ class TestPartitionIndex:
         assert K.n == 9
         assert PartitionIndex.from_text("{}").n == 0
 
+    def test_full_index(self):
+        assert PartitionIndex.full(3).parts == ((1, 2, 3),)
+        # U_0 is the trivial group: its index has no parts
+        assert PartitionIndex.full(0).parts == ()
+        assert PartitionIndex.full(0).grouping() == PartitionIndex.from_text("{}").grouping()
+
     def test_interval_shorthand(self):
         K = PartitionIndex.from_text("[2,5]", 7)
         assert K.grouping() == PartitionIndex(7, [[1], [2, 3, 4, 5], [6], [7]]).grouping()
