@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -58,8 +59,8 @@ def _parse_char(text, q, n=None):
     text = text.strip()
     if text.startswith("n"):
         lam = LabeledSetPartition.from_text(text)
-        if n is not None and lam.n() != n:
-            raise ValueError("%r has n=%d, but n=%d was given" % (text, lam.n(), n))
+        if n is not None and lam.n != n:
+            raise ValueError("%r has n=%d, but n=%d was given" % (text, lam.n, n))
     elif n is None:
         raise ValueError("arc list %r needs --n" % text)
     else:
@@ -105,7 +106,7 @@ def _check_sind_budget(n, args):
 
 def cmd_restrict(args):
     lam = _parse_char(args.char, args.q, args.n)
-    n = lam.n()
+    n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     x = CharCombo.of(lam, PartitionIndex.full(n))
     return EXIT_OK, _render(restrict_combo(x, K, args.q), args.format)
@@ -115,8 +116,8 @@ def cmd_tensor(args):
     if len(args.char) < 2:
         raise ValueError("tensor needs at least two --char factors")
     chars = [_parse_char(c, args.q, args.n) for c in args.char]
-    n = chars[0].n()
-    if any(c.n() != n for c in chars):
+    n = chars[0].n
+    if any(c.n != n for c in chars):
         raise ValueError("tensor factors live on different groups")
     amb = PartitionIndex.full(n)
     out = CharCombo.of(chars[0], amb)
@@ -127,7 +128,7 @@ def cmd_tensor(args):
 
 def cmd_sind(args):
     mu = _parse_char(args.char, args.q, args.n)
-    n = mu.n()
+    n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     _check_sind_budget(n, args)
     return EXIT_OK, _render(superinduce(mu, K, args.q), args.format)
@@ -135,7 +136,7 @@ def cmd_sind(args):
 
 def cmd_sinf(args):
     lam = _parse_char(args.char, args.q, args.n)
-    n = lam.n()
+    n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     L = PartitionIndex.from_text(args.ambient, n=n) if args.ambient else PartitionIndex.full(n)
     inflated = sinf(lam, K, L)
@@ -145,11 +146,13 @@ def cmd_sinf(args):
 def cmd_star(args):
     lam = _parse_char(args.left, args.q)
     mu = _parse_char(args.right, args.q)
-    m, n = lam.n(), mu.n()
+    m, n = lam.n, mu.n
     if args.blocks:
         K = PartitionIndex.from_text(args.blocks, n=m + n)
     else:
-        K = PartitionIndex(m + n, [range(1, m + 1), range(m + 1, m + n + 1)])
+        # an index carries no empty block, so an n=0 factor's block is left out
+        blocks = (range(1, m + 1), range(m + 1, m + n + 1))
+        K = PartitionIndex(m + n, [block for block in blocks if block])
     _check_sind_budget(m + n, args)
     return EXIT_OK, _render(star_K(lam, mu, K, args.q), args.format)
 
@@ -160,7 +163,7 @@ def _parse_combo(text, q):
     if "chi[" not in text:
         return CharCombo.of(_parse_char(text, q))
     first = text.index("chi[") + 4
-    n = LabeledSetPartition.from_text(text[first : text.index("]", first)]).n()
+    n = LabeledSetPartition.from_text(text[first : text.index("]", first)]).n
     x = CharCombo.from_text(text, PartitionIndex.full(n))
     for lam in x.terms:
         _check_labels(lam, q)
@@ -175,7 +178,7 @@ def cmd_inner(args):
 
 def cmd_value(args):
     lam = _parse_char(args.char, args.q, args.n)
-    mu = _parse_char(args.at, args.q, lam.n())
+    mu = _parse_char(args.at, args.q, lam.n)
     return EXIT_OK, _render(char_value(lam, mu, args.q), args.format)
 
 
@@ -267,6 +270,8 @@ def _suite_restriction(args):
 
 
 def _suite_tensor(args):
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
     rnd = random.Random(args.seed)
     checks = 0
     # exhaustive pointwise correctness on small groups
@@ -284,12 +289,16 @@ def _suite_tensor(args):
                         nu.to_text(),
                     )
                 checks += 1
-    # seeded commutativity sample at the largest size
+    # seeded commutativity check at the largest size, on at most --samples
+    # distinct pairs of different characters, each counted once
     n = args.max_n
     amb = PartitionIndex.full(n)
     labels = list(enumerate_labeled(range(1, n + 1), args.q))
-    for _ in range(args.samples):
-        lam, mu = rnd.choice(labels), rnd.choice(labels)
+    pairs = len(labels) * (len(labels) - 1) // 2
+    for t in sorted(rnd.sample(range(pairs), min(args.samples, pairs))):
+        # pair number t is (i, j) with t = j(j-1)/2 + i and i < j
+        j = (1 + math.isqrt(1 + 8 * t)) // 2
+        lam, mu = labels[t - j * (j - 1) // 2], labels[j]
         a = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), args.q)
         b = tensor(CharCombo.of(mu, amb), CharCombo.of(lam, amb), args.q)
         if a != b:

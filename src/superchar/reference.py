@@ -178,10 +178,9 @@ def tensor_values(x, y, n, p):
 
 def reflect_combo(x):
     """Conjugate a combination by the order-reversing symmetry."""
-    n = x.ambient.n
     return CharCombo(
         x.ambient.reflect(),
-        [(lam.reflect(n), c) for lam, c in x.terms.items()],
+        [(lam.reflect(), c) for lam, c in x.terms.items()],
     )
 
 

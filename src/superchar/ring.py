@@ -73,7 +73,6 @@ class CharCombo:
 
     def __init__(self, ambient, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        full_support = frozenset(range(1, ambient.n + 1))
         lookup = ambient.part_lookup()
         acc = {}
         for lam, c in items:
@@ -81,8 +80,8 @@ class CharCombo:
                 c = LaurentPoly.const(c)
             if not c:
                 continue
-            if lam.support != full_support:
-                raise ValueError("term support does not match ambient n=%d" % ambient.n)
+            if lam.n != ambient.n:
+                raise ValueError("term n=%d does not match ambient n=%d" % (lam.n, ambient.n))
             for arc in lam.arcs:
                 if lookup[arc.left] != lookup[arc.right]:
                     raise ValueError(
@@ -109,7 +108,7 @@ class CharCombo:
     @classmethod
     def of(cls, lam, ambient=None, coeff=1):
         if ambient is None:
-            ambient = PartitionIndex.full(len(lam.support))
+            ambient = PartitionIndex.full(lam.n)
         return cls(ambient, [(lam, coeff)])
 
     # -- ring-module structure ------------------------------------------------
@@ -218,13 +217,9 @@ class CharCombo:
 # ---------------------------------------------------------------------------
 
 def degree(lam):
-    """chi^lam(1) = q to the number of support elements strictly under arcs:
-    the product over arcs i-l of q^(#support strictly between i and l)."""
-    support = lam.support
-    e = sum(
-        sum(1 for m in support if arc.left < m < arc.right) for arc in lam.arcs
-    )
-    return LaurentPoly.q_power(e)
+    """chi^lam(1) = q to the number of vertices strictly under arcs: the
+    product over arcs i-l of q^(l-i-1)."""
+    return LaurentPoly.q_power(sum(arc.right - arc.left - 1 for arc in lam.arcs))
 
 
 def degree_in(lam, index):
@@ -240,8 +235,7 @@ def degree_in(lam, index):
 
 @functools.lru_cache(maxsize=None)
 def _char_value_std(arcs_lam, arcs_mu, p):
-    """Character value for standardized supports {1..n}; arcs as sorted
-    (i, l, a) tuples."""
+    """Character value on {1..n}; arcs as sorted (i, l, a) tuples."""
     mu_left = {}
     mu_right = {}
     mu_label = {}
@@ -269,17 +263,10 @@ def _char_value_std(arcs_lam, arcs_mu, p):
 
 
 def char_value(lam, mu, p):
-    """chi^lam(u_mu), exact in Q(zeta_p).
-
-    The two partitions must share a support; it is standardized so the
-    formula's position counts see only support elements.
-    """
-    if lam.support != mu.support:
-        raise ValueError("character and superclass supports differ")
-    if lam.support == frozenset(range(1, len(lam.support) + 1)):
-        return _char_value_std(lam.arcs, mu.arcs, p)
-    fwd = _numbering(sorted(lam.support))
-    return _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
+    """chi^lam(u_mu), exact in Q(zeta_p); both partitions live on {1..n}."""
+    if lam.n != mu.n:
+        raise ValueError("character and superclass have different n")
+    return _char_value_std(lam.arcs, mu.arcs, p)
 
 
 def char_value_in(lam, mu, index, p):
@@ -539,10 +526,9 @@ def _restrict(arcs, K, p, L):
 
 def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
-    n = K.n
-    if lam.support != frozenset(range(1, n + 1)):
-        raise ValueError("partition support must be {1..%d}" % n)
-    return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(n)))
+    if lam.n != K.n:
+        raise ValueError("partition has n=%d, the index n=%d" % (lam.n, K.n))
+    return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(K.n)))
 
 
 def restrict_combo(x, K, p):
@@ -634,13 +620,8 @@ def _containment_prune(mu_arcs, nu_arcs):
 
 def star_K(lam, mu, K, p):
     """The glued product: transport lam (degree m) and mu (degree n) onto the
-    two blocks of K and superinduce up to U_(m+n)."""
-    if len(K.parts) != 2:
-        raise ValueError("the glued product needs a two-block index")
-    if (len(K.parts[0]), len(K.parts[1])) != (len(lam.support), len(mu.support)):
-        raise ValueError("block sizes must match the two degrees")
-    nu = union_K(lam, mu, K)
-    return superinduce(nu, K, p)
+    two blocks of K with ``union_K`` and superinduce up to U_(m+n)."""
+    return superinduce(union_K(lam, mu, K), K, p)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +647,7 @@ def kappa_to_chi(values, p):
     superchar label -> Cyclotomic coefficient."""
     if not values:
         return {}
-    n = min(len(lam.support) for lam in values)
+    n = min(lam.n for lam in values)
     labels = list(enumerate_labeled(range(1, n + 1), p))
     if set(values) != set(labels):
         raise ValueError("need a value for every superclass label of U_%d" % n)

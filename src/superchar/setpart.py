@@ -1,11 +1,11 @@
 """Labeled set partitions and subgroup index partitions.
 
-A labeled set partition on a finite support S of positive integers is a set
-of labeled arcs ``i-j:a`` (i < j, label a a nonzero residue) such that every
-vertex is the left endpoint of at most one arc and the right endpoint of at
-most one arc.  The parts are the chains traced out by the arcs, and the arcs
-connect consecutive elements of their part, so this degree condition is the
-whole validity story.
+A labeled set partition of {1..n} is a set of labeled arcs ``i-j:a``
+(1 <= i < j <= n, label a a nonzero residue) such that every vertex is the
+left endpoint of at most one arc and the right endpoint of at most one arc.
+The parts are the chains traced out by the arcs, and the arcs connect
+consecutive elements of their part, so this degree condition is the whole
+validity story.
 
 Labels are stored as plain positive ints and interpreted mod a prime p; the
 prime is passed to whichever operation enumerates labels or evaluates
@@ -46,27 +46,28 @@ class Arc(NamedTuple):
 
 
 class LabeledSetPartition:
-    """An F_q-labeled set partition: a support plus labeled arcs.
+    """An F_q-labeled set partition of {1..n}: the size n plus labeled arcs.
 
-    Immutable and hashable; arcs are kept sorted by (left, right).
+    The constructor takes the vertex set, which must be {1..n}.  Immutable
+    and hashable; arcs are kept sorted by (left, right).
     """
 
-    __slots__ = ("support", "arcs")
+    __slots__ = ("n", "arcs")
 
     def __init__(self, support, arcs=()):
-        support = frozenset(int(v) for v in support)
-        if not all(v >= 1 for v in support):
-            raise ValueError("support must consist of positive integers")
+        vertices = sorted(int(v) for v in support)
+        n = len(vertices)
+        if vertices != list(range(1, n + 1)):
+            raise ValueError("partition vertices %s are not 1..%d" % (vertices, n))
         clean = []
         lefts, rights = set(), set()
         for arc in arcs:
             a = Arc(int(arc[0]), int(arc[1]), int(arc[2]))
-            if a.left >= a.right:
-                raise ValueError("arc %d-%d is not increasing" % (a.left, a.right))
+            if not 1 <= a.left < a.right <= n:
+                raise ValueError("arc %d-%d is not an increasing arc on 1..%d"
+                                 % (a.left, a.right, n))
             if a.label < 1:
                 raise ValueError("arc label must be a nonzero residue")
-            if a.left not in support or a.right not in support:
-                raise ValueError("arc %d-%d leaves the support" % (a.left, a.right))
             if a.left in lefts:
                 raise ValueError("vertex %d starts two arcs" % a.left)
             if a.right in rights:
@@ -75,16 +76,13 @@ class LabeledSetPartition:
             rights.add(a.right)
             clean.append(a)
         clean.sort()
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
 
     # -- structure ----------------------------------------------------------
-
-    def n(self):
-        return len(self.support)
 
     def parts(self):
         """The parts, as sorted tuples, ordered by minimum element.
@@ -95,7 +93,7 @@ class LabeledSetPartition:
         nxt = {a.left: a.right for a in self.arcs}
         has_in = {a.right for a in self.arcs}
         out = []
-        for v in sorted(self.support):
+        for v in range(1, self.n + 1):
             if v in has_in:
                 continue
             chain = [v]
@@ -134,44 +132,24 @@ class LabeledSetPartition:
 
     # -- transformations ----------------------------------------------------
 
-    def relabel(self, mapping):
-        """Push the partition through an increasing bijection of supports."""
-        vals = [mapping[v] for v in sorted(self.support)]
-        if sorted(vals) != vals or len(set(vals)) != len(vals):
-            raise ValueError("relabeling must be an increasing bijection")
-        arcs = [(mapping[a.left], mapping[a.right], a.label) for a in self.arcs]
-        return LabeledSetPartition(vals, arcs)
-
-    def standardize(self):
-        """Transport onto {1..m} via the unique increasing bijection.
-
-        Returns (partition on {1..m}, mapping old->new).
-        """
-        mapping = {v: i + 1 for i, v in enumerate(sorted(self.support))}
-        return self.relabel(mapping), mapping
-
-    def reflect(self, n=None):
+    def reflect(self):
         """Mirror through the vertical axis of {1..n}: arc i-j:a goes to
-        (n+1-j)-(n+1-i):a.  The support must sit inside {1..n}."""
-        if n is None:
-            n = max(self.support) if self.support else 0
-        if self.support and max(self.support) > n:
-            raise ValueError("support exceeds n")
-        support = [n + 1 - v for v in self.support]
+        (n+1-j)-(n+1-i):a."""
+        n = self.n
         arcs = [(n + 1 - a.right, n + 1 - a.left, a.label) for a in self.arcs]
-        return LabeledSetPartition(support, arcs)
+        return LabeledSetPartition(range(1, n + 1), arcs)
 
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other):
         return (
             isinstance(other, LabeledSetPartition)
-            and self.support == other.support
+            and self.n == other.n
             and self.arcs == other.arcs
         )
 
     def __hash__(self):
-        return hash((self.support, self.arcs))
+        return hash((self.n, self.arcs))
 
     def __repr__(self):
         return "LabeledSetPartition(%r)" % self.to_text()
@@ -179,15 +157,9 @@ class LabeledSetPartition:
     # -- serialization ------------------------------------------------------
 
     def to_text(self):
-        """Canonical text: ``"n=9; 1-5:1, 5-7:2"`` (arcs sorted).
-
-        Only supports of the form {1..n} have a text form.
-        """
-        n = len(self.support)
-        if self.support != frozenset(range(1, n + 1)):
-            raise ValueError("text form needs support {1..n}")
+        """Canonical text: ``"n=9; 1-5:1, 5-7:2"`` (arcs sorted)."""
         body = ", ".join("%d-%d:%d" % (a.left, a.right, a.label) for a in self.arcs)
-        return "n=%d; %s" % (n, body) if body else "n=%d" % n
+        return "n=%d; %s" % (self.n, body) if body else "n=%d" % self.n
 
     @classmethod
     def from_text(cls, s, n=None):
@@ -385,8 +357,8 @@ def labeled_arcs(elements, p):
 
 
 def enumerate_labeled(elements, p):
-    """All F_p-labeled set partitions of ``elements``, in the order of
-    :func:`labeled_arcs`."""
+    """All F_p-labeled set partitions of ``elements``, which must be
+    {1..n}, in the order of :func:`labeled_arcs`."""
     elems = sorted(set(int(v) for v in elements))
     for arcs in labeled_arcs(elems, p):
         yield LabeledSetPartition(elems, arcs)
@@ -430,22 +402,21 @@ def union_K(lam, mu, K):
     """Glue two labeled partitions along a two-block index.
 
     ``lam`` lives on {1..m}, ``mu`` on {1..n}; ``K`` has exactly two parts in
-    order, of sizes m and n, covering {1..m+n}.  Each factor is pushed
-    through the increasing bijection onto its block.  An empty factor is
-    glued along a one-part index (indices cannot carry an empty block).
+    order, of sizes m and n, covering {1..m+n}.  Vertex v of each factor goes
+    to the v-th element of its block.  Indices cannot carry an empty block,
+    so an empty factor is glued along a one-part index, and two empty
+    factors along the zero-part index of U_0.
     """
-    if len(K.parts) == 1 and (not lam.support or not mu.support):
-        block1, block2 = ((), K.parts[0]) if not lam.support else (K.parts[0], ())
-    elif len(K.parts) != 2:
+    blocks = K.parts
+    if len(blocks) < 2 and not (lam.n and mu.n):
+        pad = ((),) * (2 - len(blocks))
+        blocks = pad + blocks if not lam.n else blocks + pad
+    if len(blocks) != 2:
         raise ValueError("union needs a two-block index")
-    else:
-        block1, block2 = K.parts
-    m, n = len(lam.support), len(mu.support)
-    if (len(block1), len(block2)) != (m, n):
-        raise ValueError("block sizes %d,%d do not match supports %d,%d"
-                         % (len(block1), len(block2), m, n))
-    map1 = {v: w for v, w in zip(sorted(lam.support), block1)}
-    map2 = {v: w for v, w in zip(sorted(mu.support), block2)}
-    arcs = [(map1[a.left], map1[a.right], a.label) for a in lam.arcs]
-    arcs += [(map2[a.left], map2[a.right], a.label) for a in mu.arcs]
+    block1, block2 = blocks
+    if (len(block1), len(block2)) != (lam.n, mu.n):
+        raise ValueError("block sizes %d,%d do not match the factors' sizes %d,%d"
+                         % (len(block1), len(block2), lam.n, mu.n))
+    arcs = [(block1[a.left - 1], block1[a.right - 1], a.label) for a in lam.arcs]
+    arcs += [(block2[a.left - 1], block2[a.right - 1], a.label) for a in mu.arcs]
     return LabeledSetPartition(range(1, K.n + 1), arcs)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 import superchar
 from superchar import cli
+from superchar.setpart import count_sn
 
 
 def run(argv, capsys):
@@ -84,6 +87,18 @@ class TestCommands:
         code, out, _ = run(["star", "--left", "n=1", "--right", "n=1", "--q", "2"], capsys)
         assert (code, out) == (0, "(1)*chi[n=2] + (1)*chi[n=2; 1-2:1]\n")
 
+    @pytest.mark.parametrize(
+        "left, right, want",
+        [
+            ("n=0", "n=1", "(1)*chi[n=1]"),
+            ("n=2; 1-2:1", "n=0", "(1)*chi[n=2; 1-2:1]"),
+            ("n=0", "n=0", "(1)*chi[n=0]"),
+        ],
+    )
+    def test_star_with_an_empty_factor(self, left, right, want, capsys):
+        argv = ["star", "--left", left, "--right", right, "--q", "2"]
+        assert run(argv, capsys) == (0, want + "\n", "")
+
     def test_sind(self, capsys):
         code, out, _ = run(
             ["sind", "--char", "n=3", "--subgroup", "{1|2,3}", "--q", "2"], capsys
@@ -155,6 +170,18 @@ class TestVerify:
         code, out, _ = run(["verify", "--suite", "tensor", "--q", "2", "--max-n", "0"], capsys)
         assert code == 0
         assert out.startswith("tensor: ok")
+
+    @pytest.mark.parametrize("max_n, samples", [(0, 500), (1, 500), (2, 500), (3, 500), (3, 4)])
+    def test_tensor_suite_counts_each_pair_once(self, max_n, samples, capsys):
+        argv = ["verify", "--suite", "tensor", "--q", "2", "--max-n", str(max_n)]
+        code, out, _ = run(argv + ["--samples", str(samples)], capsys)
+        assert code == 0
+        checks = int(re.fullmatch(r"tensor: ok \((\d+) checks\)\n", out).group(1))
+        exhaustive = sum(count_sn(n, 2) ** 3 for n in range(2, max_n + 1))
+        labels = count_sn(max_n, 2)
+        pairs = labels * (labels - 1) // 2
+        assert checks <= exhaustive + pairs
+        assert checks == exhaustive + min(samples, pairs)
 
     def test_orthogonality_suite_passes(self, capsys):
         code, out, _ = run(
@@ -314,6 +341,12 @@ class TestErrors:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert "ncsym %s needs --element" % op in err
 
+    def test_negative_sample_count_is_refused(self, capsys):
+        argv = ["verify", "--suite", "tensor", "--q", "2", "--max-n", "2", "--samples", "-1"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert "--samples" in err
+
     def test_count_without_n_is_refused(self, capsys):
         code, out, err = run(["count", "--q", "2"], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
@@ -455,3 +488,25 @@ class TestCache:
         path = self.entry_path(tmp_path)
         entry = json.loads(open(path, encoding="utf-8").read())
         assert out == entry["output"] + "\n"
+
+
+def _readme_examples():
+    """Each ``$ superchar ...`` command of README.md with the output lines
+    shown under it, up to the next blank line or fence."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", text, flags=re.M | re.S):
+        for chunk in block.split("\n\n"):
+            command, *shown = chunk.strip("\n").split("\n")
+            if command.startswith("$ superchar ") and shown:
+                examples.append((shlex.split(command)[2:], "".join(l + "\n" for l in shown)))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    examples = _readme_examples()
+    assert examples
+    for argv, shown in examples:
+        assert run(argv, capsys) == (0, shown, ""), argv

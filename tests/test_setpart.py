@@ -1,4 +1,5 @@
-"""Labeled set-partition combinatorics: arcs, crossings, transport, counting."""
+"""Labeled set-partition combinatorics: arcs, crossings, reflection, gluing,
+counting."""
 
 import random
 from functools import reduce
@@ -26,9 +27,9 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 NINE = LabeledSetPartition.from_text("n=9; 1-5:1, 5-7:2, 2-3:1, 6-8:1, 8-9:2")
 
 
-def random_labeled(rng, universe, p):
-    """A random labeled partition on a random subset of ``universe``."""
-    verts = sorted(rng.sample(universe, rng.randrange(len(universe) + 1)))
+def random_labeled(rng, k, p):
+    """A random labeled partition of {1..n} for a random n <= k."""
+    verts = list(range(1, rng.randrange(k + 1) + 1))
     rng.shuffle(verts)
     parts, i = [], 0
     while i < len(verts):
@@ -51,6 +52,16 @@ class TestValidation:
             LabeledSetPartition(range(1, 3), [Arc(1, 2, 0)])
         with pytest.raises(ValueError):
             LabeledSetPartition(range(1, 3), [Arc(1, 4, 1)])
+
+    def test_vertices_must_be_one_to_n(self):
+        with pytest.raises(ValueError):
+            LabeledSetPartition((2, 3, 5), [])
+        with pytest.raises(ValueError):
+            LabeledSetPartition(range(0, 3), [])
+        with pytest.raises(ValueError):
+            LabeledSetPartition(range(1, 4), [Arc(2, 4, 1)])
+        lam = LabeledSetPartition((3, 1, 2), [Arc(1, 3, 1)])
+        assert lam.n == 3 and lam == LabeledSetPartition(range(1, 4), [Arc(1, 3, 1)])
 
     def test_each_vertex_carries_at_most_one_arc_end(self):
         with pytest.raises(ValueError):
@@ -85,7 +96,7 @@ class TestPartsAndCrossings:
     def test_parts_to_arcs_reconstruction(self):
         rng = random.Random(6)
         for _ in range(200):
-            lam = random_labeled(rng, range(1, 10), 3)
+            lam = random_labeled(rng, 9, 3)
             rebuilt = arcs_of_parts(lam.parts())
             assert set(rebuilt) == {(a.left, a.right) for a in lam.arcs}
 
@@ -107,26 +118,12 @@ class TestPartsAndCrossings:
 
 
 class TestTransport:
-    def test_standardize(self):
-        lam = LabeledSetPartition((2, 3, 5, 7), [Arc(2, 5, 3)])
-        std, mapping = lam.standardize()
-        assert std.to_text() == "n=4; 1-3:3"
-        assert mapping == {2: 1, 3: 2, 5: 3, 7: 4}
-        already = LabeledSetPartition(range(1, 5), [Arc(1, 3, 1)])
-        assert already.standardize()[0] == already
-
-    def test_standardize_preserves_crossings(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            lam = random_labeled(rng, range(1, 13), 5)
-            assert lam.standardize()[0].num_crossings() == lam.num_crossings()
-
     def test_reflect(self):
         assert LabeledSetPartition(range(1, 4), [Arc(1, 2, 2)]).reflect().to_text() == "n=3; 2-3:2"
         assert NINE.reflect().num_crossings() == 1
         rng = random.Random(9)
         for _ in range(300):
-            lam = random_labeled(rng, range(1, 10), 3).standardize()[0]
+            lam = random_labeled(rng, 9, 3)
             assert lam.reflect().reflect() == lam
 
 
@@ -145,6 +142,9 @@ class TestUnionK:
         K = PartitionIndex(4, [range(1, 5)])
         assert union_K(empty, self.MU, K) == self.MU
         assert union_K(self.MU, empty, K) == self.MU
+        assert union_K(empty, empty, PartitionIndex.full(0)) == empty
+        with pytest.raises(ValueError):
+            union_K(empty, empty, K)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -184,11 +184,19 @@ class TestEnumerationAndCounting:
                 )
 
     def test_arc_tuples_follow_the_labeled_enumeration(self):
-        for elements in ([], [4], [1, 2, 3], [2, 5, 6, 9], range(1, 6)):
+        for n in range(0, 6):
             for p in (2, 3):
-                got = list(labeled_arcs(elements, p))
-                assert got == [lam.arcs for lam in enumerate_labeled(elements, p)]
-                assert len(got) == count_sn(len(elements), p)
+                got = list(labeled_arcs(range(1, n + 1), p))
+                assert got == [lam.arcs for lam in enumerate_labeled(range(1, n + 1), p)]
+                assert len(got) == count_sn(n, p)
+        # on any other element set the arcs are the same, carried onto it
+        for elements in ([4], [2, 5, 6, 9]):
+            for p in (2, 3):
+                carried = [
+                    tuple((elements[i - 1], elements[l - 1], a) for i, l, a in arcs)
+                    for arcs in labeled_arcs(range(1, len(elements) + 1), p)
+                ]
+                assert list(labeled_arcs(elements, p)) == carried
         assert list(labeled_arcs([3], 5)) == [()]
 
     def test_enumeration_is_deterministic_and_duplicate_free(self):
