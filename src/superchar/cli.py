@@ -413,6 +413,8 @@ SUITES = {
 
 
 def cmd_verify(args):
+    if args.max_n < 0:
+        raise ValueError("--max-n must be nonnegative")
     if args.suite != "all":
         names = [args.suite]
     else:

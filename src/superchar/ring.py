@@ -473,41 +473,61 @@ def _trace(arcs, part, where):
     return tuple(trace)
 
 
-def _factor(trace, p):
-    """P's factor in a restriction from U_L, from P's ``_trace``: a dict
-    from arc tuples in P's numbering 1..m to coefficients.
-
-    Each arc of the trace contributes the parenthesized factor of the
-    subset restriction rule for the vertex set P, and these brackets
-    multiply by straightening.
-    """
+def _extend(product, step, p):
+    """One arc ``step`` of a ``_trace`` times the factor ``product`` (a dict
+    from straight arc tuples in P's numbering 1..m to coefficients): the
+    arc's bracket of the subset restriction rule for the vertex set P,
+    multiplied in by straightening."""
+    ri, rl, a = step
     units = range(1, p)
     one = LaurentPoly.one()
-    qm1 = LaurentPoly.q_minus_one()
-    product = {(): one}
-    for ri, rl, a in trace:
-        # i is P's last vertex at or left of the arc's left end (0 if none),
-        # l its first vertex at or right of the right end (m+1 if none);
-        # P's vertices strictly under the arc lie between them
-        i, l = (ri + 1) // 2, rl // 2 + 1
-        between = range(i + 1, l)
-        if ri & rl & 1:
-            bracket = [(((i, l, a),), one)]
-        elif rl & 1:
-            bracket = [((), one)] + [(((j, l, b),), one) for j in between for b in units]
-        elif ri & 1:
-            bracket = [((), one)] + [(((i, k, b),), one) for k in between for b in units]
-        else:
-            bracket = [((), qm1 * len(between) + one)] + [
-                (((j, k, c),), qm1)
-                for j, k in itertools.combinations(between, 2) for c in units
-            ]
-        nxt = {}
-        for arcs1, c1 in product.items():
-            for arcs2, c2 in bracket:
-                for loc, c_loc in _straighten(arcs1 + arcs2, p).items():
-                    _add(nxt, loc, c1 * c2 * c_loc)
-        product = nxt
+    # i is P's last vertex at or left of the arc's left end (0 if none),
+    # l its first vertex at or right of the right end (m+1 if none);
+    # P's vertices strictly under the arc lie between them
+    i, l = (ri + 1) // 2, rl // 2 + 1
+    between = range(i + 1, l)
+    if ri & rl & 1:
+        bracket = [(((i, l, a),), one)]
+    elif rl & 1:
+        bracket = [((), one)] + [(((j, l, b),), one) for j in between for b in units]
+    elif ri & 1:
+        bracket = [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+    else:
+        qm1 = LaurentPoly.q_minus_one()
+        bracket = [((), qm1 * len(between) + one)] + [
+            (((j, k, c),), qm1)
+            for j, k in itertools.combinations(between, 2) for c in units
+        ]
+    nxt = {}
+    for arcs1, c1 in product.items():
+        for arcs2, c2 in bracket:
+            c = c1 * c2
+            if not arcs2:
+                # the keys of ``product`` are straight already
+                _add(nxt, arcs1, c)
+                continue
+            for loc, c_loc in _straighten(arcs1 + arcs2, p).items():
+                _add(nxt, loc, c * c_loc)
+    return nxt
+
+
+def _factor(trace, p):
+    """P's factor in a restriction from U_L, from P's ``_trace``: a dict
+    from arc tuples in P's numbering 1..m to coefficients, the product of
+    the trace's brackets (``_extend``)."""
+    product = {(): LaurentPoly.one()}
+    for step in trace:
+        product = _extend(product, step, p)
+    return product
+
+
+def _memo_factor(trace, p, memo):
+    """``_factor(trace, p)`` through ``memo``, which holds the empty trace's
+    factor and keeps the factor of every prefix it builds, so a trace
+    extends the longest prefix of it already there."""
+    product = memo.get(trace)
+    if product is None:
+        product = memo[trace] = _extend(_memo_factor(trace[:-1], p, memo), trace[-1], p)
     return product
 
 
@@ -581,8 +601,10 @@ def superinduce(mu, K, p, L=None):
 
     The parts of K are disjoint, so that coefficient is the product over
     the parts P of P's restriction factor read at mu's arcs on P.  The
-    factor is a function of nu's ``_trace`` on P, so each call memoizes the
-    factors on the trace."""
+    factor is a function of nu's ``_trace`` on P and a product over the
+    trace's arcs, so each call memoizes the factor of every trace prefix
+    (``_memo_factor``): traces sharing a prefix share its work.  Nothing is
+    kept across calls."""
     if L is None:
         L = PartitionIndex.full(K.n)
     if not K.refines(L):
@@ -592,17 +614,15 @@ def superinduce(mu, K, p, L=None):
         return CharCombo.of(mu, L)
     where = L.part_lookup()
     parts = [(part, _local(mu.arcs, _numbering(part))) for part in K.parts]
-    memo = {}
+    one = LaurentPoly.one()
+    memo = {(): {(): one}}
     terms = []
     for nu in enumerate_compatible(L, p):
         if not _containment_prune(mu.arcs, nu.arcs):
             continue
-        b = LaurentPoly.one()
+        b = one
         for part, loc in parts:
-            trace = _trace(nu.arcs, part, where)
-            if trace not in memo:
-                memo[trace] = _factor(trace, p)
-            c = memo[trace].get(loc)
+            c = _memo_factor(_trace(nu.arcs, part, where), p, memo).get(loc)
             if c is None:
                 break
             b = b * c

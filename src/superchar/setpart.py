@@ -79,6 +79,15 @@ class LabeledSetPartition:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(clean))
 
+    @classmethod
+    def _valid(cls, n, arcs):
+        """The partition of {1..n} with ``arcs``, a tuple of :class:`Arc`
+        already sorted and valid, built without checking them."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "arcs", arcs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("LabeledSetPartition is immutable")
 
@@ -318,21 +327,24 @@ def set_partitions(elements):
     if not elems:
         yield ()
         return
+    yield from _grow_blocks(elems, 1, [[elems[0]]])
 
-    def rec(i, blocks):
-        if i == len(elems):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        v = elems[i]
-        for b in blocks:
-            b.append(v)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([v])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
 
-    yield from rec(1, [[elems[0]]])
+def _grow_blocks(elems, i, blocks):
+    """set_partitions' recursion: place elems[i:] into ``blocks`` (a
+    module-level function, so no call leaves a self-referencing closure
+    to the cyclic collector)."""
+    if i == len(elems):
+        yield tuple(tuple(b) for b in blocks)
+        return
+    v = elems[i]
+    for b in blocks:
+        b.append(v)
+        yield from _grow_blocks(elems, i + 1, blocks)
+        b.pop()
+    blocks.append([v])
+    yield from _grow_blocks(elems, i + 1, blocks)
+    blocks.pop()
 
 
 def arcs_of_parts(parts):
@@ -347,13 +359,14 @@ def arcs_of_parts(parts):
 
 
 def labeled_arcs(elements, p):
-    """The F_p-labeled set partitions of ``elements`` as sorted (i, l, a)
-    arc tuples, deterministically: shapes in restricted-growth order, then
+    """The F_p-labeled set partitions of ``elements`` as sorted tuples of
+    :class:`Arc`, deterministically: shapes in restricted-growth order, then
     labels lexicographically over the sorted arc list."""
+    make = Arc._make
     for parts in set_partitions(elements):
         skeleton = arcs_of_parts(parts)
         for labels in itertools.product(range(1, p), repeat=len(skeleton)):
-            yield tuple((l, r, lab) for (l, r), lab in zip(skeleton, labels))
+            yield tuple([make((l, r, lab)) for (l, r), lab in zip(skeleton, labels)])
 
 
 def enumerate_labeled(elements, p):
@@ -367,10 +380,10 @@ def enumerate_labeled(elements, p):
 def enumerate_compatible(index, p):
     """All labeled partitions of {1..n} whose arcs stay inside the parts of
     ``index`` -- the supercharacter/superclass labels of the subgroup."""
-    support = range(1, index.n + 1)
+    n = index.n
+    # each part's arcs are valid, and the parts are disjoint
     for choice in itertools.product(*(labeled_arcs(part, p) for part in index.parts)):
-        arcs = [a for group in choice for a in group]
-        yield LabeledSetPartition(support, arcs)
+        yield LabeledSetPartition._valid(n, tuple(sorted(itertools.chain(*choice))))
 
 
 def count_sn_poly(n):

@@ -347,6 +347,15 @@ class TestErrors:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert "--samples" in err
 
+    @pytest.mark.parametrize(
+        "suite, max_n", [("restriction", "-3"), ("charmap", "-1"), ("tensor", "-1")]
+    )
+    def test_negative_max_n_is_refused(self, suite, max_n, capsys):
+        argv = ["verify", "--suite", suite, "--q", "2", "--max-n", max_n]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == "error: --max-n must be nonnegative\n"
+
     def test_count_without_n_is_refused(self, capsys):
         code, out, err = run(["count", "--q", "2"], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")

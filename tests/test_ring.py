@@ -1,5 +1,6 @@
 """The supercharacter calculus over a pattern group: values, branching, products."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -299,6 +300,27 @@ class TestSuperinduce:
                     K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
                     got = superinduce_via_permchar(lsp(n, []), K, p)
                     assert got == superinduce_trivial_twoblock(k, n, p)
+
+    def test_trivial_character_renders_like_the_closed_form(self):
+        # deep enough that traces share prefixes, so the prefix memo is used
+        for p, sizes in ((2, range(5, 8)), (3, range(4, 6))):
+            for n in sizes:
+                for k in range(1, n):
+                    K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
+                    got = superinduce(lsp(n, []), K, p).to_text()
+                    assert got == superinduce_trivial_twoblock(k, n, p).to_text(), (p, n, k)
+
+    def test_leaves_no_cyclic_garbage(self):
+        K = PartitionIndex(7, [[1, 2, 3], [4, 5, 6, 7]])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            superinduce(lsp(7, []), K, 2)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_closed_form_degree_sum_is_a_q_power(self):
         # evaluating the two-block trivial superinduction at the identity

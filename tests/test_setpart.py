@@ -231,6 +231,20 @@ class TestEnumerationAndCounting:
                 for arc in mu.arcs:
                     assert K.same_part(arc.left, arc.right)
 
+    def test_compatible_labels_match_the_validating_constructor(self):
+        # the labels skip validation; on non-contiguous parts they must still
+        # be the partitions the public constructor builds from their arcs
+        K = PartitionIndex(6, [[1, 4], [2, 5, 6], [3]])
+        for p in (2, 3):
+            got = list(enumerate_compatible(K, p))
+            assert len(got) == count_sn(2, p) * count_sn(3, p)
+            for label in got:
+                checked = LabeledSetPartition(range(1, 7), label.arcs)
+                assert label == checked
+                assert hash(label) == hash(checked)
+                assert label.arcs == checked.arcs
+                assert all(type(arc) is Arc for arc in label.arcs)
+
 
 class TestPartitionIndex:
     def test_text_round_trip(self):
