@@ -34,6 +34,7 @@ from .setpart import (
 from .ring import (
     CharCombo,
     char_value,
+    check_labels,
     combo_value,
     inner_product,
     restrict_combo,
@@ -65,16 +66,8 @@ def _parse_char(text, q, n=None):
         raise ValueError("arc list %r needs --n" % text)
     else:
         lam = LabeledSetPartition.from_text("n=%d; %s" % (n, text) if text else "n=%d" % n)
-    _check_labels(lam, q)
+    check_labels((lam,), q)
     return lam
-
-
-def _check_labels(lam, q):
-    for a in lam.arcs:
-        if a.label >= q:
-            raise ValueError(
-                "arc %d-%d:%d has a label outside 1..%d" % (a.left, a.right, a.label, q - 1)
-            )
 
 
 def _render(x, fmt):
@@ -165,8 +158,7 @@ def _parse_combo(text, q):
     first = text.index("chi[") + 4
     n = LabeledSetPartition.from_text(text[first : text.index("]", first)]).n
     x = CharCombo.from_text(text, PartitionIndex.full(n))
-    for lam in x.terms:
-        _check_labels(lam, q)
+    check_labels(x.terms, q)
     return x
 
 

@@ -15,6 +15,7 @@ instead of grinding.  The default enumeration bound is 3^6 = 729 elements
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .qcoeff import Cyclotomic, is_prime
@@ -510,17 +511,15 @@ def brute_superinduce(G, H, chi_vals, budget=None):
     scale = Fraction(1, G.size * H.size)
     out = []
     for rep in g_table.reps:
-        counts = [0] * len(h_table)
-        for x in range(G.size):
-            xa = L[x][rep]
-            row = R[xa]
-            for y in range(G.size):
-                c = g_to_h_class[row[y]]
-                if c is not None:
-                    counts[c] += 1
+        # the x-sum grouped by x(g-1): each point of the left orbit, with
+        # its multiplicity, times the H-class histogram of its y-row
+        counts = Counter()
+        for xa, mult in Counter(row[rep] for row in L).items():
+            for c, cnt in Counter(map(g_to_h_class.__getitem__, R[xa])).items():
+                counts[c] += mult * cnt
         total = Cyclotomic.zero(G.p)
-        for c, cnt in enumerate(counts):
-            if cnt:
+        for c, cnt in counts.items():
+            if c is not None:
                 total = total + cnt * chi_vals[c]
         out.append(scale * total)
     return tuple(out)

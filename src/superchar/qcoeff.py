@@ -255,8 +255,9 @@ class Cyclotomic:
     """Element of Q(zeta_p) on the basis 1, zeta, ..., zeta^(p-2).
 
     For p=2 this degenerates to Q itself (zeta = -1).  Coordinates are
-    Fractions; the class supports ring arithmetic and complex conjugation
-    (zeta^k -> zeta^(p-k)).
+    int when integral, else Fraction; the class supports ring arithmetic
+    and complex conjugation (zeta^k -> zeta^(p-k)).  Only the public
+    constructor validates; arithmetic builds its results with ``_make``.
     """
 
     __slots__ = ("p", "coords")
@@ -264,11 +265,25 @@ class Cyclotomic:
     def __init__(self, p, coords):
         if not is_prime(p):
             raise ValueError("cyclotomic order must be prime, got %r" % (p,))
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coords)))
+        self._store(p, coords)
+
+    @classmethod
+    def _make(cls, p, coords):
+        """An element from trusted rational coordinates (ints or Fractions),
+        with no checks: the constructor of internal results."""
+        self = object.__new__(cls)
+        self._store(p, coords)
+        return self
+
+    def _store(self, p, coords):
+        """Set p and the coordinates, each integral one as an int."""
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", tuple([
+            c if type(c) is int or c.denominator != 1 else c.numerator for c in coords
+        ]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
@@ -279,7 +294,7 @@ class Cyclotomic:
     def _from_full(cls, p, vec):
         """Reduce a length-p coordinate vector using 1+zeta+...+zeta^(p-1)=0."""
         last = vec[p - 1]
-        return cls(p, [vec[i] - last for i in range(p - 1)])
+        return cls._make(p, [vec[i] - last for i in range(p - 1)])
 
     @classmethod
     def zero(cls, p):
@@ -291,15 +306,15 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, p, r):
-        coords = [Fraction(r)] + [Fraction(0)] * (p - 2)
-        return cls(p, coords)
+        return cls(p, [r] + [0] * (p - 2))
 
     @classmethod
     def zeta_power(cls, p, k):
         """zeta_p^k, k any integer."""
-        k = k % p
-        vec = [Fraction(0)] * p
-        vec[k] = Fraction(1)
+        if not is_prime(p):
+            raise ValueError("cyclotomic order must be prime, got %r" % (p,))
+        vec = [0] * p
+        vec[k % p] = 1
         return cls._from_full(p, vec)
 
     # -- field operations ---------------------------------------------------
@@ -310,19 +325,19 @@ class Cyclotomic:
                 raise ValueError("mixed cyclotomic orders %d and %d" % (self.p, other.p))
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.p, other)
+            return Cyclotomic._make(self.p, [other] + [0] * (self.p - 2))
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Cyclotomic(self.p, [a + b for a, b in zip(self.coords, other.coords)])
+        return Cyclotomic._make(self.p, [a + b for a, b in zip(self.coords, other.coords)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.p, [-a for a in self.coords])
+        return Cyclotomic._make(self.p, [-a for a in self.coords])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -338,7 +353,7 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         p = self.p
-        vec = [Fraction(0)] * p
+        vec = [0] * p
         for i, a in enumerate(self.coords):
             if a == 0:
                 continue
@@ -353,7 +368,7 @@ class Cyclotomic:
     def conj(self):
         """Complex conjugation: zeta^k -> zeta^(p-k)."""
         p = self.p
-        vec = [Fraction(0)] * p
+        vec = [0] * p
         for k, a in enumerate(self.coords):
             vec[(p - k) % p] += a
         return Cyclotomic._from_full(p, vec)
@@ -376,7 +391,7 @@ class Cyclotomic:
         """Return the value as a Fraction if it is rational, else None."""
         if any(self.coords[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def __str__(self):
         if not self:

@@ -31,6 +31,7 @@ from .setpart import (
 
 __all__ = [
     "CharCombo",
+    "check_labels",
     "degree",
     "degree_in",
     "char_value",
@@ -48,6 +49,18 @@ __all__ = [
     "chi_to_kappa",
     "kappa_to_chi",
 ]
+
+
+def check_labels(lams, p):
+    """Refuse, with ValueError, a labeled partition in ``lams`` with an arc
+    label outside 1..p-1 (the labels of U_n(p)); the public rules call
+    this at their entry, their cores trust it."""
+    for lam in lams:
+        for a in lam.arcs:
+            if a.label >= p:
+                raise ValueError(
+                    "arc %d-%d:%d has a label outside 1..%d" % (a.left, a.right, a.label, p - 1)
+                )
 
 
 def _add(acc, key, c):
@@ -257,7 +270,7 @@ def _char_value_std(arcs_lam, arcs_mu, p):
         t = mu_label.get((i, l), 0)
         factor = Cyclotomic.zeta_power(p, (a * t) % p)
         if exponent:
-            factor = Fraction(p) ** exponent * factor
+            factor = p ** exponent * factor
         total = total * factor
     return total
 
@@ -266,6 +279,7 @@ def char_value(lam, mu, p):
     """chi^lam(u_mu), exact in Q(zeta_p); both partitions live on {1..n}."""
     if lam.n != mu.n:
         raise ValueError("character and superclass have different n")
+    check_labels((lam, mu), p)
     return _char_value_std(lam.arcs, mu.arcs, p)
 
 
@@ -277,6 +291,7 @@ def char_value_in(lam, mu, index, p):
     exist inside U_K and must not enter the exponent counts.  Arcs that
     leave the part do not enter its factor.
     """
+    check_labels((lam, mu), p)
     total = Cyclotomic.one(p)
     for part in index.parts:
         fwd = _numbering(part)
@@ -286,6 +301,7 @@ def char_value_in(lam, mu, index, p):
 
 def combo_value(x, mu, p):
     """Pointwise value of a combination at the superclass of u_mu."""
+    check_labels((mu,), p)
     total = Cyclotomic.zero(p)
     for lam, c in x.terms.items():
         v = char_value_in(lam, mu, x.ambient, p)
@@ -439,6 +455,7 @@ def tensor(x, y, p):
     """Pointwise product of two combinations over the same ambient, expanded
     back into the supercharacter basis part by part."""
     x._same_ambient(y)
+    check_labels(itertools.chain(x.terms, y.terms), p)
     K = x.ambient
     acc = {}
     for lam1, c1 in x.terms.items():
@@ -548,6 +565,7 @@ def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
     if lam.n != K.n:
         raise ValueError("partition has n=%d, the index n=%d" % (lam.n, K.n))
+    check_labels((lam,), p)
     return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(K.n)))
 
 
@@ -557,6 +575,7 @@ def restrict_combo(x, K, p):
     L = x.ambient
     if not K.refines(L):
         raise ValueError("target index must refine the ambient")
+    check_labels(x.terms, p)
     acc = {}
     for lam, c in x.terms.items():
         for mu, b in _restrict(lam.arcs, K, p, L).items():
@@ -609,6 +628,7 @@ def superinduce(mu, K, p, L=None):
         L = PartitionIndex.full(K.n)
     if not K.refines(L):
         raise ValueError("superinduction needs the source index to refine the target")
+    check_labels((mu,), p)
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
@@ -641,6 +661,7 @@ def _containment_prune(mu_arcs, nu_arcs):
 def star_K(lam, mu, K, p):
     """The glued product: transport lam (degree m) and mu (degree n) onto the
     two blocks of K with ``union_K`` and superinduce up to U_(m+n)."""
+    check_labels((lam, mu), p)
     return superinduce(union_K(lam, mu, K), K, p)
 
 

@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle: groups, superclasses, dual orbits, budgets."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,69 @@ class TestBruteSuperinduce:
         H_other_p = PatternGroup.full(3, 3)
         with pytest.raises(ValueError):
             brute_superinduce(G, H_other_p, ())
+
+
+def literal_superinduce(G, H, chi_rows):
+    """The defining double sum of ``brute_superinduce`` term by term, over
+    every x and every y in G, for each class function of H in ``chi_rows``.
+    G-algebra elements are read into H through their matrices."""
+    h_table = H.superclass_table()
+    h_class = []
+    for a in range(G.size):
+        h = H.algebra_index(G.algebra_matrix(a))
+        h_class.append(None if h is None else h_table.class_of[h])
+    L, R = G.action_tables()
+    scale = Fraction(1, G.size * H.size)
+    outs = [[] for _ in chi_rows]
+    for rep in G.superclass_table().reps:
+        counts = [0] * len(h_table)
+        for x in range(G.size):
+            for y in range(G.size):
+                c = h_class[R[L[x][rep]][y]]
+                if c is not None:
+                    counts[c] += 1
+        for out, chi in zip(outs, chi_rows):
+            total = Cyclotomic.zero(G.p)
+            for c, cnt in enumerate(counts):
+                total = total + cnt * chi[c]
+            out.append(scale * total)
+    return [tuple(out) for out in outs]
+
+
+def pattern_subgroups(n):
+    """Every transitively closed set of strictly upper positions on 1..n."""
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for r in range(len(upper) + 1):
+        for positions in itertools.combinations(upper, r):
+            if all((i, l) in positions for (i, j) in positions for (k, l) in positions if j == k):
+                yield positions
+
+
+class TestOrbitCountedSuperinduction:
+    """``brute_superinduce`` groups its double sum by left orbit; it must
+    equal the sum taken term by term."""
+
+    def check(self, G, H):
+        rows = [row["values"] for row in H.character_table()]
+        want = literal_superinduce(G, H, rows)
+        assert [brute_superinduce(G, H, chi) for chi in rows] == want
+
+    def test_every_pattern_subgroup_to_n_3(self):
+        for p in (2, 3):
+            for n in range(1, 4):
+                G = PatternGroup.full(n, p)
+                for positions in pattern_subgroups(n):
+                    self.check(G, PatternGroup(n, positions, p))
+
+    def test_parabolic_subgroups_of_u_4_2(self):
+        G = PatternGroup.full(4, 2)
+        for parts in set_partitions(range(1, 5)):
+            self.check(G, PatternGroup.parabolic(PartitionIndex(4, parts), 2))
+
+    def test_pattern_subgroups_are_enumerated(self):
+        # U_3 has 7 pattern subgroups: all subsets of its three positions
+        # except {(1,2), (2,3)}, which is not closed
+        assert len(list(pattern_subgroups(3))) == 7
 
 
 class TestPartialPermutationSums:

@@ -107,6 +107,65 @@ class TestCyclotomic:
         assert Cyclotomic.from_json(x.to_json()) == x
 
 
+class TestCyclotomicBoundary:
+    """The public constructors validate; arithmetic stores an integral
+    coordinate as an int, which no output tells from a Fraction."""
+
+    def test_constructors_refuse_a_non_prime_order(self):
+        for p in (0, 1, 4, 6, 9):
+            with pytest.raises(ValueError, match="prime"):
+                Cyclotomic(p, [0] * 3)
+            with pytest.raises(ValueError, match="prime"):
+                Cyclotomic.zero(p)
+            with pytest.raises(ValueError, match="prime"):
+                Cyclotomic.one(p)
+            with pytest.raises(ValueError, match="prime"):
+                Cyclotomic.from_rational(p, Fraction(1, 2))
+            with pytest.raises(ValueError, match="prime"):
+                Cyclotomic.zeta_power(p, 1)
+
+    def test_constructor_refuses_a_wrong_coordinate_count(self):
+        for p, coords in ((2, []), (2, [1, 0]), (3, [1]), (5, [1, 2, 3, 4, 5])):
+            with pytest.raises(ValueError, match="coordinates"):
+                Cyclotomic(p, coords)
+
+    def test_constructor_refuses_a_non_rational_coordinate(self):
+        with pytest.raises(TypeError):
+            Cyclotomic(3, [1, None])
+
+    def test_as_rational_is_a_fraction(self):
+        for x in (
+            Cyclotomic.one(3),
+            Cyclotomic.zeta_power(2, 1),
+            Cyclotomic.from_rational(5, 4) * Cyclotomic.from_rational(5, Fraction(1, 2)),
+            Cyclotomic.zeta_power(3, 1) + Cyclotomic.zeta_power(3, 2),
+        ):
+            assert type(x.coords[0]) is int
+            assert type(x.as_rational()) is Fraction
+        assert 1 / Cyclotomic.from_rational(3, 4).as_rational() == Fraction(1, 4)
+
+    def test_arithmetic_results_match_fraction_built_values(self):
+        for p in (2, 3, 5):
+            zeta = Cyclotomic.zeta_power(p, 1)
+            half = Cyclotomic.from_rational(p, Fraction(1, 2))
+            reached = [
+                Cyclotomic.one(p) + Cyclotomic.one(p),
+                zeta * zeta.conj(),
+                (half + half) * zeta - zeta,
+                half * 4 + zeta,
+                -(half * Fraction(6)),
+                Fraction(1, 3) * (zeta + 2),
+            ]
+            for x in reached:
+                built = Cyclotomic(p, [Fraction(c) for c in x.coords])
+                assert built == x and x == built
+                assert hash(built) == hash(x)
+                assert str(built) == str(x)
+                assert built.to_json() == x.to_json()
+                assert Cyclotomic.from_json(x.to_json()) == x
+            assert str(half * 4 + zeta) == str(Cyclotomic(p, [2] + [0] * (p - 2)) + zeta)
+
+
 def test_is_prime_small_values():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)

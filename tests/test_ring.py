@@ -111,6 +111,43 @@ class TestCharValue:
         assert char_value_in(lam, lam, K, 2) == -Cyclotomic.one(2)
 
 
+class TestLabelRange:
+    """Arc labels are nonzero residues mod p: every public rule that takes
+    p refuses a label p or larger instead of computing with it."""
+
+    def test_out_of_range_labels_are_refused(self):
+        bad = lsp(3, [(1, 3, 5)])
+        good = lsp(3, [(1, 3, 1)])
+        K = PartitionIndex(3, [[1, 3], [2]])
+        full = PartitionIndex.full(3)
+        calls = [
+            lambda: restrict(bad, K, 2),
+            lambda: restrict_combo(CharCombo.of(bad), K, 2),
+            lambda: tensor(CharCombo.of(good), CharCombo.of(bad), 2),
+            lambda: tensor(CharCombo.of(bad), CharCombo.of(good), 2),
+            lambda: superinduce(bad, K, 2),
+            lambda: superinduce(lsp(3, [(1, 3, 2)]), K, 2, L=full),
+            lambda: star_K(lsp(2, [(1, 2, 2)]), lsp(1, []), PartitionIndex(3, [[1, 2], [3]]), 2),
+            lambda: star_K(lsp(1, []), lsp(2, [(1, 2, 3)]), PartitionIndex(3, [[1], [2, 3]]), 3),
+            lambda: char_value(bad, good, 2),
+            lambda: char_value(good, bad, 2),
+            lambda: char_value_in(bad, good, K, 2),
+            lambda: char_value_in(good, bad, K, 2),
+            lambda: combo_value(CharCombo.of(bad), good, 2),
+            lambda: combo_value(CharCombo.of(good), bad, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="outside 1..[12]"):
+                call()
+
+    def test_the_largest_label_is_accepted(self):
+        lam = lsp(3, [(1, 3, 2)])
+        K = PartitionIndex(3, [[1, 3], [2]])
+        # vertex 2 lies under the arc but outside its part of K
+        assert restrict(lam, K, 3) == CharCombo.of(lam, K, LaurentPoly.q_power(1))
+        assert char_value(lam, lam, 3) == char_value_in(lam, lam, PartitionIndex.full(3), 3)
+
+
 class TestRestrict:
     def test_pointwise_against_direct_evaluation(self):
         # small sweep; the full one is in the acceptance suite
