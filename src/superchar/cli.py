@@ -9,6 +9,7 @@ budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -27,7 +28,6 @@ from .setpart import (
     PartitionIndex,
     count_sn,
     enumerate_compatible,
-    enumerate_labeled,
     set_partitions,
     union_K,
 )
@@ -245,7 +245,7 @@ def _suite_restriction(args):
     checks = 0
     for n in range(2, args.max_n + 1):
         full = PartitionIndex.full(n)
-        for lam in enumerate_labeled(range(1, n + 1), args.q):
+        for lam in enumerate_compatible(full, args.q):
             x = CharCombo.of(lam, full)
             for parts in set_partitions(range(1, n + 1)):
                 K = PartitionIndex(n, parts)
@@ -269,7 +269,7 @@ def _suite_tensor(args):
     # exhaustive pointwise correctness on small groups
     for n in range(2, min(args.max_n, 4) + 1):
         amb = PartitionIndex.full(n)
-        labels = list(enumerate_labeled(range(1, n + 1), args.q))
+        labels = list(enumerate_compatible(amb, args.q))
         for lam, mu in itertools.product(labels, repeat=2):
             t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), args.q)
             for nu in labels:
@@ -285,7 +285,7 @@ def _suite_tensor(args):
     # distinct pairs of different characters, each counted once
     n = args.max_n
     amb = PartitionIndex.full(n)
-    labels = list(enumerate_labeled(range(1, n + 1), args.q))
+    labels = list(enumerate_compatible(amb, args.q))
     pairs = len(labels) * (len(labels) - 1) // 2
     for t in sorted(rnd.sample(range(pairs), min(args.samples, pairs))):
         # pair number t is (i, j) with t = j(j-1)/2 + i and i < j
@@ -495,7 +495,10 @@ def _cache_store(path, code, output):
 # argument parsing
 
 
+@functools.lru_cache
 def build_parser():
+    """The argument parser, built once per process (argparse set-up costs
+    more than many requests do)."""
     parser = argparse.ArgumentParser(
         prog="superchar",
         description="Exact supercharacter calculus for unipotent groups.",
@@ -579,6 +582,8 @@ def main(argv=None):
     try:
         if not is_prime(args.q):
             raise ValueError("--q must be prime, got %d" % args.q)
+        if args.budget is not None and args.budget < 0:
+            raise ValueError("--budget must be nonnegative")
 
         cache_dir = args.cache_dir or os.environ.get("SUPERCHAR_CACHE")
         run = COMMANDS[args.command]

@@ -40,7 +40,7 @@ from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
     arcs_of_parts,
-    enumerate_labeled,
+    enumerate_compatible,
     set_partitions,
     union_K,
 )
@@ -56,11 +56,12 @@ def superinduce_trivial_twoblock(k, n, p):
     straddle the cut, weighted by an inverse q-power of its crossings."""
     if not (1 <= k < n):
         raise ValueError("need 1 <= k < n")
+    full = PartitionIndex.full(n)
     terms = []
-    for lam in enumerate_labeled(range(1, n + 1), p):
+    for lam in enumerate_compatible(full, p):
         if all(a.left <= k < a.right for a in lam.arcs):
             terms.append((lam, LaurentPoly.q_power(-lam.num_crossings())))
-    return CharCombo(PartitionIndex.full(n), terms)
+    return CharCombo(full, terms)
 
 
 def _parts_are_intervals_within(K, L):
@@ -172,7 +173,7 @@ def sinfres_identities_check(i, j, k, l, a, b, n, p):
 def tensor_values(x, y, n, p):
     """Value vector of a pointwise product over all superclass labels (no
     straightening involved -- tensor values are plain products)."""
-    labels = enumerate_labeled(range(1, n + 1), p)
+    labels = enumerate_compatible(PartitionIndex.full(n), p)
     return tuple(combo_value(x, mu, p) * combo_value(y, mu, p) for mu in labels)
 
 

@@ -25,7 +25,6 @@ from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
     enumerate_compatible,
-    enumerate_labeled,
     union_K,
 )
 
@@ -528,20 +527,12 @@ def _extend(product, step, p):
     return nxt
 
 
-def _factor(trace, p):
+def _memo_factor(trace, p, memo):
     """P's factor in a restriction from U_L, from P's ``_trace``: a dict
     from arc tuples in P's numbering 1..m to coefficients, the product of
-    the trace's brackets (``_extend``)."""
-    product = {(): LaurentPoly.one()}
-    for step in trace:
-        product = _extend(product, step, p)
-    return product
-
-
-def _memo_factor(trace, p, memo):
-    """``_factor(trace, p)`` through ``memo``, which holds the empty trace's
-    factor and keeps the factor of every prefix it builds, so a trace
-    extends the longest prefix of it already there."""
+    the trace's brackets (``_extend``).  ``memo`` holds the empty trace's
+    factor and keeps the factor of every prefix built, so a trace extends
+    the longest prefix of it already there."""
     product = memo.get(trace)
     if product is None:
         product = memo[trace] = _extend(_memo_factor(trace[:-1], p, memo), trace[-1], p)
@@ -553,10 +544,12 @@ def _restrict(arcs, K, p, L):
     arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
     tuples to coefficients: the parts' factors, superimposed."""
     where = L.part_lookup()
+    one = LaurentPoly.one()
+    memo = {(): {(): one}}
     acc = {}
     _superimpose(
-        K, lambda part: _factor(_trace(arcs, part, where), p).items(),
-        LaurentPoly.one(), acc,
+        K, lambda part: _memo_factor(_trace(arcs, part, where), p, memo).items(),
+        one, acc,
     )
     return acc
 
@@ -674,8 +667,7 @@ def chi_to_kappa(x, p):
     exact value, i.e. the coefficients on the superclass-indicator basis."""
     if len(x.ambient.parts) != 1:
         raise ValueError("basis conversion lives on the full group")
-    n = x.ambient.n
-    return {mu: combo_value(x, mu, p) for mu in enumerate_labeled(range(1, n + 1), p)}
+    return {mu: combo_value(x, mu, p) for mu in enumerate_compatible(x.ambient, p)}
 
 
 def kappa_to_chi(values, p):
@@ -689,7 +681,7 @@ def kappa_to_chi(values, p):
     if not values:
         return {}
     n = min(lam.n for lam in values)
-    labels = list(enumerate_labeled(range(1, n + 1), p))
+    labels = list(enumerate_compatible(PartitionIndex.full(n), p))
     if set(values) != set(labels):
         raise ValueError("need a value for every superclass label of U_%d" % n)
     inv_norms = [Fraction(1, p ** lam.num_crossings()) for lam in labels]

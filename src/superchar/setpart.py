@@ -28,8 +28,7 @@ __all__ = [
     "LabeledSetPartition",
     "PartitionIndex",
     "set_partitions",
-    "enumerate_labeled",
-    "labeled_arcs",
+    "enumerate_compatible",
     "count_sn",
     "count_sn_poly",
     "union_K",
@@ -109,7 +108,7 @@ class LabeledSetPartition:
             while chain[-1] in nxt:
                 chain.append(nxt[chain[-1]])
             out.append(tuple(chain))
-        return tuple(sorted(out, key=lambda part: part[0]))
+        return tuple(out)
 
     def crossing_pairs(self):
         """All pairs of arcs (i-k, j-l) with i < j < k < l."""
@@ -321,30 +320,13 @@ class PartitionIndex:
 # ---------------------------------------------------------------------------
 
 def set_partitions(elements):
-    """All set partitions of ``elements`` as tuples of sorted tuples, in
-    restricted-growth-string order (deterministic)."""
+    """All set partitions of ``elements`` as tuples of sorted tuples, parts
+    ordered by minimum: the parts of the labels of U_n at q = 2, in the
+    order of :func:`enumerate_compatible`, carried onto the sorted
+    elements."""
     elems = sorted(set(int(v) for v in elements))
-    if not elems:
-        yield ()
-        return
-    yield from _grow_blocks(elems, 1, [[elems[0]]])
-
-
-def _grow_blocks(elems, i, blocks):
-    """set_partitions' recursion: place elems[i:] into ``blocks`` (a
-    module-level function, so no call leaves a self-referencing closure
-    to the cyclic collector)."""
-    if i == len(elems):
-        yield tuple(tuple(b) for b in blocks)
-        return
-    v = elems[i]
-    for b in blocks:
-        b.append(v)
-        yield from _grow_blocks(elems, i + 1, blocks)
-        b.pop()
-    blocks.append([v])
-    yield from _grow_blocks(elems, i + 1, blocks)
-    blocks.pop()
+    for lam in enumerate_compatible(PartitionIndex.full(len(elems)), 2):
+        yield tuple(tuple(elems[v - 1] for v in part) for part in lam.parts())
 
 
 def arcs_of_parts(parts):
@@ -358,32 +340,39 @@ def arcs_of_parts(parts):
     return tuple(arcs)
 
 
-def labeled_arcs(elements, p):
-    """The F_p-labeled set partitions of ``elements`` as sorted tuples of
-    :class:`Arc`, deterministically: shapes in restricted-growth order, then
-    labels lexicographically over the sorted arc list."""
-    make = Arc._make
-    for parts in set_partitions(elements):
-        skeleton = arcs_of_parts(parts)
-        for labels in itertools.product(range(1, p), repeat=len(skeleton)):
-            yield tuple([make((l, r, lab)) for (l, r), lab in zip(skeleton, labels)])
-
-
-def enumerate_labeled(elements, p):
-    """All F_p-labeled set partitions of ``elements``, which must be
-    {1..n}, in the order of :func:`labeled_arcs`."""
-    elems = sorted(set(int(v) for v in elements))
-    for arcs in labeled_arcs(elems, p):
-        yield LabeledSetPartition(elems, arcs)
-
-
 def enumerate_compatible(index, p):
-    """All labeled partitions of {1..n} whose arcs stay inside the parts of
-    ``index`` -- the supercharacter/superclass labels of the subgroup."""
+    """All F_p-labeled partitions of {1..n} whose arcs stay inside the
+    parts of ``index`` -- the supercharacter/superclass labels of U_index.
+
+    A depth-first walk over the vertices in increasing order: each vertex
+    starts no arc, or an arc, with each label in 1..p-1, to a later vertex
+    of its own part that ends no arc yet.  The empty partition comes first,
+    and every label's arcs come out sorted."""
+    # the arcs each vertex may start, by right end, for the vertices in order
+    starts = {}
+    for part in index.parts:
+        for k, v in enumerate(part[:-1]):
+            starts[v] = [(w, [Arc(v, w, a) for a in range(1, p)]) for w in part[k + 1:]]
     n = index.n
-    # each part's arcs are valid, and the parts are disjoint
-    for choice in itertools.product(*(labeled_arcs(part, p) for part in index.parts)):
-        yield LabeledSetPartition._valid(n, tuple(sorted(itertools.chain(*choice))))
+    yield from _walk(n, [starts[v] for v in sorted(starts)], 0, [False] * (n + 1), [])
+
+
+def _walk(n, starts, k, ended, arcs):
+    """enumerate_compatible's recursion: extend ``arcs`` by the choices of
+    the vertices ``starts[k:]`` (a module-level function, so no call leaves
+    a self-referencing closure to the cyclic collector)."""
+    if k == len(starts):
+        yield LabeledSetPartition._valid(n, tuple(arcs))
+        return
+    yield from _walk(n, starts, k + 1, ended, arcs)
+    for w, labeled in starts[k]:
+        if not ended[w]:
+            ended[w] = True
+            for arc in labeled:
+                arcs.append(arc)
+                yield from _walk(n, starts, k + 1, ended, arcs)
+                arcs.pop()
+            ended[w] = False
 
 
 def count_sn_poly(n):

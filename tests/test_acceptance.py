@@ -40,7 +40,6 @@ from superchar.setpart import (
     arcs_of_parts,
     count_sn,
     enumerate_compatible,
-    enumerate_labeled,
     set_partitions,
     union_K,
 )
@@ -131,7 +130,7 @@ def test_criterion_03_restriction_matches_direct_evaluation():
     for p, max_n in ((2, 5), (3, 4)):
         for n in range(2, max_n + 1):
             full = PartitionIndex.full(n)
-            for lam in enumerate_labeled(range(1, n + 1), p):
+            for lam in enumerate_compatible(full, p):
                 x = CharCombo.of(lam, full)
                 for parts in set_partitions(range(1, n + 1)):
                     K = PartitionIndex(n, parts)
@@ -272,7 +271,7 @@ def test_criterion_08_labeled_partition_counting():
     for p in (2, 3):
         for n in range(0, 7):
             assert count_sn(n, p) == sum(
-                1 for _ in enumerate_labeled(range(1, n + 1), p)
+                1 for _ in enumerate_compatible(PartitionIndex.full(n), p)
             )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, rendering, exit codes, result cache."""
 
+import argparse
 import json
 import os
 import re
@@ -356,6 +357,18 @@ class TestErrors:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == "error: --max-n must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sind", "--char", "n=3", "--subgroup", "{1|2,3}", "--q", "2", "--budget", "-1"],
+            ["verify", "--suite", "superinduction", "--q", "2", "--max-n", "3", "--budget", "-1"],
+        ],
+    )
+    def test_negative_budget_is_refused(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == "error: --budget must be nonnegative\n"
+
     def test_count_without_n_is_refused(self, capsys):
         code, out, err = run(["count", "--q", "2"], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
@@ -383,6 +396,25 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nonsense", "--q", "2"])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["count", "--n", "3", "--q", "2"], capsys) == (0, "5\n", "")
+        # a usage error between two calls leaves the shared parser working
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--n", "3"])
+        assert exc.value.code == 2
+        assert "--q" in capsys.readouterr().err
+        assert run(["count", "--n", "3", "--q", "2"], capsys) == (0, "5\n", "")
+        assert built.count("superchar") == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

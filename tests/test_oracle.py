@@ -28,7 +28,7 @@ from superchar.setpart import (
     LabeledSetPartition,
     PartitionIndex,
     count_sn,
-    enumerate_labeled,
+    enumerate_compatible,
     set_partitions,
 )
 
@@ -98,7 +98,7 @@ class TestSuperclasses:
         for p in (2, 3):
             G = PatternGroup.full(4, p)
             table = G.superclass_table()
-            assert set(table.labels) == set(enumerate_labeled(range(1, 5), p))
+            assert set(table.labels) == set(enumerate_compatible(PartitionIndex.full(4), p))
             for i, lam in enumerate(table.labels):
                 assert table.class_of_label(lam) == i
 
@@ -141,7 +141,7 @@ class TestCharacterTable:
         for p in (2, 3, 5):
             for n in range(1, 5):
                 total = Fraction(0)
-                for lam in enumerate_labeled(range(1, n + 1), p):
+                for lam in enumerate_compatible(PartitionIndex.full(n), p):
                     d = degree(lam).eval_at(p)
                     total += Fraction(d * d, p ** lam.num_crossings())
                 assert total == p ** (n * (n - 1) // 2)

@@ -1,6 +1,7 @@
 """Labeled set-partition combinatorics: arcs, crossings, reflection, gluing,
 counting."""
 
+import itertools
 import random
 from functools import reduce
 
@@ -15,8 +16,6 @@ from superchar.setpart import (
     count_sn,
     count_sn_poly,
     enumerate_compatible,
-    enumerate_labeled,
-    labeled_arcs,
     set_partitions,
     union_K,
 )
@@ -152,8 +151,6 @@ class TestUnionK:
 
     def test_gluing_never_loses_crossings(self):
         # exhaustive at q=2 for all two-block shapes with m+n <= 7
-        import itertools
-
         for total in range(2, 8):
             for m in range(1, total):
                 n = total - m
@@ -180,28 +177,12 @@ class TestEnumerationAndCounting:
         for p in (2, 3, 5):
             for n in range(0, 7):
                 assert count_sn(n, p) == sum(
-                    1 for _ in enumerate_labeled(range(1, n + 1), p)
+                    1 for _ in enumerate_compatible(PartitionIndex.full(n), p)
                 )
 
-    def test_arc_tuples_follow_the_labeled_enumeration(self):
-        for n in range(0, 6):
-            for p in (2, 3):
-                got = list(labeled_arcs(range(1, n + 1), p))
-                assert got == [lam.arcs for lam in enumerate_labeled(range(1, n + 1), p)]
-                assert len(got) == count_sn(n, p)
-        # on any other element set the arcs are the same, carried onto it
-        for elements in ([4], [2, 5, 6, 9]):
-            for p in (2, 3):
-                carried = [
-                    tuple((elements[i - 1], elements[l - 1], a) for i, l, a in arcs)
-                    for arcs in labeled_arcs(range(1, len(elements) + 1), p)
-                ]
-                assert list(labeled_arcs(elements, p)) == carried
-        assert list(labeled_arcs([3], 5)) == [()]
-
     def test_enumeration_is_deterministic_and_duplicate_free(self):
-        seen = [lam.to_text() for lam in enumerate_labeled(range(1, 5), 3)]
-        again = [lam.to_text() for lam in enumerate_labeled(range(1, 5), 3)]
+        seen = [lam.to_text() for lam in enumerate_compatible(PartitionIndex.full(4), 3)]
+        again = [lam.to_text() for lam in enumerate_compatible(PartitionIndex.full(4), 3)]
         assert seen == again
         assert len(seen) == len(set(seen))
 
@@ -220,6 +201,14 @@ class TestEnumerationAndCounting:
     def test_set_partition_stream(self):
         for n in range(0, 8):
             assert sum(1 for _ in set_partitions(range(1, n + 1))) == BELL[n]
+        # any element set, 0-based or with gaps, and the empty set
+        for elements in (range(4), [2, 5, 6, 9], []):
+            got = list(set_partitions(elements))
+            assert len(got) == len(set(got)) == BELL[len(elements)]
+            for parts in got:
+                assert sorted(v for part in parts for v in part) == list(elements)
+                assert all(list(part) == sorted(part) for part in parts)
+                assert [part[0] for part in parts] == sorted(part[0] for part in parts)
 
     def test_compatible_enumeration_is_per_part(self):
         K = PartitionIndex(5, [[1, 2, 3], [4, 5]])
@@ -232,18 +221,41 @@ class TestEnumerationAndCounting:
                     assert K.same_part(arc.left, arc.right)
 
     def test_compatible_labels_match_the_validating_constructor(self):
-        # the labels skip validation; on non-contiguous parts they must still
-        # be the partitions the public constructor builds from their arcs
-        K = PartitionIndex(6, [[1, 4], [2, 5, 6], [3]])
-        for p in (2, 3):
-            got = list(enumerate_compatible(K, p))
-            assert len(got) == count_sn(2, p) * count_sn(3, p)
-            for label in got:
-                checked = LabeledSetPartition(range(1, 7), label.arcs)
-                assert label == checked
-                assert hash(label) == hash(checked)
-                assert label.arcs == checked.arcs
-                assert all(type(arc) is Arc for arc in label.arcs)
+        # every index of {1..n}, n <= 5, in both part orders, and the
+        # non-contiguous {1,4|2,5,6|3}: the walk yields each set of labeled
+        # arcs inside the parts with the degree condition exactly once,
+        # arcs sorted, and (skipping validation) each label is the
+        # partition the public constructor builds from its arcs
+        indices = [PartitionIndex(6, [[1, 4], [2, 5, 6], [3]])]
+        for n in range(0, 6):
+            for parts in set_partitions(range(1, n + 1)):
+                indices += [PartitionIndex(n, parts), PartitionIndex(n, parts[::-1])]
+        for K in indices:
+            for p in (2, 3):
+                got = list(enumerate_compatible(K, p))
+                assert len(got) == len(set(got))
+                assert {label.arcs for label in got} == brute_force_labels(K, p)
+                for label in got:
+                    assert label.arcs == tuple(sorted(label.arcs))
+                    assert all(type(arc) is Arc for arc in label.arcs)
+                    checked = LabeledSetPartition(range(1, K.n + 1), label.arcs)
+                    assert label == checked
+                    assert hash(label) == hash(checked)
+
+
+def brute_force_labels(K, p):
+    """Every sorted tuple of labeled arcs inside the parts of K in which no
+    vertex starts or ends two arcs."""
+    pairs = [pair for part in K.parts for pair in itertools.combinations(part, 2)]
+    out = set()
+    for k in range(len(pairs) + 1):
+        for chosen in itertools.combinations(sorted(pairs), k):
+            lefts = {i for i, _ in chosen}
+            rights = {j for _, j in chosen}
+            if len(lefts) == len(rights) == k:
+                for labels in itertools.product(range(1, p), repeat=k):
+                    out.add(tuple((i, j, a) for (i, j), a in zip(chosen, labels)))
+    return out
 
 
 class TestPartitionIndex:
