@@ -82,7 +82,6 @@ class PatternGroup:
         self.pos_at = {pos: k for k, pos in enumerate(positions)}
         self.size = size
         self.index = index  # PartitionIndex when built as a parabolic
-        self._group_mats = None
         self._class_table = None
         self._dual = None
         self._ltab = None
@@ -158,11 +157,6 @@ class PatternGroup:
         return None if vec is None else self.index_of_vec(vec)
 
     algebra_index = group_index  # same coordinates, different diagonal
-
-    def group_matrices(self):
-        if self._group_mats is None:
-            self._group_mats = [self.group_matrix(i) for i in range(self.size)]
-        return self._group_mats
 
     def matmul(self, A, B):
         """Product of two upper-triangular matrices mod p."""
@@ -246,22 +240,15 @@ class PatternGroup:
                 reps.append(rep)
                 ordered.append(orbits[cid])
                 label_list.append(lam)
-            remap = {}
-            for new_cid, members in enumerate(ordered):
-                for m in members:
-                    remap[m] = new_cid
-            class_of = [remap[i] for i in range(self.size)]
             orbits = ordered
         else:
             order = sorted(range(len(orbits)), key=lambda c: orbits[c][0])
             orbits = [orbits[c] for c in order]
-            remap = {}
-            for new_cid, members in enumerate(orbits):
-                for m in members:
-                    remap[m] = new_cid
-            class_of = [remap[i] for i in range(self.size)]
             reps = [members[0] for members in orbits]
             label_list = [None] * len(orbits)
+        for new_cid, members in enumerate(orbits):
+            for m in members:
+                class_of[m] = new_cid
 
         self._class_table = SuperclassTable(self, reps, orbits, class_of, label_list)
         return self._class_table
@@ -373,11 +360,8 @@ class PatternGroup:
             for mu in members:
                 r = sum(a * x for a, x in zip(mu, X)) % p
                 counts[r] += 1
-            total = Cyclotomic.zero(p)
-            for r, c in enumerate(counts):
-                if c:
-                    total = total + c * Cyclotomic.zeta_power(p, r)
-            return Fraction(rsize, len(members)) * total
+            scale = Fraction(rsize, len(members))
+            return Cyclotomic._from_full(p, [scale * c for c in counts])
 
         rows = []
         for oid, members in enumerate(orbits):
@@ -390,10 +374,7 @@ class PatternGroup:
             ordered = []
             taken = set()
             for lam in table.labels:
-                vec = [0] * len(self.positions)
-                for arc in lam.arcs:
-                    vec[self.pos_at[(arc.left, arc.right)]] = arc.label % p
-                oid = orbit_of[tuple(vec)]
+                oid = orbit_of[self.vec_of_index(self.index_of_superclass_label(lam))]
                 if oid in taken:
                     raise AssertionError("two labels map to one dual orbit")
                 taken.add(oid)
@@ -417,16 +398,27 @@ class PatternGroup:
 
     def action_tables(self):
         """(L, R): L[g][a] = algebra index of g*A, R[a][g] = index of A*g,
-        for g a group index and a an algebra index."""
+        for g a group index and a an algebra index.
+
+        With g = 1 + X, g*A = A + X*A and A*g = A + A*X.  Every product of
+        positions (k,i)*(i,j) -> (k,j) of the pattern is one term of X*A
+        (and of A*X) on the coordinate vectors, so no matrix is built."""
         if self._ltab is None:
-            mats = self.group_matrices()
-            algs = [self.algebra_matrix(i) for i in range(self.size)]
-            L = [[0] * self.size for _ in range(self.size)]
-            R = [[0] * self.size for _ in range(self.size)]
-            for g, gm in enumerate(mats):
-                for a, am in enumerate(algs):
-                    L[g][a] = self.algebra_index(self.matmul(gm, am))
-                    R[a][g] = self.algebra_index(self.matmul(am, gm))
+            p, size, pos_at = self.p, self.size, self.pos_at
+            steps = [(s, pos_at[(i, j)], pos_at[(k, j)])
+                     for s, (k, i) in enumerate(self.positions)
+                     for h, j in self.positions if h == i]
+            vecs = [self.vec_of_index(a) for a in range(size)]
+            L = [[0] * size for _ in range(size)]
+            R = [[0] * size for _ in range(size)]
+            for g, x in enumerate(vecs):
+                for a, y in enumerate(vecs):
+                    left, right = list(y), list(y)
+                    for s, t, u in steps:
+                        left[u] += x[s] * y[t]
+                        right[u] += y[s] * x[t]
+                    L[g][a] = self.index_of_vec([v % p for v in left])
+                    R[a][g] = self.index_of_vec([v % p for v in right])
             self._ltab, self._rtab = L, R
         return self._ltab, self._rtab
 
@@ -489,23 +481,18 @@ def brute_superinduce(G, H, chi_vals, budget=None):
     h_table = H.superclass_table()
     if len(chi_vals) != len(h_table):
         raise ValueError("need one value per H-superclass")
+    if any(v.p != G.p for v in chi_vals):
+        raise ValueError("need values in Q(zeta_%d)" % G.p)
 
     # Map every G-algebra index to its H-superclass (or None when the
-    # element is not supported on H).
-    h_pos_at = {pos: k for k, pos in enumerate(H.positions)}
+    # element is not supported on H): a G-coordinate at H's k-th position
+    # is the H-index digit of weight p^k.
+    weight = [H.p ** H.pos_at[pos] if pos in H.pos_at else None for pos in G.positions]
     g_to_h_class = []
     for idx in range(G.size):
-        vec = G.vec_of_index(idx)
-        hvec = [0] * len(H.positions)
-        ok = True
-        for coord, pos in zip(vec, G.positions):
-            if coord:
-                k = h_pos_at.get(pos)
-                if k is None:
-                    ok = False
-                    break
-                hvec[k] = coord
-        g_to_h_class.append(h_table.class_of[H.index_of_vec(tuple(hvec))] if ok else None)
+        digits = [(c, w) for c, w in zip(G.vec_of_index(idx), weight) if c]
+        on_h = all(w is not None for _, w in digits)
+        g_to_h_class.append(h_table.class_of[sum(c * w for c, w in digits)] if on_h else None)
 
     L, R = G.action_tables()
     scale = Fraction(1, G.size * H.size)
@@ -517,18 +504,28 @@ def brute_superinduce(G, H, chi_vals, budget=None):
         for xa, mult in Counter(row[rep] for row in L).items():
             for c, cnt in Counter(map(g_to_h_class.__getitem__, R[xa])).items():
                 counts[c] += mult * cnt
-        total = Cyclotomic.zero(G.p)
+        vec = [0] * (G.p - 1)
         for c, cnt in counts.items():
             if c is not None:
-                total = total + cnt * chi_vals[c]
-        out.append(scale * total)
+                for i, a in enumerate(chi_vals[c].coords):
+                    vec[i] += cnt * a
+        out.append(Cyclotomic._make(G.p, [scale * v for v in vec]))
     return tuple(out)
 
 
 def brute_inner_product(group, f_vals, g_vals):
-    """<f, g> = 1/|G| sum over the group of f * conj(g), via class sizes."""
-    table = group.superclass_table()
-    total = Cyclotomic.zero(group.p)
-    for size, a, b in zip(table.sizes(), f_vals, g_vals):
-        total = total + size * (a * b.conj())
-    return Fraction(1, group.size) * total
+    """<f, g> = 1/|G| sum over the group of f * conj(g), via class sizes:
+    conj(zeta^j) = zeta^-j, so a_i zeta^i times conj(b_j zeta^j) adds
+    size * a_i * b_j into coordinate i - j mod p."""
+    p = group.p
+    if any(v.p != p for v in (*f_vals, *g_vals)):
+        raise ValueError("need values in Q(zeta_%d)" % p)
+    vec = [0] * p
+    for size, f, g in zip(group.superclass_table().sizes(), f_vals, g_vals):
+        for i, a in enumerate(f.coords):
+            if a:
+                for j, b in enumerate(g.coords):
+                    if b:
+                        vec[(i - j) % p] += size * a * b
+    scale = Fraction(1, group.size)
+    return Cyclotomic._from_full(p, [scale * v for v in vec])

@@ -155,7 +155,8 @@ class LaurentPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        c = self.coeffs
+        return hash(frozenset(c.items())) if c.keys() - {0} else hash(c.get(0, 0))
 
     def eval_at(self, x):
         """Exact evaluation; returns a Fraction (or int when x is int and
@@ -256,8 +257,11 @@ class Cyclotomic:
 
     For p=2 this degenerates to Q itself (zeta = -1).  Coordinates are
     int when integral, else Fraction; the class supports ring arithmetic
-    and complex conjugation (zeta^k -> zeta^(p-k)).  Only the public
-    constructor validates; arithmetic builds its results with ``_make``.
+    and complex conjugation (zeta^k -> zeta^(p-k)).  The public constructor
+    validates p and every coordinate; ``zero``, ``one``, ``from_rational``
+    and ``zeta_power`` check only p, and arithmetic builds its results with
+    ``_make``, unchecked.  An element with a rational value equals, and
+    hashes as, that int or Fraction.
     """
 
     __slots__ = ("p", "coords")
@@ -298,7 +302,7 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, p):
-        return cls(p, [0] * (p - 1))
+        return cls.from_rational(p, 0)
 
     @classmethod
     def one(cls, p):
@@ -306,7 +310,9 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, p, r):
-        return cls(p, [r] + [0] * (p - 2))
+        if not is_prime(p):
+            raise ValueError("cyclotomic order must be prime, got %r" % (p,))
+        return cls._make(p, [r if type(r) is int else Fraction(r)] + [0] * (p - 2))
 
     @classmethod
     def zeta_power(cls, p, k):
@@ -379,13 +385,18 @@ class Cyclotomic:
         return any(self.coords)
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic) and other.p != self.p:
+            # Q(zeta_p) and Q(zeta_p') meet in Q
+            r = self.as_rational()
+            return r is not None and r == other.as_rational()
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        c = self.coords
+        return hash((self.p, c)) if any(c[1:]) else hash(c[0])
 
     def as_rational(self):
         """Return the value as a Fraction if it is rational, else None."""

@@ -247,7 +247,10 @@ def degree_in(lam, index):
 
 @functools.lru_cache(maxsize=None)
 def _char_value_std(arcs_lam, arcs_mu, p):
-    """Character value on {1..n}; arcs as sorted (i, l, a) tuples."""
+    """chi^lam(u_mu) on {1..n}, arcs as sorted (i, l, a) tuples, as a
+    monomial: None when the value is 0, else (e, k) for p^e zeta^k, with e
+    summed over lam's arcs and k the sum of a*t mod p (t the label of mu's
+    arc with the same ends, or 0)."""
     mu_left = {}
     mu_right = {}
     mu_label = {}
@@ -256,22 +259,28 @@ def _char_value_std(arcs_lam, arcs_mu, p):
         mu_left[i] = arc
         mu_right[l] = arc
         mu_label[(i, l)] = a
-    total = Cyclotomic.one(p)
+    e = k = 0
     for (i, l, a) in arcs_lam:
         blocker = mu_left.get(i)
         if blocker is not None and blocker[1] < l:
-            return Cyclotomic.zero(p)
+            return None
         blocker = mu_right.get(l)
         if blocker is not None and blocker[0] > i:
-            return Cyclotomic.zero(p)
+            return None
         inside = sum(1 for b in arcs_mu if i < b[0] and b[1] < l)
-        exponent = (l - i - 1) - inside
-        t = mu_label.get((i, l), 0)
-        factor = Cyclotomic.zeta_power(p, (a * t) % p)
-        if exponent:
-            factor = p ** exponent * factor
-        total = total * factor
-    return total
+        e += (l - i - 1) - inside
+        k += a * mu_label.get((i, l), 0)
+    return e, k % p
+
+
+def _cyclotomic(p, mono):
+    """The element p^e zeta^k of Q(zeta_p) for the monomial (e, k), or 0
+    for None."""
+    vec = [0] * p
+    if mono is not None:
+        e, k = mono
+        vec[k] = p ** e
+    return Cyclotomic._from_full(p, vec)
 
 
 def char_value(lam, mu, p):
@@ -279,7 +288,20 @@ def char_value(lam, mu, p):
     if lam.n != mu.n:
         raise ValueError("character and superclass have different n")
     check_labels((lam, mu), p)
-    return _char_value_std(lam.arcs, mu.arcs, p)
+    return _cyclotomic(p, _char_value_std(lam.arcs, mu.arcs, p))
+
+
+def _char_value_in(lam, mu, index, p):
+    """char_value_in's core: the monomial (or None) of chi^lam(u_mu) inside
+    U_K, the per-part monomials multiplied."""
+    e = k = 0
+    for part in index.parts:
+        fwd = _numbering(part)
+        mono = _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
+        if mono is None:
+            return None
+        e, k = e + mono[0], k + mono[1]
+    return e, k % p
 
 
 def char_value_in(lam, mu, index, p):
@@ -291,22 +313,20 @@ def char_value_in(lam, mu, index, p):
     leave the part do not enter its factor.
     """
     check_labels((lam, mu), p)
-    total = Cyclotomic.one(p)
-    for part in index.parts:
-        fwd = _numbering(part)
-        total = total * _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
-    return total
+    return _cyclotomic(p, _char_value_in(lam, mu, index, p))
 
 
 def combo_value(x, mu, p):
-    """Pointwise value of a combination at the superclass of u_mu."""
-    check_labels((mu,), p)
-    total = Cyclotomic.zero(p)
+    """Pointwise value of a combination at the superclass of u_mu: each
+    term's c(p) p^e added into slot k of one coordinate vector."""
+    check_labels((mu, *x.terms), p)
+    vec = [0] * p
     for lam, c in x.terms.items():
-        v = char_value_in(lam, mu, x.ambient, p)
-        if v:
-            total = total + c.eval_at(p) * v
-    return total
+        mono = _char_value_in(lam, mu, x.ambient, p)
+        if mono is not None:
+            e, k = mono
+            vec[k] += c.eval_at(p) * p ** e
+    return Cyclotomic._from_full(p, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +691,9 @@ def chi_to_kappa(x, p):
 
 
 def kappa_to_chi(values, p):
-    """Inverse conversion: given one exact value f(mu) per superclass label
-    of U_n, read off the supercharacter coefficients by column
-    orthogonality.  With ||chi^nu||^2 = q^{cr nu} at q = p, the coefficient
+    """Inverse conversion: given one exact value f(mu) (a Cyclotomic) per
+    superclass label of U_n, read off the supercharacter coefficients by
+    column orthogonality.  With ||chi^nu||^2 = q^{cr nu} at q = p, the coefficient
     of chi^lam is the sum over mu of f(mu) conj chi^lam(u_mu) /
     (q^{cr lam} z_mu), where z_mu = sum over nu of |chi^nu(u_mu)|^2 /
     q^{cr nu} is |U_n| over the size of the superclass of u_mu.  Returns
@@ -684,16 +704,26 @@ def kappa_to_chi(values, p):
     labels = list(enumerate_compatible(PartitionIndex.full(n), p))
     if set(values) != set(labels):
         raise ValueError("need a value for every superclass label of U_%d" % n)
+    if any(v.p != p for v in values.values()):
+        raise ValueError("need values in Q(zeta_%d)" % p)
     inv_norms = [Fraction(1, p ** lam.num_crossings()) for lam in labels]
     table = [[_char_value_std(lam.arcs, mu.arcs, p) for mu in labels] for lam in labels]
-    zero = Cyclotomic.zero(p)
-    weights = []  # f(mu) / z_mu
+    weights = []  # the coordinates of f(mu) / z_mu
     for j, mu in enumerate(labels):
-        z = sum((row[j] * row[j].conj() * w for row, w in zip(table, inv_norms)), zero)
-        weights.append(1 / z.as_rational() * values[mu])
+        z = sum(p ** (2 * row[j][0]) * w for row, w in zip(table, inv_norms) if row[j])
+        weights.append([a / z for a in values[mu].coords])
     out = {}
     for lam, row, w in zip(labels, table, inv_norms):
-        c = sum((f * v.conj() for f, v in zip(weights, row) if v), zero) * w
+        # f(mu) times conj(p^e zeta^k) = p^e zeta^-k moves slot i to i - k
+        vec = [0] * p
+        for f, mono in zip(weights, row):
+            if mono is not None:
+                e, k = mono
+                s = p ** e * w
+                for i, a in enumerate(f):
+                    if a:
+                        vec[(i - k) % p] += s * a
+        c = Cyclotomic._from_full(p, vec)
         if c:
             out[lam] = c
     return out

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superchar.qcoeff import Cyclotomic, LaurentPoly
-from superchar.ring import char_value, combo_value, degree, superinduce
+from superchar.ring import char_value_in, combo_value, degree, superinduce
 from superchar.oracle import (
     DEFAULT_MAX_GROUP,
     BudgetError,
@@ -35,6 +35,20 @@ from superchar.setpart import (
 
 def lsp(n, arcs):
     return LabeledSetPartition(range(1, n + 1), [Arc(*a) for a in arcs])
+
+
+def assert_canonical(v):
+    """Every integral coordinate is stored as an int."""
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in v.coords)
+
+
+def small_parabolics():
+    """(K, p) for every parabolic U_K of U_n(p), n <= 3 and p in {2, 3, 5},
+    and of U_4(2); the one-part index is the full group."""
+    for p, top in ((2, 4), (3, 3), (5, 3)):
+        for n in range(1, top + 1):
+            for parts in set_partitions(range(1, n + 1)):
+                yield PartitionIndex(n, parts), p
 
 
 class TestConstruction:
@@ -114,14 +128,15 @@ class TestSuperclasses:
 class TestCharacterTable:
     def test_rows_match_the_arc_formula(self):
         # the oracle builds values from dual orbit sums; the closed per-arc
-        # formula must agree entry by entry
-        for p, max_n in ((2, 4), (3, 3)):
-            G = PatternGroup.full(max_n, p)
+        # formula must agree entry by entry, on every parabolic
+        for K, p in small_parabolics():
+            G = PatternGroup.parabolic(K, p)
             table = G.superclass_table()
             rows = G.character_table()
             for lam, row in zip(table.labels, rows):
                 for mu, got in zip(table.labels, row["values"]):
-                    assert got == char_value(lam, mu, p), (lam.to_text(), mu.to_text())
+                    assert got == char_value_in(lam, mu, K, p), (lam.to_text(), mu.to_text())
+                    assert_canonical(got)
 
     def test_orthogonality_on_a_parabolic(self):
         K = PartitionIndex(4, [[1, 2, 4], [3]])
@@ -154,19 +169,18 @@ class TestBruteSuperinduce:
             assert brute_superinduce(G, G, row["values"]) == row["values"]
 
     def test_agrees_with_the_symbolic_route(self):
-        p = 2
-        G = PatternGroup.full(3, p)
-        g_labels = G.superclass_table().labels
-        for parts in set_partitions(range(1, 4)):
-            K = PartitionIndex(3, parts)
+        for K, p in small_parabolics():
+            G = PatternGroup.full(K.n, p)
+            g_labels = G.superclass_table().labels
             H = PatternGroup.parabolic(K, p)
             h_table = H.superclass_table()
             for mu, chi_vals in zip(h_table.labels, H.character_table()):
                 lifted = superinduce(mu, K, p)
-                got = brute_superinduce(G, H, chi_vals["values"])
+                got = brute_superinduce(G, H, chi_vals["values"], budget=G.size)
                 for lam, val in zip(g_labels, got):
                     want = combo_value(lifted, lam, p)
                     assert val == want, (K.to_text(), mu.to_text(), lam.to_text())
+                    assert_canonical(val)
 
     def test_budget(self):
         G = PatternGroup.full(3, 2)
@@ -182,6 +196,14 @@ class TestBruteSuperinduce:
         H_other_p = PatternGroup.full(3, 3)
         with pytest.raises(ValueError):
             brute_superinduce(G, H_other_p, ())
+
+    def test_values_of_another_order_are_refused(self):
+        G = PatternGroup.full(3, 2)
+        thirds = tuple(Cyclotomic.zeta_power(3, 1) for _ in range(len(G.superclass_table())))
+        with pytest.raises(ValueError, match="zeta_2"):
+            brute_superinduce(G, G, thirds)
+        with pytest.raises(ValueError, match="zeta_2"):
+            brute_inner_product(G, thirds, thirds)
 
 
 def literal_superinduce(G, H, chi_rows):
@@ -245,6 +267,44 @@ class TestOrbitCountedSuperinduction:
         # U_3 has 7 pattern subgroups: all subsets of its three positions
         # except {(1,2), (2,3)}, which is not closed
         assert len(list(pattern_subgroups(3))) == 7
+
+
+def matrix_action_tables(G):
+    """``action_tables`` from matrices: every product g*A and A*g by
+    ``matmul``, read back with ``algebra_index``."""
+    mats = [G.group_matrix(g) for g in range(G.size)]
+    algs = [G.algebra_matrix(a) for a in range(G.size)]
+    L = [[G.algebra_index(G.matmul(gm, am)) for am in algs] for gm in mats]
+    R = [[G.algebra_index(G.matmul(am, gm)) for gm in mats] for am in algs]
+    return L, R
+
+
+def summed_inner_product(G, f_vals, g_vals):
+    """``brute_inner_product`` as a sum of Cyclotomic objects."""
+    total = Cyclotomic.zero(G.p)
+    for size, a, b in zip(G.superclass_table().sizes(), f_vals, g_vals):
+        total = total + size * (a * b.conj())
+    return Fraction(1, G.size) * total
+
+
+class TestCoordinateRoutes:
+    """The oracle computes on coordinate vectors; it must equal the routes
+    through matrices and Cyclotomic objects exactly."""
+
+    def test_action_tables_match_the_matrix_products(self):
+        for K, p in small_parabolics():
+            H = PatternGroup.parabolic(K, p)
+            assert H.action_tables() == matrix_action_tables(H), K.to_text()
+
+    def test_inner_products_match_the_cyclotomic_sums(self):
+        for K, p in small_parabolics():
+            H = PatternGroup.parabolic(K, p)
+            rows = [row["values"] for row in H.character_table()]
+            for f in rows:
+                for g in rows:
+                    got = brute_inner_product(H, f, g)
+                    assert got == summed_inner_product(H, f, g)
+                    assert_canonical(got)
 
 
 class TestPartialPermutationSums:

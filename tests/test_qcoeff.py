@@ -166,6 +166,34 @@ class TestCyclotomicBoundary:
             assert str(half * 4 + zeta) == str(Cyclotomic(p, [2] + [0] * (p - 2)) + zeta)
 
 
+class TestEqualityAndHash:
+    """Values that compare equal hash alike, so sets and dict keys agree
+    with ``==``."""
+
+    def test_a_rational_element_hashes_as_its_value(self):
+        for p in (2, 3, 5):
+            for r in (0, 1, -4, Fraction(1, 2), Fraction(-7, 3)):
+                x = Cyclotomic.from_rational(p, r)
+                assert x == r and hash(x) == hash(r)
+                assert len({x, r}) == 1
+        assert len({Cyclotomic.one(2), 1}) == 1
+        assert len({Cyclotomic.zero(5), Cyclotomic.one(5) - 1, 0}) == 1
+
+    def test_orders_meet_in_the_rationals(self):
+        assert Cyclotomic.one(2) == Cyclotomic.one(3)
+        assert len({Cyclotomic.from_rational(p, Fraction(1, 2)) for p in (2, 3, 5)}) == 1
+        assert Cyclotomic.zeta_power(3, 1) != Cyclotomic.zeta_power(5, 1)
+        assert Cyclotomic.zeta_power(3, 1) != Cyclotomic.one(5)
+
+    def test_a_constant_laurent_polynomial_hashes_as_its_int(self):
+        for c in (0, 1, -3):
+            x = LaurentPoly.const(c)
+            assert x == c and hash(x) == hash(c)
+            assert len({x, c}) == 1
+        assert hash(LaurentPoly.one()) == hash(1)
+        assert LaurentPoly({1: 1}) != 1
+
+
 def test_is_prime_small_values():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)

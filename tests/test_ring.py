@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.ring import (
@@ -108,6 +109,115 @@ class TestCharValue:
         lam = lsp(3, [(1, 3, 1)])
         # inside U_K the part {1,3} is a two-vertex group: value is zeta^1 = -1
         assert char_value_in(lam, lam, K, 2) == -Cyclotomic.one(2)
+
+
+def per_arc_value(lam_arcs, mu_arcs, p):
+    """chi^lam(u_mu) object at a time: 0 when an arc of mu shares an end
+    with an arc of lam and is shorter, else the product over lam's arcs
+    i-l:a of the Cyclotomic p^(l-i-1-inside) * zeta^(a*t), with t the label
+    of mu's arc i-l (0 if none) and ``inside`` the arcs of mu under i-l."""
+    total = Cyclotomic.one(p)
+    for i, l, a in lam_arcs:
+        if any((j == i and k < l) or (k == l and j > i) for j, k, _ in mu_arcs):
+            return Cyclotomic.zero(p)
+        inside = sum(1 for j, k, _ in mu_arcs if i < j and k < l)
+        t = next((b for j, k, b in mu_arcs if (j, k) == (i, l)), 0)
+        total = total * (p ** (l - i - 1 - inside) * Cyclotomic.zeta_power(p, a * t))
+    return total
+
+
+def per_part_value(lam, mu, K, p):
+    """chi^lam(u_mu) inside U_K: the product over the parts of K of
+    ``per_arc_value`` on the arcs inside the part, renumbered 1..m."""
+    total = Cyclotomic.one(p)
+    for part in K.parts:
+        rank = {v: t for t, v in enumerate(part, 1)}
+        lam_loc, mu_loc = (
+            [(rank[i], rank[l], a) for i, l, a in x.arcs if i in rank and l in rank]
+            for x in (lam, mu)
+        )
+        total = total * per_arc_value(lam_loc, mu_loc, p)
+    return total
+
+
+def summed_value(x, mu, p):
+    """combo_value as a sum of Cyclotomic objects, one term at a time."""
+    total = Cyclotomic.zero(p)
+    for lam, c in x.terms.items():
+        total = total + c.eval_at(p) * per_part_value(lam, mu, x.ambient, p)
+    return total
+
+
+def assert_canonical(v):
+    """Every integral coordinate is stored as an int."""
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in v.coords)
+
+
+def small_parabolics():
+    """(K, p) for every parabolic U_K of U_n(p), n <= 3 and p in {2, 3, 5},
+    and of U_4(2); the one-part index is the full group."""
+    for p, top in ((2, 4), (3, 3), (5, 3)):
+        for n in range(1, top + 1):
+            for parts in set_partitions(range(1, n + 1)):
+                yield PartitionIndex(n, parts), p
+
+
+class TestMonomialValues:
+    """Values are built from monomials p^e zeta^k and one coordinate
+    vector per result; they equal the object-at-a-time routes exactly."""
+
+    def test_char_values_match_the_per_arc_products(self):
+        for K, p in small_parabolics():
+            labels = list(enumerate_compatible(K, p))
+            full = len(K.parts) == 1
+            for lam in labels:
+                for mu in labels:
+                    got = char_value_in(lam, mu, K, p)
+                    assert got == per_part_value(lam, mu, K, p), (K.to_text(), lam, mu)
+                    assert_canonical(got)
+                    if full:
+                        assert char_value(lam, mu, p) == got
+
+    def test_combo_values_match_the_cyclotomic_sums(self):
+        for K, p in small_parabolics():
+            full = PartitionIndex.full(K.n)
+            g_labels = list(enumerate_compatible(full, p))
+            k_labels = list(enumerate_compatible(K, p))
+            combos = [(restrict(nu, K, p), k_labels) for nu in g_labels]
+            combos += [(superinduce(mu, K, p), g_labels) for mu in k_labels]
+            for x, labels in combos:
+                for mu in labels:
+                    got = combo_value(x, mu, p)
+                    assert got == summed_value(x, mu, p), (x.to_text(), mu)
+                    assert_canonical(got)
+
+
+@st.composite
+def value_cases(draw):
+    """p and two labeled set partitions of one n <= 7: each vertex in turn
+    starts no arc, or one labeled arc to a later vertex that ends none."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(0, 7))
+
+    def partition():
+        ended, arcs = set(), []
+        for i in range(1, n + 1):
+            l = draw(st.sampled_from([None] + [l for l in range(i + 1, n + 1) if l not in ended]))
+            if l is not None:
+                ended.add(l)
+                arcs.append((i, l, draw(st.integers(1, p - 1))))
+        return lsp(n, arcs)
+
+    return p, partition(), partition()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value_cases())
+def test_char_value_is_the_per_arc_product(case):
+    p, lam, mu = case
+    got = char_value(lam, mu, p)
+    assert got == per_arc_value(lam.arcs, mu.arcs, p)
+    assert_canonical(got)
 
 
 class TestLabelRange:
@@ -435,15 +545,22 @@ class TestKappaBasis:
         with pytest.raises(ValueError, match="every superclass label of U_3"):
             kappa_to_chi(values, 2)
 
+    def test_a_value_of_another_order_is_refused(self):
+        values = chi_to_kappa(CharCombo.one(PartitionIndex.full(3)), 2)
+        values[lsp(3, [(1, 3, 1)])] = Cyclotomic.zeta_power(3, 1)
+        with pytest.raises(ValueError, match="zeta_2"):
+            kappa_to_chi(values, 2)
+
     def test_round_trips(self):
-        for p in (2, 3):
-            for n in (2, 3):
+        for p, max_n in ((2, 4), (3, 3), (5, 3)):
+            for n in range(2, max_n + 1):
                 full = PartitionIndex.full(n)
                 chars = list(enumerate_compatible(full, p))
                 # basis elements come back as themselves
                 for lam in chars:
                     back = kappa_to_chi(chi_to_kappa(CharCombo.of(lam, full), p), p)
                     assert back == {lam: Cyclotomic.one(p)}
+                    assert_canonical(back[lam])
                 # and a mixed combination survives both directions
                 x = CharCombo(
                     full,
