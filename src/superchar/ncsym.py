@@ -249,22 +249,23 @@ def _pushed(K, positions):
     return [tuple(positions[v - 1] for v in block) for block in K.parts]
 
 
-def _partial_matchings(left, right):
+def _partial_matchings(left, right, free, parts):
     """Canonical parts of every partition whose blocks are those of ``left``
     and ``right`` (disjoint supports), with each block of ``left`` merged
-    into at most one block of ``right`` and vice versa."""
-
-    def rec(i, free, parts):
-        if i == len(left):
-            yield tuple(sorted(parts + [right[j] for j in free]))
-            return
-        block = left[i]
-        yield from rec(i + 1, free, parts + [block])
-        for j in free:
-            merged = tuple(sorted(block + right[j]))
-            yield from rec(i + 1, [k for k in free if k != j], parts + [merged])
-
-    return rec(0, list(range(len(right))), [])
+    into at most one block of ``right`` and vice versa.  ``parts`` holds the
+    blocks chosen for the first ``len(parts)`` blocks of ``left``, and
+    ``free`` the indices of the blocks of ``right`` not merged yet (a
+    module-level recursion, so no call leaves a self-referencing closure to
+    the cyclic collector)."""
+    i = len(parts)
+    if i == len(left):
+        yield tuple(sorted(parts + [right[j] for j in free]))
+        return
+    block = left[i]
+    yield from _partial_matchings(left, right, free, parts + [block])
+    for j in free:
+        merged = tuple(sorted(block + right[j]))
+        yield from _partial_matchings(left, right, [k for k in free if k != j], parts + [merged])
 
 
 def star_K_product(x, y, K):
@@ -291,7 +292,7 @@ def star_K_product(x, y, K):
         left = _pushed(A, pos1)
         for blocks, cb in right:
             c = ca * cb
-            for parts in _partial_matchings(left, blocks):
+            for parts in _partial_matchings(left, blocks, range(len(blocks)), []):
                 coeffs[parts] = coeffs.get(parts, 0) + c
     return _from_parts("m", m + n, coeffs)
 

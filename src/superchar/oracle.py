@@ -1,11 +1,12 @@
 """Brute-force finite-group oracle.
 
 Everything in this module works by explicit enumeration inside a pattern
-group: matrices are built, orbits are closed by breadth-first search, and
-the defining double sums are evaluated term by term.  Nothing here shares
-code with the symbolic rules in :mod:`superchar.ring`; that independence is
-the point -- the oracle is the referee for every symbolic identity, at desk
-scale only.
+group: elements are coordinate vectors over the pattern's positions, orbits
+are closed by breadth-first search over the moves of the generators
+1 + a*E_pos, read off the products of positions, and the defining double
+sums are evaluated term by term.  Nothing here shares code with the
+symbolic rules in :mod:`superchar.ring`; that independence is the point --
+the oracle is the referee for every symbolic identity, at desk scale only.
 
 Budgets are hard: a job larger than its budget raises :class:`BudgetError`
 instead of grinding.  The default enumeration bound is 3^6 = 729 elements
@@ -53,9 +54,11 @@ class PatternGroup:
     """A pattern group: unipotent matrices over F_p supported on a
     transitively closed set of strictly-upper positions.
 
-    Elements are indexed 0..size-1 by reading the entries at the sorted
-    position list as base-p digits; index 0 is the identity (resp. the zero
-    algebra element).
+    An element 1 + A (or the algebra element A) is the coordinate vector of
+    A's entries at the sorted position list, and is indexed 0..size-1 by
+    reading the vector as base-p digits; index 0 is the identity (resp. the
+    zero algebra element).  No matrix is built: every product is read off
+    the products of positions (``_products``).
     """
 
     def __init__(self, n, positions, p, max_size=None, index=None):
@@ -123,70 +126,35 @@ class PatternGroup:
             idx = idx * self.p + v
         return idx
 
-    def matrix_of_vec(self, vec, unipotent):
-        n = self.n
-        rows = [[1 if (unipotent and i == j) else 0 for j in range(n)] for i in range(n)]
-        for (i, j), v in zip(self.positions, vec):
-            rows[i - 1][j - 1] = v
-        return tuple(tuple(r) for r in rows)
+    def _products(self):
+        """Every product of positions (k,i)*(i,j) -> (k,j) of the pattern, as
+        the coordinate triple (s, t, u) of its factors and its result."""
+        pos_at = self.pos_at
+        return [(s, pos_at[(i, j)], pos_at[(k, j)])
+                for s, (k, i) in enumerate(self.positions)
+                for h, j in self.positions if h == i]
 
-    def group_matrix(self, idx):
-        return self.matrix_of_vec(self.vec_of_index(idx), True)
+    def _moves(self, dual=False):
+        """(left, right): per position g, the (destination, source) pairs of
+        A -> e*A and of A -> A*e for e = 1 + a*E_g, which add a*A[source]
+        into A[destination].  g*t -> u moves A[t] into A[u] on the left, and
+        s*g -> u moves A[s] into A[u] on the right.
 
-    def algebra_matrix(self, idx):
-        return self.matrix_of_vec(self.vec_of_index(idx), False)
-
-    def vec_of_matrix(self, mat):
-        """Read the mask coordinates; None when an off-mask strictly-upper
-        entry is nonzero (i.e. the matrix is not supported on this group)."""
-        n = self.n
-        mask = self.pos_at
-        vec = [0] * len(self.positions)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                v = mat[i - 1][j - 1] % self.p
-                if v:
-                    k = mask.get((i, j))
-                    if k is None:
-                        return None
-                    vec[k] = v
-        return tuple(vec)
-
-    def group_index(self, mat):
-        vec = self.vec_of_matrix(mat)
-        return None if vec is None else self.index_of_vec(vec)
-
-    algebra_index = group_index  # same coordinates, different diagonal
-
-    def matmul(self, A, B):
-        """Product of two upper-triangular matrices mod p."""
-        n, p = self.n, self.p
-        out = []
-        for i in range(n):
-            row = [0] * n
-            Ai = A[i]
-            for j in range(i, n):
-                s = 0
-                for k in range(i, j + 1):
-                    a = Ai[k]
-                    if a:
-                        s += a * B[k][j]
-                row[j] = s % p
-            out.append(tuple(row))
-        return tuple(out)
-
-    def elementary(self, pos, a):
-        """The group element 1 + a*E_pos."""
-        n = self.n
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rows[pos[0] - 1][pos[1] - 1] = a % self.p
-        return tuple(tuple(r) for r in rows)
+        ``dual`` gives the action (x.lam.y)(A) = lam(x^-1 A y^-1) on
+        functionals: e^-1 = 1 - a*E_g, so each pair is transposed, and -a
+        runs over the same units as a."""
+        left = [[] for _ in self.positions]
+        right = [[] for _ in self.positions]
+        for s, t, u in self._products():
+            left[s].append((t, u) if dual else (u, t))
+            right[t].append((s, u) if dual else (u, s))
+        return [m for m in left if m], [m for m in right if m]
 
     # -- superclasses --------------------------------------------------------
 
     def superclass_table(self):
         """Orbits of the algebra under two-sided multiplication by the group,
-        closed by BFS over one-sided elementary moves.
+        closed by BFS over the one-sided moves of the generators (``_moves``).
 
         When the group carries a partition index, classes are listed in the
         enumeration order of their labeled set partitions and represented by
@@ -195,32 +163,11 @@ class PatternGroup:
         if self._class_table is not None:
             return self._class_table
         p = self.p
-        gens = [self.elementary(pos, a) for pos in self.positions for a in range(1, p)]
-        seen = [False] * self.size
-        orbits = []
-        class_of = [-1] * self.size
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cid = len(orbits)
-            frontier = [start]
-            seen[start] = True
-            members = [start]
-            class_of[start] = cid
-            while frontier:
-                new = []
-                for idx in frontier:
-                    A = self.algebra_matrix(idx)
-                    for g in gens:
-                        for B in (self.matmul(g, A), self.matmul(A, g)):
-                            j = self.algebra_index(B)
-                            if not seen[j]:
-                                seen[j] = True
-                                class_of[j] = cid
-                                members.append(j)
-                                new.append(j)
-                frontier = new
-            orbits.append(sorted(members))
+        vecs = [self.vec_of_index(i) for i in range(self.size)]
+        left, right = self._moves()
+        found, orbit_of = _orbits(vecs, left + right, p)
+        class_of = [orbit_of[vec] for vec in vecs]
+        orbits = [sorted(map(self.index_of_vec, members)) for members in found]
 
         if self.index is not None:
             labels = list(enumerate_compatible(self.index, p))
@@ -241,16 +188,14 @@ class PatternGroup:
                 ordered.append(orbits[cid])
                 label_list.append(lam)
             orbits = ordered
+            for new_cid, members in enumerate(orbits):
+                for m in members:
+                    class_of[m] = new_cid
         else:
-            order = sorted(range(len(orbits)), key=lambda c: orbits[c][0])
-            orbits = [orbits[c] for c in order]
             reps = [members[0] for members in orbits]
             label_list = [None] * len(orbits)
-        for new_cid, members in enumerate(orbits):
-            for m in members:
-                class_of[m] = new_cid
 
-        self._class_table = SuperclassTable(self, reps, orbits, class_of, label_list)
+        self._class_table = SuperclassTable(reps, orbits, class_of, label_list)
         return self._class_table
 
     def index_of_superclass_label(self, lam):
@@ -265,78 +210,24 @@ class PatternGroup:
                 raise ValueError("arc label vanishes mod p")
         return self.index_of_vec(tuple(vec))
 
+    def class_of_label(self, lam):
+        """Class id of the superclass of u_lam."""
+        return self.superclass_table().class_of[self.index_of_superclass_label(lam)]
+
     # -- supercharacters (two-sided dual orbits) ------------------------------
 
     def _dual_orbits(self):
         """Orbits of the dual space under (x.lam.y)(A) = lam(x^-1 A y^-1),
-        closed over elementary moves; returns (orbits, orbit_of, right_sizes).
-
-        For e = 1 + a E_(u,v):  (e.lam)(E_ij) = lam(E_ij) - a [v==i] lam(E_uj)
-        and (lam.e)(E_ij) = lam(E_ij) - a [j==u] lam(E_iv).
-        """
-        if self._dual is not None:
-            return self._dual
-        p = self.p
-        positions = self.positions
-        pos_at = self.pos_at
-
-        def left_move(vec, u, v, a):
-            out = list(vec)
-            for k, (i, j) in enumerate(positions):
-                if i == v:
-                    src = pos_at.get((u, j))
-                    if src is not None and vec[src]:
-                        out[k] = (out[k] - a * vec[src]) % p
-            return tuple(out)
-
-        def right_move(vec, u, v, a):
-            out = list(vec)
-            for k, (i, j) in enumerate(positions):
-                if j == u:
-                    src = pos_at.get((i, v))
-                    if src is not None and vec[src]:
-                        out[k] = (out[k] - a * vec[src]) % p
-            return tuple(out)
-
-        moves = [(u, v, a) for (u, v) in positions for a in range(1, p)]
-        all_vecs = [self.vec_of_index(i) for i in range(self.size)]
-        orbit_of = {}
-        orbits = []
-        for vec in all_vecs:
-            if vec in orbit_of:
-                continue
-            oid = len(orbits)
-            frontier = [vec]
-            orbit_of[vec] = oid
-            members = [vec]
-            while frontier:
-                new = []
-                for f in frontier:
-                    for (u, v, a) in moves:
-                        for g in (left_move(f, u, v, a), right_move(f, u, v, a)):
-                            if g not in orbit_of:
-                                orbit_of[g] = oid
-                                members.append(g)
-                                new.append(g)
-                frontier = new
-            orbits.append(members)
-
-        right_sizes = []
-        for members in orbits:
-            rep = members[0]
-            seen = {rep}
-            frontier = [rep]
-            while frontier:
-                new = []
-                for f in frontier:
-                    for (u, v, a) in moves:
-                        g = right_move(f, u, v, a)
-                        if g not in seen:
-                            seen.add(g)
-                            new.append(g)
-                frontier = new
-            right_sizes.append(len(seen))
-        self._dual = (orbits, orbit_of, right_sizes)
+        a functional being its coordinate vector lam(E_pos) over the
+        positions; returns (orbits, orbit_of, right_sizes), where
+        right_sizes[i] is the size of the right orbit of orbits[i][0]."""
+        if self._dual is None:
+            vecs = [self.vec_of_index(i) for i in range(self.size)]
+            left, right = self._moves(dual=True)
+            orbits, orbit_of = _orbits(vecs, left + right, self.p)
+            right_sizes = [len(_orbits([members[0]], right, self.p)[0][0])
+                           for members in orbits]
+            self._dual = (orbits, orbit_of, right_sizes)
         return self._dual
 
     def character_table(self):
@@ -404,10 +295,8 @@ class PatternGroup:
         positions (k,i)*(i,j) -> (k,j) of the pattern is one term of X*A
         (and of A*X) on the coordinate vectors, so no matrix is built."""
         if self._ltab is None:
-            p, size, pos_at = self.p, self.size, self.pos_at
-            steps = [(s, pos_at[(i, j)], pos_at[(k, j)])
-                     for s, (k, i) in enumerate(self.positions)
-                     for h, j in self.positions if h == i]
+            p, size = self.p, self.size
+            steps = self._products()
             vecs = [self.vec_of_index(a) for a in range(size)]
             L = [[0] * size for _ in range(size)]
             R = [[0] * size for _ in range(size)]
@@ -423,6 +312,38 @@ class PatternGroup:
         return self._ltab, self._rtab
 
 
+def _orbits(vecs, moves, p):
+    """Orbits of the vectors under the moves, closed by breadth-first search.
+
+    A move is a list of (destination, source) pairs; with each unit a it
+    sends A to the vector that adds a*A[source] into A[destination].  Orbits
+    are found in the order of their first vector in ``vecs``, and each lists
+    its members in the order found; returns (orbits, orbit_of)."""
+    orbit_of = {}
+    orbits = []
+    for start in vecs:
+        if start in orbit_of:
+            continue
+        oid = len(orbits)
+        orbit_of[start] = oid
+        members = [start]
+        for vec in members:  # the queue: members grows while it is read
+            for pairs in moves:
+                terms = [(d, vec[s]) for d, s in pairs if vec[s]]
+                if not terms:
+                    continue
+                for a in range(1, p):
+                    out = list(vec)
+                    for d, v in terms:
+                        out[d] = (out[d] + a * v) % p
+                    out = tuple(out)
+                    if out not in orbit_of:
+                        orbit_of[out] = oid
+                        members.append(out)
+        orbits.append(members)
+    return orbits, orbit_of
+
+
 class SuperclassTable:
     """Superclasses of a pattern group.
 
@@ -431,8 +352,7 @@ class SuperclassTable:
     ``labels`` the labeled set partitions (or Nones).
     """
 
-    def __init__(self, group, reps, members, class_of, labels):
-        self.group = group
+    def __init__(self, reps, members, class_of, labels):
         self.reps = list(reps)
         self.members = [list(m) for m in members]
         self.class_of = list(class_of)
@@ -444,8 +364,6 @@ class SuperclassTable:
     def sizes(self):
         return [len(m) for m in self.members]
 
-    def class_of_label(self, lam):
-        return self.class_of[self.group.index_of_superclass_label(lam)]
 
 # ---------------------------------------------------------------------------
 # Brute-force operations
@@ -453,9 +371,8 @@ class SuperclassTable:
 
 def z_value(group, lam):
     """|G| divided by the size of the superclass of u_lam."""
-    table = group.superclass_table()
-    cid = table.class_of_label(lam)
-    return Fraction(group.size, len(table.members[cid]))
+    members = group.superclass_table().members[group.class_of_label(lam)]
+    return Fraction(group.size, len(members))
 
 
 def brute_superinduce(G, H, chi_vals, budget=None):

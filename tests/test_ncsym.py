@@ -1,5 +1,6 @@
 """Symmetric functions in non-commuting variables: bases, shuffles, the bridge."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -201,6 +202,20 @@ class TestShuffleProducts:
         assert out == star_K_product(x, m_from_p(y), K)
         assert out == _star_K_product_words(x, y, K)
         assert star_K_product(y, x, K) == _star_K_product_words(y, x, K)
+
+    def test_leaves_no_cyclic_garbage(self):
+        x = m_single(3, [[1, 3], [2]])
+        y = m_single(2, [[1], [2]])
+        K = pidx(5, [[1, 2, 4], [3, 5]])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            star_K_product(x, y, K)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_concat_associativity(self):
         for a in range(1, 5):

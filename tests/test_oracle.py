@@ -1,5 +1,6 @@
 """Brute-force enumeration oracle: groups, superclasses, dual orbits, budgets."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -114,7 +115,7 @@ class TestSuperclasses:
             table = G.superclass_table()
             assert set(table.labels) == set(enumerate_compatible(PartitionIndex.full(4), p))
             for i, lam in enumerate(table.labels):
-                assert table.class_of_label(lam) == i
+                assert G.class_of_label(lam) == i
 
     def test_z_values(self):
         G2 = PatternGroup.full(2, 2)
@@ -206,6 +207,33 @@ class TestBruteSuperinduce:
             brute_inner_product(G, thirds, thirds)
 
 
+def matrix(G, vec, unipotent=False):
+    """The n x n matrix A (or 1 + A) of the coordinate vector of A."""
+    rows = [[int(unipotent and i == j) for j in range(G.n)] for i in range(G.n)]
+    for (i, j), v in zip(G.positions, vec):
+        rows[i - 1][j - 1] = v
+    return rows
+
+
+def matmul(A, B, p):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def vec_of_matrix(G, M):
+    """The coordinates of the strictly upper part of M on G's positions;
+    None when M has a nonzero strictly upper entry off them."""
+    vec = [0] * len(G.positions)
+    for i, row in enumerate(M, 1):
+        for j, v in enumerate(row, 1):
+            if j > i and v % G.p:
+                k = G.pos_at.get((i, j))
+                if k is None:
+                    return None
+                vec[k] = v % G.p
+    return tuple(vec)
+
+
 def literal_superinduce(G, H, chi_rows):
     """The defining double sum of ``brute_superinduce`` term by term, over
     every x and every y in G, for each class function of H in ``chi_rows``.
@@ -213,8 +241,8 @@ def literal_superinduce(G, H, chi_rows):
     h_table = H.superclass_table()
     h_class = []
     for a in range(G.size):
-        h = H.algebra_index(G.algebra_matrix(a))
-        h_class.append(None if h is None else h_table.class_of[h])
+        h = vec_of_matrix(H, matrix(G, G.vec_of_index(a)))
+        h_class.append(None if h is None else h_table.class_of[H.index_of_vec(h)])
     L, R = G.action_tables()
     scale = Fraction(1, G.size * H.size)
     outs = [[] for _ in chi_rows]
@@ -271,11 +299,16 @@ class TestOrbitCountedSuperinduction:
 
 def matrix_action_tables(G):
     """``action_tables`` from matrices: every product g*A and A*g by
-    ``matmul``, read back with ``algebra_index``."""
-    mats = [G.group_matrix(g) for g in range(G.size)]
-    algs = [G.algebra_matrix(a) for a in range(G.size)]
-    L = [[G.algebra_index(G.matmul(gm, am)) for am in algs] for gm in mats]
-    R = [[G.algebra_index(G.matmul(am, gm)) for gm in mats] for am in algs]
+    ``matmul``, read back with ``vec_of_matrix``."""
+    vecs = [G.vec_of_index(a) for a in range(G.size)]
+    mats = [matrix(G, vec, unipotent=True) for vec in vecs]
+    algs = [matrix(G, vec) for vec in vecs]
+
+    def index(M):
+        return G.index_of_vec(vec_of_matrix(G, M))
+
+    L = [[index(matmul(gm, am, G.p)) for am in algs] for gm in mats]
+    R = [[index(matmul(am, gm, G.p)) for gm in mats] for am in algs]
     return L, R
 
 
@@ -305,6 +338,68 @@ class TestCoordinateRoutes:
                     got = brute_inner_product(H, f, g)
                     assert got == summed_inner_product(H, f, g)
                     assert_canonical(got)
+
+
+class TestOrbitsByDefinition:
+    """The orbits the oracle closes by moves on coordinate vectors, against
+    their definitions by matrix products over every x and y in the group:
+    the superclass of A is {x*A*y}, the dual orbit of lam is
+    {A -> lam(x*A*y)}, and the right orbit of lam is {A -> lam(A*y)}."""
+
+    def check(self, G):
+        p, m = G.p, len(G.positions)
+        vecs = [G.vec_of_index(i) for i in range(G.size)]
+        group = [matrix(G, vec, unipotent=True) for vec in vecs]
+        basis = [matrix(G, [int(k == t) for t in range(m)]) for k in range(m)]
+        # images[x][y][k]: the coordinates of x*E_k*y; the maps are linear
+        images = [[[vec_of_matrix(G, matmul(matmul(x, E, p), y, p)) for E in basis]
+                   for y in group] for x in group]
+
+        def moved(A, img):
+            return tuple(sum(A[k] * img[k][t] for k in range(m)) % p for t in range(m))
+
+        def pulled(lam, img):
+            return tuple(sum(lam[t] * img[k][t] for t in range(m)) % p for k in range(m))
+
+        table = G.superclass_table()
+        assert sorted(i for members in table.members for i in members) == list(range(G.size))
+        for cid, (rep, members) in enumerate(zip(table.reps, table.members)):
+            assert all(table.class_of[i] == cid for i in members)
+            orbit = {G.index_of_vec(moved(vecs[rep], img)) for row in images for img in row}
+            assert orbit == set(members)
+
+        orbits, orbit_of, right_sizes = G._dual_orbits()
+        assert sorted(orbit_of) == sorted(vecs)
+        for oid, members in enumerate(orbits):
+            assert all(orbit_of[lam] == oid for lam in members)
+            lam = members[0]
+            assert {pulled(lam, img) for row in images for img in row} == set(members)
+            assert len({pulled(lam, img) for img in images[0]}) == right_sizes[oid]
+
+    def test_every_pattern_subgroup_to_n_3(self):
+        for p in (2, 3):
+            for n in range(1, 4):
+                for positions in pattern_subgroups(n):
+                    self.check(PatternGroup(n, positions, p))
+
+
+class TestGarbage:
+    def test_leaves_no_cyclic_garbage(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            G = PatternGroup.full(3, 3)
+            H = PatternGroup.parabolic(PartitionIndex(3, [[1, 2], [3]]), 3)
+            rows = G.character_table()
+            G.action_tables()
+            brute_superinduce(G, H, H.character_table()[1]["values"])
+            brute_inner_product(G, rows[1]["values"], rows[2]["values"])
+            del G, H, rows
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestPartialPermutationSums:
