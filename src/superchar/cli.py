@@ -312,14 +312,14 @@ def _suite_superinduction(args):
         row_of = {lam: r["values"] for lam, r in zip(gt.labels, rows)}
         for parts in set_partitions(range(1, n + 1)):
             K = PartitionIndex(n, parts)
-            H = PatternGroup.parabolic(K, args.q)
+            H = PatternGroup.parabolic(K, args.q, max_size=args.budget)
             ht = H.superclass_table()
             for mu in enumerate_compatible(K, args.q):
                 pipeline = superinduce(mu, K, args.q)
                 chi_vals = tuple(
                     char_value_in(mu, lab, K, args.q) for lab in ht.labels
                 )
-                vals = brute_superinduce(G, H, chi_vals, budget=args.budget)
+                vals = brute_superinduce(G, H, chi_vals)
                 for lam in gt.labels:
                     want = brute_inner_product(G, vals, row_of[lam]).as_rational()
                     want /= Fraction(args.q ** lam.num_crossings())

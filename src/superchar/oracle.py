@@ -3,15 +3,15 @@
 Everything in this module works by explicit enumeration inside a pattern
 group: elements are coordinate vectors over the pattern's positions, orbits
 are closed by breadth-first search over the moves of the generators
-1 + a*E_pos, read off the products of positions, and the defining double
-sums are evaluated term by term.  Nothing here shares code with the
+1 + a*E_pos, read off the products of positions, and the defining sums
+are evaluated over the orbits.  Nothing here shares code with the
 symbolic rules in :mod:`superchar.ring`; that independence is the point --
 the oracle is the referee for every symbolic identity, at desk scale only.
 
-Budgets are hard: a job larger than its budget raises :class:`BudgetError`
-instead of grinding.  The default enumeration bound is 3^6 = 729 elements
-(U_4(3)); the default bound for double-sum superinduction is 2^6 = 64
-(U_4(2)), with larger runs available by passing an explicit budget.
+The budget is hard: a group larger than its bound raises
+:class:`BudgetError` instead of grinding.  The default bound is 3^6 = 729
+elements (U_4(3)); every table and sum here is a pass over one group's
+algebra or dual, so the group bound bounds all of the oracle's work.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ __all__ = [
     "brute_inner_product",
     "z_value",
     "DEFAULT_MAX_GROUP",
-    "DEFAULT_MAX_BRUTE",
 ]
 
 DEFAULT_MAX_GROUP = 3 ** 6
-DEFAULT_MAX_BRUTE = 2 ** 6
 
 
 class BudgetError(RuntimeError):
@@ -87,8 +85,6 @@ class PatternGroup:
         self.index = index  # PartitionIndex when built as a parabolic
         self._class_table = None
         self._dual = None
-        self._ltab = None
-        self._rtab = None
         self._char_rows = None
 
     # -- constructors -------------------------------------------------------
@@ -285,32 +281,6 @@ class PatternGroup:
         oid = self._dual_orbits()[1][tuple(vec)]
         return next(row["values"] for row in self.character_table() if row["orbit"] == oid)
 
-    # -- composition tables ---------------------------------------------------
-
-    def action_tables(self):
-        """(L, R): L[g][a] = algebra index of g*A, R[a][g] = index of A*g,
-        for g a group index and a an algebra index.
-
-        With g = 1 + X, g*A = A + X*A and A*g = A + A*X.  Every product of
-        positions (k,i)*(i,j) -> (k,j) of the pattern is one term of X*A
-        (and of A*X) on the coordinate vectors, so no matrix is built."""
-        if self._ltab is None:
-            p, size = self.p, self.size
-            steps = self._products()
-            vecs = [self.vec_of_index(a) for a in range(size)]
-            L = [[0] * size for _ in range(size)]
-            R = [[0] * size for _ in range(size)]
-            for g, x in enumerate(vecs):
-                for a, y in enumerate(vecs):
-                    left, right = list(y), list(y)
-                    for s, t, u in steps:
-                        left[u] += x[s] * y[t]
-                        right[u] += y[s] * x[t]
-                    L[g][a] = self.index_of_vec([v % p for v in left])
-                    R[a][g] = self.index_of_vec([v % p for v in right])
-            self._ltab, self._rtab = L, R
-        return self._ltab, self._rtab
-
 
 def _orbits(vecs, moves, p):
     """Orbits of the vectors under the moves, closed by breadth-first search.
@@ -375,57 +345,51 @@ def z_value(group, lam):
     return Fraction(group.size, len(members))
 
 
-def brute_superinduce(G, H, chi_vals, budget=None):
-    """Superinduction by the defining double sum.
+def _h_class_of(G, H):
+    """The H-superclass of every G-algebra index, or None when the element
+    is not supported on H's positions: a G-coordinate at H's k-th position
+    is the H-index digit of weight p^k."""
+    if (G.n, G.p) != (H.n, H.p) or not set(H.positions) <= set(G.positions):
+        raise ValueError("H must be a pattern subgroup of G")
+    class_of = H.superclass_table().class_of
+    weight = [H.p ** H.pos_at[pos] if pos in H.pos_at else None for pos in G.positions]
+    out = []
+    for idx in range(G.size):
+        digits = [(c, w) for c, w in zip(G.vec_of_index(idx), weight) if c]
+        on_h = all(w is not None for _, w in digits)
+        out.append(class_of[sum(c * w for c, w in digits)] if on_h else None)
+    return out
+
+
+def brute_superinduce(G, H, chi_vals):
+    """Superinduction, summed over each superclass of G.
 
     ``H`` must be a pattern subgroup of ``G`` (same n and p, positions a
     subset).  ``chi_vals`` gives one Cyclotomic per H-superclass.  Returns a
-    tuple of Cyclotomics, one per G-superclass:
+    tuple of Cyclotomics, one per G-superclass, of the defining double sum
 
         SInd(chi)(g) = 1/(|G||H|) * sum over x,y in G with x(g-1)y + 1 in H
                        of chi(1 + x(g-1)y).
-    """
-    bound = DEFAULT_MAX_BRUTE if budget is None else budget
-    if G.size > bound:
-        raise BudgetError(
-            "brute superinduction over a group of size %d exceeds the budget %d"
-            % (G.size, bound)
-        )
-    if (G.n, G.p) != (H.n, H.p) or not set(H.positions) <= set(G.positions):
-        raise ValueError("H must be a pattern subgroup of G")
 
-    g_table = G.superclass_table()
-    h_table = H.superclass_table()
-    if len(chi_vals) != len(h_table):
+    The map (x, y) -> x(g-1)y covers the superclass O of g-1 and hits each
+    of its points |G|^2/|O| times (orbit-stabilizer for G x G), so
+
+        SInd(chi)(g) = |G|/(|H||O|) * sum over B in O on H of chi(1 + B).
+    """
+    h_class = _h_class_of(G, H)
+    if len(chi_vals) != len(H.superclass_table()):
         raise ValueError("need one value per H-superclass")
     if any(v.p != G.p for v in chi_vals):
         raise ValueError("need values in Q(zeta_%d)" % G.p)
 
-    # Map every G-algebra index to its H-superclass (or None when the
-    # element is not supported on H): a G-coordinate at H's k-th position
-    # is the H-index digit of weight p^k.
-    weight = [H.p ** H.pos_at[pos] if pos in H.pos_at else None for pos in G.positions]
-    g_to_h_class = []
-    for idx in range(G.size):
-        digits = [(c, w) for c, w in zip(G.vec_of_index(idx), weight) if c]
-        on_h = all(w is not None for _, w in digits)
-        g_to_h_class.append(h_table.class_of[sum(c * w for c, w in digits)] if on_h else None)
-
-    L, R = G.action_tables()
-    scale = Fraction(1, G.size * H.size)
     out = []
-    for rep in g_table.reps:
-        # the x-sum grouped by x(g-1): each point of the left orbit, with
-        # its multiplicity, times the H-class histogram of its y-row
-        counts = Counter()
-        for xa, mult in Counter(row[rep] for row in L).items():
-            for c, cnt in Counter(map(g_to_h_class.__getitem__, R[xa])).items():
-                counts[c] += mult * cnt
+    for members in G.superclass_table().members:
         vec = [0] * (G.p - 1)
-        for c, cnt in counts.items():
+        for c, cnt in Counter(map(h_class.__getitem__, members)).items():
             if c is not None:
                 for i, a in enumerate(chi_vals[c].coords):
                     vec[i] += cnt * a
+        scale = Fraction(G.size, H.size * len(members))
         out.append(Cyclotomic._make(G.p, [scale * v for v in vec]))
     return tuple(out)
 

@@ -24,7 +24,7 @@ from .ncsym import (
     p_from_m,
     star_K_product,
 )
-from .oracle import PatternGroup, brute_superinduce, z_value
+from .oracle import PatternGroup, _h_class_of, brute_superinduce, z_value
 from .qcoeff import Cyclotomic, LaurentPoly
 from .ring import (
     CharCombo,
@@ -251,7 +251,7 @@ def sg_identity_b(m, n):
 # Permutation-character factorization of superinduction, by enumeration
 # ---------------------------------------------------------------------------
 
-def permchar_hypothesis_check(G, H, mu_coords, budget=None):
+def permchar_hypothesis_check(G, H, mu_coords):
     """Check, by enumeration, the proportionality hypothesis and the
     factorization conclusion for a supercharacter of H inside G.
 
@@ -278,24 +278,15 @@ def permchar_hypothesis_check(G, H, mu_coords, budget=None):
     chi_deg = chi_h[id_class_h]
     sinf_deg = sinf_g[id_class_g]
 
-    hypothesis = True
-    for h_idx in range(H.size):
-        # h as an element of G: same algebra support
-        coords = {
-            pos: v for pos, v in zip(H.positions, H.vec_of_index(h_idx)) if v
-        }
-        g_alg = [0] * len(G.positions)
-        for pos, v in coords.items():
-            g_alg[G.pos_at[pos]] = v
-        g_cid = g_table.class_of[G.index_of_vec(tuple(g_alg))]
-        h_cid = h_table.class_of[h_idx]
-        if chi_deg * sinf_g[g_cid] != sinf_deg * chi_h[h_cid]:
-            hypothesis = False
-            break
+    hypothesis = all(
+        chi_deg * sinf_g[g_table.class_of[g_idx]] == sinf_deg * chi_h[h_cid]
+        for g_idx, h_cid in enumerate(_h_class_of(G, H))
+        if h_cid is not None
+    )
 
     triv = tuple(Cyclotomic.one(p) for _ in range(len(h_table)))
-    sind_triv = brute_superinduce(G, H, triv, budget=budget)
-    sind_chi = brute_superinduce(G, H, chi_h, budget=budget)
+    sind_triv = brute_superinduce(G, H, triv)
+    sind_chi = brute_superinduce(G, H, chi_h)
 
     ratio = chi_deg.as_rational() / sinf_deg.as_rational()
     conclusion = all(
@@ -534,23 +525,23 @@ def characteristic_map_check(max_total=4, budget=None):
 
     Group side: superinducing the product of scaled superclass indicators
     (z_mu kappa_mu) x (z_nu kappa_nu) from the K-parabolic to the full group
-    lands on z kappa of the glued partition -- computed by the brute-force
-    double sum.  NCSym side: p_mu *_K p_nu = p of the glued partition, with
-    the product computed by the m-basis rule.  Returns the conjunction of
-    all the checks.
+    lands on z kappa of the glued partition -- computed by the oracle, with
+    every group it builds bounded by ``budget``.  NCSym side:
+    p_mu *_K p_nu = p of the glued partition, with the product computed by
+    the m-basis rule.  Returns the conjunction of all the checks.
     """
     p = 2
     for total in range(2, max_total + 1):
-        G = PatternGroup.full(total, p)
+        G = PatternGroup.full(total, p, max_size=budget)
         gt = G.superclass_table()
         for m in range(1, total):
             n = total - m
-            Gm = PatternGroup.full(m, p)
-            Gn = PatternGroup.full(n, p)
+            Gm = PatternGroup.full(m, p, max_size=budget)
+            Gn = PatternGroup.full(n, p, max_size=budget)
             for block1 in itertools.combinations(range(1, total + 1), m):
                 block2 = tuple(v for v in range(1, total + 1) if v not in block1)
                 K = PartitionIndex(total, [block1, block2])
-                H = PatternGroup.parabolic(K, p)
+                H = PatternGroup.parabolic(K, p, max_size=budget)
                 ht = H.superclass_table()
                 for mu_parts in set_partitions(range(1, m + 1)):
                     mu = _labeled_of_parts(mu_parts, m)
@@ -565,7 +556,7 @@ def characteristic_map_check(max_total=4, budget=None):
                             Cyclotomic.from_rational(p, scale if lab == glued else 0)
                             for lab in ht.labels
                         )
-                        vals = brute_superinduce(G, H, chi_vals, budget=budget)
+                        vals = brute_superinduce(G, H, chi_vals)
                         for lab, got in zip(gt.labels, vals):
                             want = Fraction(z_glued) if lab == glued else Fraction(0)
                             if got.as_rational() != want:

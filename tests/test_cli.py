@@ -248,6 +248,21 @@ class TestVerify:
         assert code == cli.EXIT_BUDGET
         assert "budget refused" in err
 
+    @pytest.mark.parametrize(
+        "suite, detail",
+        [("superinduction", "972 coefficients"), ("charmap", "degrees up to 4")],
+        ids=["superinduction", "charmap"],
+    )
+    def test_budget_bounds_every_group_of_the_suite(self, suite, detail, capsys, monkeypatch):
+        # below the default bound U_4(2) is refused unless --budget reaches
+        # every group the suite builds, the subgroups included
+        from superchar import oracle
+
+        monkeypatch.setattr(oracle, "DEFAULT_MAX_GROUP", 32)
+        argv = ["verify", "--suite", suite, "--q", "2", "--max-n", "4", "--budget", "64"]
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (0, "%s: ok (%s)\n" % (suite, detail))
+
     def test_all_runs_the_suites_defined_at_q(self, capsys):
         # the characteristic map lives at q = 2, so q = 3 skips only it
         code, out, _ = run(["verify", "--suite", "all", "--q", "3", "--max-n", "2"], capsys)
