@@ -84,6 +84,7 @@ class PatternGroup:
         self.size = size
         self.index = index  # PartitionIndex when built as a parabolic
         self._class_table = None
+        self._class_maps = {}  # G -> _h_class_of(G, self)
         self._dual = None
         self._char_rows = None
 
@@ -348,7 +349,11 @@ def z_value(group, lam):
 def _h_class_of(G, H):
     """The H-superclass of every G-algebra index, or None when the element
     is not supported on H's positions: a G-coordinate at H's k-th position
-    is the H-index digit of weight p^k."""
+    is the H-index digit of weight p^k.  Built once per (G, H) and kept on
+    H, as H keeps its superclass table."""
+    out = H._class_maps.get(G)
+    if out is not None:
+        return out
     if (G.n, G.p) != (H.n, H.p) or not set(H.positions) <= set(G.positions):
         raise ValueError("H must be a pattern subgroup of G")
     class_of = H.superclass_table().class_of
@@ -358,6 +363,7 @@ def _h_class_of(G, H):
         digits = [(c, w) for c, w in zip(G.vec_of_index(idx), weight) if c]
         on_h = all(w is not None for _, w in digits)
         out.append(class_of[sum(c * w for c, w in digits)] if on_h else None)
+    H._class_maps[G] = out
     return out
 
 

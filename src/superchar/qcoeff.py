@@ -8,8 +8,11 @@ Two scalar domains, both exact:
   rational basis ``1, zeta, ..., zeta^(p-2)`` with the reduction
   ``zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))``.
 
-Everything here is immutable; operations return fresh objects, so values can
-be shared freely across threads or processes.
+Everything here is immutable, so values can be shared freely across threads
+or processes: an operation may return one of its operands or a shared
+constant rather than a fresh object.  Values are validated where they enter
+(the public constructors, ``from_text``, ``from_json``); arithmetic builds
+its results with an unchecked ``_make``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,11 @@ class LaurentPoly:
 
     ``coeffs`` maps exponent (any int, negative allowed) to a nonzero int.
     Supports +, -, * (with ints and other LaurentPolys), integer powers,
-    exact shifts by q^k, and exact evaluation at a rational point.
+    exact shifts by q^k, and exact evaluation at a rational point.  The
+    public constructor (and so ``from_text`` and ``from_json``) checks every
+    exponent and coefficient and drops zeros; arithmetic builds its results
+    with ``_make``, unchecked.  ``one`` and ``q_minus_one`` are shared
+    constants.
     """
 
     __slots__ = ("coeffs",)
@@ -60,6 +67,14 @@ class LaurentPoly:
                     clean[e] = c
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _make(cls, coeffs):
+        """A polynomial owning the trusted dict ``coeffs`` (int exponents to
+        nonzero ints), with no checks: the constructor of internal results."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -71,7 +86,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def const(cls, c):
@@ -84,7 +99,7 @@ class LaurentPoly:
 
     @classmethod
     def q_minus_one(cls):
-        return cls({1: 1, 0: -1})
+        return _Q_MINUS_ONE
 
     # -- ring operations ----------------------------------------------------
 
@@ -92,7 +107,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int):
-            return LaurentPoly.const(other)
+            return LaurentPoly._make({0: other} if other else {})
         return NotImplemented
 
     def __add__(self, other):
@@ -101,13 +116,17 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return LaurentPoly._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._make({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -122,12 +141,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        x, y = (other, self) if len(self.coeffs) == 1 else (self, other)
+        if len(y.coeffs) == 1:
+            # a single term c*q^k shifts and scales; the term 1 is the identity
+            (k, c), = y.coeffs.items()
+            if k == 0 and c == 1:
+                return x
+            return LaurentPoly._make({e + k: a * c for e, a in x.coeffs.items()})
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._make({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -141,7 +167,9 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by q^k (k may be negative; always exact for Laurent)."""
-        return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
+        if not isinstance(k, int):
+            raise TypeError("LaurentPoly shifts by an int power of q")
+        return LaurentPoly._make({e + k: c for e, c in self.coeffs.items()})
 
     # -- queries ------------------------------------------------------------
 
@@ -159,20 +187,21 @@ class LaurentPoly:
         return hash(frozenset(c.items())) if c.keys() - {0} else hash(c.get(0, 0))
 
     def eval_at(self, x):
-        """Exact evaluation; returns a Fraction (or int when x is int and
-        no negative exponents occur).  Evaluation at 0 with a negative
+        """Exact evaluation; returns an int when x is an int and the value
+        is integral, else a Fraction.  At an int x the sum is taken in ints:
+        with a negative least exponent low, q^-low times the polynomial is
+        summed and divided by x^-low once.  Evaluation at 0 with a negative
         exponent present is an error."""
-        if x == 0 and any(e < 0 for e in self.coeffs):
+        low = min(self.coeffs, default=0)
+        if x == 0 and low < 0:
             raise ZeroDivisionError("Laurent polynomial has a pole at q=0")
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            if e >= 0:
-                total += c * Fraction(x) ** e
-            else:
-                total += c / (Fraction(x) ** (-e))
-        if total.denominator == 1 and isinstance(x, int):
-            return int(total)
-        return total
+        if not isinstance(x, int):
+            x = Fraction(x)
+            return sum((c * x ** e for e, c in self.coeffs.items()), Fraction(0))
+        if low >= 0:
+            return sum(c * x ** e for e, c in self.coeffs.items())
+        value = Fraction(sum(c * x ** (e - low) for e, c in self.coeffs.items()), x ** -low)
+        return value.numerator if value.denominator == 1 else value
 
     # -- serialization ------------------------------------------------------
 
@@ -246,6 +275,10 @@ class LaurentPoly:
         if not isinstance(obj, dict):
             raise ValueError("Laurent JSON form must be an object")
         return cls({int(e): int(c) for e, c in obj.items()})
+
+
+_ONE = LaurentPoly._make({0: 1})
+_Q_MINUS_ONE = LaurentPoly._make({1: 1, 0: -1})
 
 
 # ---------------------------------------------------------------------------

@@ -492,18 +492,23 @@ def tensor(x, y, p):
 # Restriction to parabolic subgroups
 # ---------------------------------------------------------------------------
 
-def _trace(arcs, part, where):
+def _ranks(part, n):
+    """Every vertex's rank against the sorted part P, indexed by v in
+    0..n+1: 2k-1 on P's k-th vertex, 2k in the gap after it."""
+    return [bisect_left(part, v) + bisect_right(part, v) for v in range(n + 2)]
+
+
+def _trace(arcs, rank, block, where):
     """All that part P of K sees of the character of U_L with ``arcs``
-    (``where`` maps a vertex to its part of L): for each arc in P's part of
-    L whose span meets P, its endpoints' ranks against P (2k-1 on P's k-th
-    vertex, 2k in the gap after it) and its label if both ends lie on P."""
-    block = where[part[0]]
+    (``where`` maps a vertex to its part of L, ``block`` is P's part of L
+    and ``rank`` is ``_ranks(P, n)``): for each arc in P's part of L whose
+    span meets P, its endpoints' ranks and its label if both ends lie on P."""
     trace = []
     for i, l, a in arcs:
         if where[i] != block:
             continue
-        ri = bisect_left(part, i) + bisect_right(part, i)
-        rl = bisect_left(part, l) + bisect_right(part, l)
+        ri = rank[i]
+        rl = rank[l]
         if ri != rl:
             trace.append((ri, rl, a if ri & rl & 1 else 0))
     return tuple(trace)
@@ -568,7 +573,10 @@ def _restrict(arcs, K, p, L):
     memo = {(): {(): one}}
     acc = {}
     _superimpose(
-        K, lambda part: _memo_factor(_trace(arcs, part, where), p, memo).items(),
+        K,
+        lambda part: _memo_factor(
+            _trace(arcs, _ranks(part, K.n), where[part[0]], where), p, memo
+        ).items(),
         one, acc,
     )
     return acc
@@ -646,7 +654,10 @@ def superinduce(mu, K, p, L=None):
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
     where = L.part_lookup()
-    parts = [(part, _local(mu.arcs, _numbering(part))) for part in K.parts]
+    parts = [
+        (_ranks(part, K.n), where[part[0]], _local(mu.arcs, _numbering(part)))
+        for part in K.parts
+    ]
     one = LaurentPoly.one()
     memo = {(): {(): one}}
     terms = []
@@ -654,8 +665,8 @@ def superinduce(mu, K, p, L=None):
         if not _containment_prune(mu.arcs, nu.arcs):
             continue
         b = one
-        for part, loc in parts:
-            c = _memo_factor(_trace(nu.arcs, part, where), p, memo).get(loc)
+        for rank, block, loc in parts:
+            c = _memo_factor(_trace(nu.arcs, rank, block, where), p, memo).get(loc)
             if c is None:
                 break
             b = b * c

@@ -68,6 +68,64 @@ class TestLaurentPoly:
             g = random_poly(rng)
             assert LaurentPoly.from_text(str(g)) == g
 
+    def test_cancelling_results_are_zero(self):
+        q = LaurentPoly({1: 1})
+        diff = (q + 1) * (q - 1) - (q * q - 1)
+        assert diff.coeffs == {}
+        assert hash(diff) == hash(0)
+        product = LaurentPoly({1: 1, 0: 1}) * LaurentPoly({1: 1, 0: -1}) * LaurentPoly.zero()
+        assert product.coeffs == {}
+        assert hash(product) == 0
+        assert (q - q).coeffs == {}
+        assert (LaurentPoly({2: 3}) + LaurentPoly({2: -3, 0: 1})).coeffs == {0: 1}
+
+    def test_one_is_a_two_sided_identity(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            f = random_poly(rng)
+            assert f * LaurentPoly.one() == f
+            assert LaurentPoly.one() * f == f
+            assert (f * 1).coeffs == f.coeffs == (1 * f).coeffs
+
+    def test_shared_constants_survive_a_superinduce_sweep(self):
+        from superchar.ring import restrict, superinduce
+        from superchar.setpart import PartitionIndex, enumerate_compatible, set_partitions
+
+        for p, n in ((2, 4), (3, 3)):
+            full = PartitionIndex.full(n)
+            for parts in set_partitions(range(1, n + 1)):
+                K = PartitionIndex(n, parts)
+                for mu in enumerate_compatible(K, p):
+                    superinduce(mu, K, p)
+                for lam in enumerate_compatible(full, p):
+                    restrict(lam, K, p)
+        assert LaurentPoly.one().coeffs == {0: 1}
+        assert LaurentPoly.q_minus_one().coeffs == {1: 1, 0: -1}
+
+    def test_int_evaluation_matches_fraction_evaluation(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            f = random_poly(rng) + LaurentPoly({-rng.randrange(1, 4): rng.randrange(1, 9)})
+            x = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+            value = f.eval_at(x)
+            assert value == f.eval_at(Fraction(x))
+            if Fraction(value).denominator == 1:
+                assert type(value) is int
+        # integral although a negative exponent is present
+        value = LaurentPoly({-1: 4, 1: 1}).eval_at(2)
+        assert value == 4 and type(value) is int
+        assert type(LaurentPoly({-2: 1}).eval_at(2)) is Fraction
+
+    def test_constructor_refuses_non_int_coefficients(self):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: 1.0})
+        with pytest.raises(TypeError):
+            LaurentPoly({1: Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            LaurentPoly({1: Fraction(2)})
+        with pytest.raises(TypeError):
+            LaurentPoly({0.5: 1})
+
 
 class TestCyclotomic:
     def test_theta_is_a_character(self):
