@@ -12,10 +12,15 @@ The budget is hard: a group larger than its bound raises
 :class:`BudgetError` instead of grinding.  The default bound is 3^6 = 729
 elements (U_4(3)); every table and sum here is a pass over one group's
 algebra or dual, so the group bound bounds all of the oracle's work.
+
+A group built with a partition index K must have K's parabolic positions.
+Both orbit searches then start at K's labels, so superclass i and
+supercharacter row i belong to label i.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -70,6 +75,8 @@ class PatternGroup:
             raise ValueError("repeated position")
         if not _is_transitively_closed(positions):
             raise ValueError("position set is not transitively closed")
+        if index is not None and (index.n != n or positions != _parabolic_positions(index)):
+            raise ValueError("positions are not the parabolic positions of %s" % index.to_text())
         size = p ** len(positions)
         bound = DEFAULT_MAX_GROUP if max_size is None else max_size
         if size > bound:
@@ -83,6 +90,7 @@ class PatternGroup:
         self.pos_at = {pos: k for k, pos in enumerate(positions)}
         self.size = size
         self.index = index  # PartitionIndex when built as a parabolic
+        self._starts = None
         self._class_table = None
         self._class_maps = {}  # G -> _h_class_of(G, self)
         self._dual = None
@@ -93,19 +101,12 @@ class PatternGroup:
     @classmethod
     def full(cls, n, p, max_size=None):
         """The full unipotent group U_n(p)."""
-        positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        return cls(n, positions, p, max_size=max_size, index=PartitionIndex.full(n))
+        return cls.parabolic(PartitionIndex.full(n), p, max_size=max_size)
 
     @classmethod
     def parabolic(cls, index, p, max_size=None):
         """U_K for a partition index K: positions are the pairs inside parts."""
-        positions = []
-        for part in index.parts:
-            for i in part:
-                for j in part:
-                    if i < j:
-                        positions.append((i, j))
-        return cls(index.n, positions, p, max_size=max_size, index=index)
+        return cls(index.n, _parabolic_positions(index), p, max_size=max_size, index=index)
 
     # -- element encoding ----------------------------------------------------
 
@@ -149,54 +150,15 @@ class PatternGroup:
 
     # -- superclasses --------------------------------------------------------
 
-    def superclass_table(self):
-        """Orbits of the algebra under two-sided multiplication by the group,
-        closed by BFS over the one-sided moves of the generators (``_moves``).
+    def _label_starts(self):
+        """(labels, vecs): the index's labels in enumeration order and the
+        vectors of their u_lam - 1, where both searches start (none without)."""
+        if self._starts is None:
+            labels = [] if self.index is None else list(enumerate_compatible(self.index, self.p))
+            self._starts = (labels, [self._label_vec(lam) for lam in labels])
+        return self._starts
 
-        When the group carries a partition index, classes are listed in the
-        enumeration order of their labeled set partitions and represented by
-        the corresponding u_mu - 1; otherwise by their minimal element.
-        """
-        if self._class_table is not None:
-            return self._class_table
-        p = self.p
-        vecs = [self.vec_of_index(i) for i in range(self.size)]
-        left, right = self._moves()
-        found, orbit_of = _orbits(vecs, left + right, p)
-        class_of = [orbit_of[vec] for vec in vecs]
-        orbits = [sorted(map(self.index_of_vec, members)) for members in found]
-
-        if self.index is not None:
-            labels = list(enumerate_compatible(self.index, p))
-            if len(labels) != len(orbits):
-                raise AssertionError(
-                    "superclass count %d does not match label count %d"
-                    % (len(orbits), len(labels))
-                )
-            reps, ordered, label_list = [], [], []
-            taken = set()
-            for lam in labels:
-                rep = self.index_of_superclass_label(lam)
-                cid = class_of[rep]
-                if cid in taken:
-                    raise AssertionError("two labels landed in one superclass")
-                taken.add(cid)
-                reps.append(rep)
-                ordered.append(orbits[cid])
-                label_list.append(lam)
-            orbits = ordered
-            for new_cid, members in enumerate(orbits):
-                for m in members:
-                    class_of[m] = new_cid
-        else:
-            reps = [members[0] for members in orbits]
-            label_list = [None] * len(orbits)
-
-        self._class_table = SuperclassTable(reps, orbits, class_of, label_list)
-        return self._class_table
-
-    def index_of_superclass_label(self, lam):
-        """Algebra index of u_mu - 1 for a labeled partition mu."""
+    def _label_vec(self, lam):
         vec = [0] * len(self.positions)
         for arc in lam.arcs:
             k = self.pos_at.get((arc.left, arc.right))
@@ -205,7 +167,33 @@ class PatternGroup:
             vec[k] = arc.label % self.p
             if vec[k] == 0:
                 raise ValueError("arc label vanishes mod p")
-        return self.index_of_vec(tuple(vec))
+        return tuple(vec)
+
+    def superclass_table(self):
+        """Orbits of the algebra under two-sided multiplication by the group,
+        closed by BFS over the one-sided moves of the generators (``_moves``).
+
+        Searched from the labels, class i is label i's and is represented by
+        its u_lam - 1; without an index, the search runs in index order, so
+        classes come by, and are represented by, their least index.
+        """
+        if self._class_table is None:
+            labels, starts = self._label_starts()
+            vecs = [self.vec_of_index(i) for i in range(self.size)]
+            left, right = self._moves()
+            found, orbit_of = _orbits(starts + vecs, left + right, self.p)
+            _check_starts(starts, found, orbit_of)
+            self._class_table = SuperclassTable(
+                [self.index_of_vec(members[0]) for members in found],
+                [sorted(map(self.index_of_vec, members)) for members in found],
+                [orbit_of[vec] for vec in vecs],
+                labels or [None] * len(found),
+            )
+        return self._class_table
+
+    def index_of_superclass_label(self, lam):
+        """Algebra index of u_mu - 1 for a labeled partition mu."""
+        return self.index_of_vec(self._label_vec(lam))
 
     def class_of_label(self, lam):
         """Class id of the superclass of u_lam."""
@@ -217,11 +205,17 @@ class PatternGroup:
         """Orbits of the dual space under (x.lam.y)(A) = lam(x^-1 A y^-1),
         a functional being its coordinate vector lam(E_pos) over the
         positions; returns (orbits, orbit_of, right_sizes), where
-        right_sizes[i] is the size of the right orbit of orbits[i][0]."""
+        right_sizes[i] is the size of the right orbit of orbits[i][0].
+
+        The search starts at the labels (lam's functional is the vector of
+        u_lam - 1), so orbit i is label i's; the other functionals follow in
+        increasing order, so without an index orbits come by least functional."""
         if self._dual is None:
-            vecs = [self.vec_of_index(i) for i in range(self.size)]
+            starts = self._label_starts()[1]
+            vecs = itertools.product(range(self.p), repeat=len(self.positions))
             left, right = self._moves(dual=True)
-            orbits, orbit_of = _orbits(vecs, left + right, self.p)
+            orbits, orbit_of = _orbits(itertools.chain(starts, vecs), left + right, self.p)
+            _check_starts(starts, orbits, orbit_of)
             right_sizes = [len(_orbits([members[0]], right, self.p)[0][0])
                            for members in orbits]
             self._dual = (orbits, orbit_of, right_sizes)
@@ -232,46 +226,24 @@ class PatternGroup:
 
         chi_lam = (|lam.G| / |G.lam.G|) * sum over the orbit of theta o mu,
         evaluated at the class representatives.  Returns a list of rows
-        ``{"functional": vec, "values": tuple[Cyclotomic]}`` ordered to match
-        the superclass labels when the group has them (so row i is the
-        supercharacter of label i), else by minimal functional.
+        ``{"functional": vec, "values": tuple[Cyclotomic]}``, row i from dual
+        orbit i: with an index, row i is the supercharacter of label i, else
+        rows are ordered by their least functional, ``functional``.
         """
-        if self._char_rows is not None:
-            return self._char_rows
-        p = self.p
-        table = self.superclass_table()
-        orbits, orbit_of, right_sizes = self._dual_orbits()
-
-        def value_at(members, rsize, rep_idx):
-            X = self.vec_of_index(rep_idx)
-            counts = [0] * p
-            for mu in members:
-                r = sum(a * x for a, x in zip(mu, X)) % p
-                counts[r] += 1
-            scale = Fraction(rsize, len(members))
-            return Cyclotomic._from_full(p, [scale * c for c in counts])
-
-        rows = []
-        for oid, members in enumerate(orbits):
-            values = tuple(
-                value_at(members, right_sizes[oid], rep) for rep in table.reps
-            )
-            rows.append({"functional": min(members), "values": values, "orbit": oid})
-
-        if self.index is not None:
-            ordered = []
-            taken = set()
-            for lam in table.labels:
-                oid = orbit_of[self.vec_of_index(self.index_of_superclass_label(lam))]
-                if oid in taken:
-                    raise AssertionError("two labels map to one dual orbit")
-                taken.add(oid)
-                ordered.append(rows[oid])
-            rows = ordered
-        else:
-            rows.sort(key=lambda row: row["functional"])
-        self._char_rows = rows
-        return rows
+        if self._char_rows is None:
+            p = self.p
+            reps = [self.vec_of_index(rep) for rep in self.superclass_table().reps]
+            orbits, _, right_sizes = self._dual_orbits()
+            rows = []
+            for members, rsize in zip(orbits, right_sizes):
+                scale = Fraction(rsize, len(members))
+                values = []
+                for X in reps:
+                    counts = Counter(sum(a * x for a, x in zip(mu, X)) % p for mu in members)
+                    values.append(Cyclotomic._from_full(p, [scale * counts[r] for r in range(p)]))
+                rows.append({"functional": min(members), "values": tuple(values)})
+            self._char_rows = rows
+        return self._char_rows
 
     def char_values_of_functional(self, coords):
         """Supercharacter values (per superclass) of the dual orbit through
@@ -279,8 +251,18 @@ class PatternGroup:
         vec = [0] * len(self.positions)
         for pos, v in coords.items():
             vec[self.pos_at[pos]] = v % self.p
-        oid = self._dual_orbits()[1][tuple(vec)]
-        return next(row["values"] for row in self.character_table() if row["orbit"] == oid)
+        return self.character_table()[self._dual_orbits()[1][tuple(vec)]]["values"]
+
+
+def _parabolic_positions(index):
+    """The sorted positions of U_K: the pairs i < j inside a part of K."""
+    return tuple(sorted((i, j) for part in index.parts for i in part for j in part if i < j))
+
+
+def _check_starts(starts, orbits, orbit_of):
+    """A search from the labels: label i starts orbit i, and none is left."""
+    if starts and [orbit_of[vec] for vec in starts] != list(range(len(orbits))):
+        raise AssertionError("the labels do not index the orbits one to one")
 
 
 def _orbits(vecs, moves, p):

@@ -318,7 +318,7 @@ class WordExpansion:
     and a class is either absent or fully present.
     """
 
-    __slots__ = ("alphabet", "degree", "coeffs")
+    __slots__ = ("alphabet", "degree", "coeffs", "_classes")
 
     def __init__(self, alphabet, degree, coeffs):
         alphabet = int(alphabet)
@@ -353,6 +353,7 @@ class WordExpansion:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_classes", {parts: v[0] for parts, v in by_class.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("WordExpansion is immutable")
@@ -383,13 +384,9 @@ class WordExpansion:
         )
 
     def class_coefficients(self):
-        """Map equal-positions partition -> the common coefficient."""
-        out = {}
-        for word, c in self.coeffs.items():
-            parts = _parts_of_word(word)
-            if parts not in out:
-                out[parts] = c
-        return out
+        """Map equal-positions partition -> the common coefficient, as the
+        constructor found it."""
+        return dict(self._classes)
 
 
 def _monomial_words(K, N):

@@ -662,8 +662,6 @@ def superinduce(mu, K, p, L=None):
     memo = {(): {(): one}}
     terms = []
     for nu in enumerate_compatible(L, p):
-        if not _containment_prune(mu.arcs, nu.arcs):
-            continue
         b = one
         for rank, block, loc in parts:
             c = _memo_factor(_trace(nu.arcs, rank, block, where), p, memo).get(loc)
@@ -673,13 +671,6 @@ def superinduce(mu, K, p, L=None):
         else:
             terms.append((nu, b.shift(c_mu - nu.crossings_within(L))))
     return CharCombo(L, terms)
-
-
-def _containment_prune(mu_arcs, nu_arcs):
-    """Necessary condition for chi^mu to appear in the restriction of
-    chi^nu: every arc of mu lies inside the closed interval of some arc of
-    nu (the restriction cases only ever shrink arcs)."""
-    return all(any(j <= i and l <= k for j, k, _ in nu_arcs) for i, l, _ in mu_arcs)
 
 
 def star_K(lam, mu, K, p):

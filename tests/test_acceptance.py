@@ -278,10 +278,14 @@ def test_criterion_08_labeled_partition_counting():
 def test_criterion_09_inflation_restriction_product_identities():
     """The four product identities relating a character to its inflated
     restrictions hold pointwise on every superclass, for every admissible
-    vertex quadruple i < j < k < l and all labels, n <= 5 at p = 2."""
+    vertex quadruple i < j < k < l and all labels: n <= 5 at p = 2, and
+    n = 4 at p = 3 with every label pair (a, b), where a + b = 0 mod 3 for
+    two pairs and the fourth identity, for a + b != 0, runs on the other two."""
     for n in (4, 5):
         for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
             assert sinfres_identities_check(i, j, k, l, 1, 1, n, 2), (i, j, k, l, n)
+    for a, b in itertools.product((1, 2), repeat=2):
+        assert sinfres_identities_check(1, 2, 3, 4, a, b, 4, 3), (a, b)
 
 
 def test_criterion_10_permutation_character_factorization_remark():

@@ -230,6 +230,31 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize(
+        "suite, module, name, scaled",
+        [
+            ("orthogonality", "oracle", "brute_inner_product", lambda v: v * 2),
+            ("restriction", "cli", "restrict_combo", lambda x: x.scale(2)),
+            ("tensor", "cli", "tensor", lambda x: x.scale(2)),
+            ("superinduction", "cli", "superinduce", lambda x: x.scale(2)),
+        ],
+        ids=["orthogonality", "restriction", "tensor", "superinduction"],
+    )
+    def test_suite_catches_a_wrong_answer(self, suite, module, name, scaled, capsys, monkeypatch):
+        import importlib
+
+        target = importlib.import_module("superchar." + module)
+        right = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *args: scaled(right(*args)))
+        argv = ["verify", "--suite", suite, "--q", "2", "--max-n", "2"]
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_VERIFY
+        assert out.startswith(suite + ": FAIL (")
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == cli.EXIT_VERIFY
+        report = json.loads(out)
+        assert (report["suite"], report["ok"]) == (suite, False)
+
     def test_budget_refusal(self, capsys):
         code, _, err = run(
             [

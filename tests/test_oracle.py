@@ -74,6 +74,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PatternGroup(3, [(1, 2), (1, 2)], 2)  # repeated
 
+    def test_refuses_an_index_its_positions_do_not_match(self):
+        with pytest.raises(ValueError, match="parabolic positions"):
+            PatternGroup(3, [(1, 2)], 2, index=PartitionIndex.full(3))
+        with pytest.raises(ValueError, match="parabolic positions"):
+            PatternGroup(3, [(1, 2)], 2, index=PartitionIndex.full(2))  # another n
+        with pytest.raises(ValueError, match="parabolic positions"):
+            PatternGroup(3, [(1, 2), (1, 3), (2, 3)], 2, index=PartitionIndex(3, [[1, 3], [2]]))
+        K = PartitionIndex(4, [[1, 3], [2, 4]])
+        G = PatternGroup(4, [(2, 4), (1, 3)], 2, index=K)  # any order of K's positions
+        assert G.positions == PatternGroup.parabolic(K, 2).positions
+        assert len(G.superclass_table()) == 4
+
     def test_group_budget(self):
         with pytest.raises(BudgetError):
             PatternGroup.full(5, 2)
