@@ -3,7 +3,7 @@
 Parses requests, runs the exact computations, renders canonical text or
 JSON, and optionally caches rendered results on disk.  Exit codes: 0 for
 success, 1 for a verification failure, 2 for a parse/usage error, 3 for a
-budget refusal.
+budget refusal, 4 for an internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_char(text, q, n=None):
@@ -617,6 +618,9 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -49,17 +50,17 @@ __all__ = [
     "kappa_to_chi",
 ]
 
+_LABEL_OUTSIDE = "arc %d-%d:%d has a label outside 1..%d"
+
 
 def check_labels(lams, p):
     """Refuse, with ValueError, a labeled partition in ``lams`` with an arc
     label outside 1..p-1 (the labels of U_n(p)); the public rules call
     this at their entry, their cores trust it."""
     for lam in lams:
-        for a in lam.arcs:
-            if a.label >= p:
-                raise ValueError(
-                    "arc %d-%d:%d has a label outside 1..%d" % (a.left, a.right, a.label, p - 1)
-                )
+        for i, l, a in lam.arcs:
+            if a >= p:
+                raise ValueError(_LABEL_OUTSIDE % (i, l, a, p - 1))
 
 
 def _add(acc, key, c):
@@ -201,15 +202,11 @@ class CharCombo:
         ]
         return cls(ambient, terms)
 
-    _TERM_RE = None
+    _TERM_RE = re.compile(r"\(([^()]*)\)\*chi\[([^\]]*)\]")
 
     @classmethod
     def from_text(cls, s, ambient):
         """Parse the canonical rendering back into a combination."""
-        import re
-
-        if cls._TERM_RE is None:
-            CharCombo._TERM_RE = re.compile(r"\(([^()]*)\)\*chi\[([^\]]*)\]")
         s = s.strip()
         if s == "0":
             return cls.zero(ambient)
@@ -359,25 +356,45 @@ def _local(arcs, fwd):
     return tuple((fwd[i], fwd[l], a) for i, l, a in arcs if i in fwd and l in fwd)
 
 
-def _superimpose(K, factor, coeff, acc):
+def _superimpose(K, factors, coeff, acc):
     """Add coeff times a product over the parts of K into ``acc``.
 
     U_K is the direct product of its parts' groups, so every branching rule
-    computes one factor per part and superimposes the factors.  For each
-    part, ``factor(part)`` returns the part's factor as (arcs, LaurentPoly)
-    pairs, with the arcs in the part's numbering 1..m.  The arcs are carried
+    computes one factor per part and superimposes the factors.  ``factors``
+    gives each part's factor, in ``K.parts`` order, as (arcs, LaurentPoly)
+    pairs with the arcs in the part's numbering 1..m.  The arcs are carried
     back onto the part, and each choice of one term per part adds its
     superimposed arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
     """
     partial = [((), coeff)]
-    for part in K.parts:
+    for part, factor in zip(K.parts, factors):
         terms = [
             (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
-            for arcs, c in factor(part)
+            for arcs, c in factor
         ]
         partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
     for arcs, c in partial:
         _add(acc, tuple(sorted(arcs)), c)
+
+
+def _bracket(i, l, left, right, p):
+    """The subset restriction rule's bracket of an arc i-l for a vertex set
+    that keeps i (``left``), keeps l (``right``) or keeps neither, with its
+    vertices between them numbered i+1..l-1, as (arc tuple, LaurentPoly)
+    pairs.  Keeping l, it is the empty diagram plus every j-l; keeping i,
+    the empty diagram plus every i-k; keeping neither, (q-1)(l-i-1)+1 times
+    the empty diagram plus q-1 times every j-k with i < j < k < l."""
+    units = range(1, p)
+    between = range(i + 1, l)
+    one = LaurentPoly.one()
+    if right:
+        return [((), one)] + [(((j, l, b),), one) for j in between for b in units]
+    if left:
+        return [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+    qm1 = LaurentPoly.q_minus_one()
+    return [((), qm1 * len(between) + one)] + [
+        (((j, k, c),), qm1) for j, k in itertools.combinations(between, 2) for c in units
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +403,25 @@ def _superimpose(K, factor, coeff, acc):
 
 def tensor_pair(arc1, arc2, p):
     """Product of two single-arc supercharacters of U_n, as (sorted arc
-    tuple, coefficient) pairs.
-
-    Compatible arcs (all endpoints distinct, or meeting head-to-tail) simply
-    superimpose; arcs sharing a left endpoint, a right endpoint, or both
-    rewrite into strictly smaller diagrams.
-    """
+    tuple, coefficient) pairs read off ``_bracket``: an arc i-l times itself
+    is its brackets keeping i and keeping l superimposed when the labels
+    cancel, else the merged arc over its bracket keeping neither end; a
+    shorter arc sharing an end with a longer one gives the longer arc over
+    the shorter one's bracket keeping its other end.  Compatible arcs (all
+    endpoints distinct, or head-to-tail) simply superimpose."""
     (i1, l1, a1), (i2, l2, a2) = arc1, arc2
-    units = range(1, p)
-    one = LaurentPoly.one()
-
     if (i1, l1) == (i2, l2):
-        i, l = i1, l1
-        inner = range(i + 1, l)
         if (a1 + a2) % p == 0:
-            # (1 + every arc i-j) superimposed with (1 + every arc k-l)
-            lefts = [()] + [((i, j, c),) for j in inner for c in units]
-            rights = [()] + [((k, l, c),) for k in inner for c in units]
-            return [(x + y, one) for x in lefts for y in rights]
-        merged = (i, l, (a1 + a2) % p)
-        qm1 = LaurentPoly.q_minus_one()
-        return [((merged,), qm1 * (l - i - 1) + one)] + [
-            ((merged, (j, k, c)), qm1) for j in inner for k in range(j + 1, l) for c in units
-        ]
-
-    if i1 == i2:
-        # the shorter arc i-k gives way to the longer i-l
-        (i, k, _), keep = sorted((tuple(arc1), tuple(arc2)))
-        return [((keep,), one)] + [
-            ((keep, (j, k, c)), one) for j in range(i + 1, k) for c in units
-        ]
-
-    if l1 == l2:
-        # the shorter arc j-l gives way to the longer i-l
-        keep, (j, l, _) = sorted((tuple(arc1), tuple(arc2)))
-        return [((keep,), one)] + [
-            ((keep, (j, k, c)), one) for k in range(j + 1, l) for c in units
-        ]
-
+            lefts, rights = _bracket(i1, l1, True, False, p), _bracket(i1, l1, False, True, p)
+            return [(x + y, cx * cy) for x, cx in lefts for y, cy in rights]
+        merged = ((i1, l1, (a1 + a2) % p),)
+        return [(merged + arcs, c) for arcs, c in _bracket(i1, l1, False, False, p)]
+    if i1 == i2 or l1 == l2:
+        # the longer arc sorts before every arc of the shorter one's bracket
+        keep, (i, l, _) = (arc1, arc2) if l1 - i1 > l2 - i2 else (arc2, arc1)
+        return [((tuple(keep),) + arcs, c) for arcs, c in _bracket(i, l, l1 == l2, i1 == i2, p)]
     # head-to-tail chains and disjoint arcs superimpose directly
-    return [(tuple(sorted((tuple(arc1), tuple(arc2)))), one)]
+    return [(tuple(sorted((tuple(arc1), tuple(arc2)))), LaurentPoly.one())]
 
 
 def _conflicting_pair(arcs):
@@ -464,9 +460,11 @@ def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
     basis by repeatedly rewriting the least conflicting pair."""
     arcs = [tuple(a) for a in arcs]
-    for i, l, _ in arcs:
+    for i, l, a in arcs:
         if not 1 <= i < l <= n:
             raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
+        if not 0 < a < p:
+            raise ValueError(_LABEL_OUTSIDE % (i, l, a, p - 1))
     return _combo(PartitionIndex.full(n), _straighten(arcs, p))
 
 
@@ -480,11 +478,8 @@ def tensor(x, y, p):
     for lam1, c1 in x.terms.items():
         for lam2, c2 in y.terms.items():
             arcs = lam1.arcs + lam2.arcs
-
-            def factor(part):
-                return _straighten(_local(arcs, _numbering(part)), p).items()
-
-            _superimpose(K, factor, c1 * c2, acc)
+            factors = [_straighten(_local(arcs, _numbering(part)), p).items() for part in K.parts]
+            _superimpose(K, factors, c1 * c2, acc)
     return _combo(K, acc)
 
 
@@ -517,28 +512,18 @@ def _trace(arcs, rank, block, where):
 def _extend(product, step, p):
     """One arc ``step`` of a ``_trace`` times the factor ``product`` (a dict
     from straight arc tuples in P's numbering 1..m to coefficients): the
-    arc's bracket of the subset restriction rule for the vertex set P,
-    multiplied in by straightening."""
+    arc's bracket of the subset restriction rule for the vertex set P (the
+    arc itself if P keeps both ends, else ``_bracket``), multiplied in by
+    straightening."""
     ri, rl, a = step
-    units = range(1, p)
-    one = LaurentPoly.one()
     # i is P's last vertex at or left of the arc's left end (0 if none),
     # l its first vertex at or right of the right end (m+1 if none);
     # P's vertices strictly under the arc lie between them
     i, l = (ri + 1) // 2, rl // 2 + 1
-    between = range(i + 1, l)
     if ri & rl & 1:
-        bracket = [(((i, l, a),), one)]
-    elif rl & 1:
-        bracket = [((), one)] + [(((j, l, b),), one) for j in between for b in units]
-    elif ri & 1:
-        bracket = [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+        bracket = [(((i, l, a),), LaurentPoly.one())]
     else:
-        qm1 = LaurentPoly.q_minus_one()
-        bracket = [((), qm1 * len(between) + one)] + [
-            (((j, k, c),), qm1)
-            for j, k in itertools.combinations(between, 2) for c in units
-        ]
+        bracket = _bracket(i, l, ri & 1, rl & 1, p)
     nxt = {}
     for arcs1, c1 in product.items():
         for arcs2, c2 in bracket:
@@ -571,14 +556,12 @@ def _restrict(arcs, K, p, L):
     where = L.part_lookup()
     one = LaurentPoly.one()
     memo = {(): {(): one}}
+    factors = [
+        _memo_factor(_trace(arcs, _ranks(part, K.n), where[part[0]], where), p, memo).items()
+        for part in K.parts
+    ]
     acc = {}
-    _superimpose(
-        K,
-        lambda part: _memo_factor(
-            _trace(arcs, _ranks(part, K.n), where[part[0]], where), p, memo
-        ).items(),
-        one, acc,
-    )
+    _superimpose(K, factors, one, acc)
     return acc
 
 

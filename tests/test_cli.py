@@ -429,6 +429,28 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert "has a label outside" in err
 
+    def test_an_internal_fault_is_not_a_verify_mismatch(self, capsys, monkeypatch):
+        # a guard tripping inside a suite is exit 4, never exit 1
+        def stuck(args):
+            raise RuntimeError("straightening measure must drop")
+
+        monkeypatch.setitem(cli.SUITES, "tensor", stuck)
+        code, out, err = run(["verify", "--suite", "tensor", "--q", "2", "--max-n", "2"], capsys)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err == "internal error: RuntimeError: straightening measure must drop\n"
+
+    def test_an_internal_fault_in_a_rule_is_exit_four(self, capsys, monkeypatch):
+        def broken(*args):
+            raise AssertionError("label 0 does not start orbit 0")
+
+        monkeypatch.setattr(cli, "restrict_combo", broken)
+        argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+        assert err.startswith("internal error: AssertionError: label 0")
+        code, out, _ = run(["verify", "--suite", "restriction", "--q", "2", "--max-n", "2"], capsys)
+        assert (code, out) == (cli.EXIT_INTERNAL, "")
+
     def test_argparse_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "--n", "3"])  # --q is required

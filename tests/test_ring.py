@@ -249,6 +249,17 @@ class TestLabelRange:
             with pytest.raises(ValueError, match="outside 1..[12]"):
                 call()
 
+    def test_straightening_refuses_labels_outside_the_field(self):
+        # 2 at p = 2 would read as 0; a 0 pair cancels before any arc survives
+        for arcs, n, p in (
+            ([(1, 2, 3)], 2, 2),
+            ([(1, 3, 2), (1, 3, 2)], 3, 2),
+            ([(1, 3, 0), (1, 3, 0)], 3, 3),
+            ([(1, 2, -1)], 2, 3),
+        ):
+            with pytest.raises(ValueError, match="has a label outside 1..%d" % (p - 1)):
+                ring.straighten(arcs, n, p)
+
     def test_the_largest_label_is_accepted(self):
         lam = lsp(3, [(1, 3, 2)])
         K = PartitionIndex(3, [[1, 3], [2]])
@@ -328,6 +339,29 @@ class TestTensor:
                                 assert combo_value(prod, nu, p) == combo_value(
                                     x, nu, p
                                 ) * combo_value(y, nu, p)
+
+    def test_single_arc_products_multiply_pointwise(self):
+        # every pair of labeled arcs sharing an end, through every case of
+        # the subset bracket: labels that do not cancel need p > 2, and the
+        # nested j-k arcs of the merged case need n = 4
+        for p, max_n in ((2, 5), (3, 4), (5, 3)):
+            for n in range(2, max_n + 1):
+                full = PartitionIndex.full(n)
+                classes = list(enumerate_compatible(full, p))
+                arcs = [
+                    (i, l, a) for i, l in itertools.combinations(range(1, n + 1), 2)
+                    for a in range(1, p)
+                ]
+                for x, y in itertools.product(arcs, repeat=2):
+                    if x[0] != y[0] and x[1] != y[1]:
+                        continue
+                    terms = [(lsp(n, t), c) for t, c in ring.tensor_pair(x, y, p)]
+                    prod = CharCombo(full, terms)
+                    lam, mu = lsp(n, [x]), lsp(n, [y])
+                    for nu in classes:
+                        assert combo_value(prod, nu, p) == char_value(
+                            lam, nu, p
+                        ) * char_value(mu, nu, p)
 
     def test_straightening_refuses_a_rewrite_that_does_not_shrink(self, monkeypatch):
         # the rewrite of 1-2 and 1-4 is replaced by one of the same measure
