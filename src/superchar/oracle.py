@@ -4,13 +4,14 @@ Everything in this module works by explicit enumeration inside a pattern
 group: elements are coordinate vectors over the pattern's positions, orbits
 are closed by breadth-first search over the moves of the generators
 1 + a*E_pos, read off the products of positions, and the defining sums
-are evaluated over the orbits.  Nothing here shares code with the
+are evaluated over the orbits (superinduction from H over the superclasses
+of H, each inside one superclass of G).  Nothing here shares code with the
 symbolic rules in :mod:`superchar.ring`; that independence is the point --
 the oracle is the referee for every symbolic identity, at desk scale only.
 
 The budget is hard: a group larger than its bound raises
 :class:`BudgetError` instead of grinding.  The default bound is 3^6 = 729
-elements (U_4(3)); every table and sum here is a pass over one group's
+elements (U_4(3)); no table or sum here passes over more than one group's
 algebra or dual, so the group bound bounds all of the oracle's work.
 
 A group built with a partition index K must have K's parabolic positions.
@@ -92,7 +93,6 @@ class PatternGroup:
         self.index = index  # PartitionIndex when built as a parabolic
         self._starts = None
         self._class_table = None
-        self._class_maps = {}  # G -> _h_class_of(G, self)
         self._dual = None
         self._char_rows = None
 
@@ -328,29 +328,20 @@ def z_value(group, lam):
     return Fraction(group.size, len(members))
 
 
-def _h_class_of(G, H):
-    """The H-superclass of every G-algebra index, or None when the element
-    is not supported on H's positions: a G-coordinate at H's k-th position
-    is the H-index digit of weight p^k.  Built once per (G, H) and kept on
-    H, as H keeps its superclass table."""
-    out = H._class_maps.get(G)
-    if out is not None:
-        return out
+def _classes_in(G, H):
+    """The G-superclass of every H-superclass, read at its representative:
+    the H-coordinate at G's k-th position is the G-index digit of weight
+    p^k.  H lies in G, so each H-superclass lies in one G-superclass."""
     if (G.n, G.p) != (H.n, H.p) or not set(H.positions) <= set(G.positions):
         raise ValueError("H must be a pattern subgroup of G")
-    class_of = H.superclass_table().class_of
-    weight = [H.p ** H.pos_at[pos] if pos in H.pos_at else None for pos in G.positions]
-    out = []
-    for idx in range(G.size):
-        digits = [(c, w) for c, w in zip(G.vec_of_index(idx), weight) if c]
-        on_h = all(w is not None for _, w in digits)
-        out.append(class_of[sum(c * w for c, w in digits)] if on_h else None)
-    H._class_maps[G] = out
-    return out
+    weight = [G.p ** G.pos_at[pos] for pos in H.positions]
+    class_of = G.superclass_table().class_of
+    return [class_of[sum(c * w for c, w in zip(H.vec_of_index(rep), weight))]
+            for rep in H.superclass_table().reps]
 
 
 def brute_superinduce(G, H, chi_vals):
-    """Superinduction, summed over each superclass of G.
+    """Superinduction, summed over the superclasses of H in each of G.
 
     ``H`` must be a pattern subgroup of ``G`` (same n and p, positions a
     subset).  ``chi_vals`` gives one Cyclotomic per H-superclass.  Returns a
@@ -360,26 +351,25 @@ def brute_superinduce(G, H, chi_vals):
                        of chi(1 + x(g-1)y).
 
     The map (x, y) -> x(g-1)y covers the superclass O of g-1 and hits each
-    of its points |G|^2/|O| times (orbit-stabilizer for G x G), so
+    of its points |G|^2/|O| times (orbit-stabilizer for G x G).  The points
+    of O on H's algebra are whole H-superclasses C (``_classes_in``), so
 
-        SInd(chi)(g) = |G|/(|H||O|) * sum over B in O on H of chi(1 + B).
+        SInd(chi)(g) = |G|/(|H||O|) * sum over C in O of |C| chi(C).
     """
-    h_class = _h_class_of(G, H)
-    if len(chi_vals) != len(H.superclass_table()):
+    classes_in = _classes_in(G, H)
+    if len(chi_vals) != len(classes_in):
         raise ValueError("need one value per H-superclass")
     if any(v.p != G.p for v in chi_vals):
         raise ValueError("need values in Q(zeta_%d)" % G.p)
 
-    out = []
-    for members in G.superclass_table().members:
-        vec = [0] * (G.p - 1)
-        for c, cnt in Counter(map(h_class.__getitem__, members)).items():
-            if c is not None:
-                for i, a in enumerate(chi_vals[c].coords):
-                    vec[i] += cnt * a
-        scale = Fraction(G.size, H.size * len(members))
-        out.append(Cyclotomic._make(G.p, [scale * v for v in vec]))
-    return tuple(out)
+    vecs = [[0] * (G.p - 1) for _ in G.superclass_table().reps]
+    for o, size, chi in zip(classes_in, H.superclass_table().sizes(), chi_vals):
+        for i, a in enumerate(chi.coords):
+            vecs[o][i] += size * a
+    return tuple(
+        Cyclotomic._make(G.p, [Fraction(G.size, H.size * size) * v for v in vec])
+        for vec, size in zip(vecs, G.superclass_table().sizes())
+    )
 
 
 def brute_inner_product(group, f_vals, g_vals):

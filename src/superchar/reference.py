@@ -24,7 +24,7 @@ from .ncsym import (
     p_from_m,
     star_K_product,
 )
-from .oracle import PatternGroup, _h_class_of, brute_superinduce, z_value
+from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
 from .qcoeff import Cyclotomic, LaurentPoly
 from .ring import (
     CharCombo,
@@ -278,10 +278,10 @@ def permchar_hypothesis_check(G, H, mu_coords):
     chi_deg = chi_h[id_class_h]
     sinf_deg = sinf_g[id_class_g]
 
+    # both sides are constant on an H-superclass: check one point of each
     hypothesis = all(
-        chi_deg * sinf_g[g_table.class_of[g_idx]] == sinf_deg * chi_h[h_cid]
-        for g_idx, h_cid in enumerate(_h_class_of(G, H))
-        if h_cid is not None
+        chi_deg * sinf_g[g_cid] == sinf_deg * chi_h[h_cid]
+        for h_cid, g_cid in enumerate(_classes_in(G, H))
     )
 
     triv = tuple(Cyclotomic.one(p) for _ in range(len(h_table)))

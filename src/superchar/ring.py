@@ -37,7 +37,6 @@ __all__ = [
     "char_value",
     "char_value_in",
     "combo_value",
-    "tensor_pair",
     "straighten",
     "tensor",
     "restrict",
@@ -61,6 +60,13 @@ def check_labels(lams, p):
         for i, l, a in lam.arcs:
             if a >= p:
                 raise ValueError(_LABEL_OUTSIDE % (i, l, a, p - 1))
+
+
+def _check_n(lams, K):
+    """Refuse, with ValueError, a partition in ``lams`` off the index K's n."""
+    for lam in lams:
+        if lam.n != K.n:
+            raise ValueError("partition has n=%d, the index n=%d" % (lam.n, K.n))
 
 
 def _add(acc, key, c):
@@ -309,6 +315,7 @@ def char_value_in(lam, mu, index, p):
     exist inside U_K and must not enter the exponent counts.  Arcs that
     leave the part do not enter its factor.
     """
+    _check_n((lam, mu), index)
     check_labels((lam, mu), p)
     return _cyclotomic(p, _char_value_in(lam, mu, index, p))
 
@@ -316,6 +323,7 @@ def char_value_in(lam, mu, index, p):
 def combo_value(x, mu, p):
     """Pointwise value of a combination at the superclass of u_mu: each
     term's c(p) p^e added into slot k of one coordinate vector."""
+    _check_n((mu,), x.ambient)
     check_labels((mu, *x.terms), p)
     vec = [0] * p
     for lam, c in x.terms.items():
@@ -567,8 +575,7 @@ def _restrict(arcs, K, p, L):
 
 def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
-    if lam.n != K.n:
-        raise ValueError("partition has n=%d, the index n=%d" % (lam.n, K.n))
+    _check_n((lam,), K)
     check_labels((lam,), p)
     return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(K.n)))
 
@@ -594,6 +601,7 @@ def restrict_combo(x, K, p):
 def sinf(lam, K, L):
     """Superinflation at the index level: the same arcs, read in the coarser
     group.  Validates that K refines L and that lam is K-compatible."""
+    _check_n((lam,), K)
     if not K.refines(L):
         raise ValueError("superinflation needs the source index to refine the target")
     lookup = K.part_lookup()
@@ -628,6 +636,7 @@ def superinduce(mu, K, p, L=None):
     trace's arcs, so each call memoizes the factor of every trace prefix
     (``_memo_factor``): traces sharing a prefix share its work.  Nothing is
     kept across calls."""
+    _check_n((mu,), K)
     if L is None:
         L = PartitionIndex.full(K.n)
     if not K.refines(L):

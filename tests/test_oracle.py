@@ -12,6 +12,7 @@ from superchar.oracle import (
     DEFAULT_MAX_GROUP,
     BudgetError,
     PatternGroup,
+    _classes_in,
     brute_inner_product,
     brute_superinduce,
     z_value,
@@ -204,6 +205,10 @@ class TestBruteSuperinduce:
         H_other_p = PatternGroup.full(3, 3)
         with pytest.raises(ValueError):
             brute_superinduce(G, H_other_p, ())
+        # another n, and positions off G's
+        for H in (PatternGroup.full(2, 2), G):
+            with pytest.raises(ValueError, match="pattern subgroup"):
+                brute_superinduce(PatternGroup(3, [(1, 2)], 2), H, ())
 
     def test_values_of_another_order_are_refused(self):
         G = PatternGroup.full(3, 2)
@@ -295,9 +300,9 @@ def pattern_subgroups(n):
 
 
 class TestOrbitCountedSuperinduction:
-    """``brute_superinduce`` sums over each superclass of G, which the
-    defining double sum over G x G covers evenly; it must equal that double
-    sum taken term by term."""
+    """``brute_superinduce`` sums over the H-superclasses inside each
+    superclass of G, which the defining double sum over G x G covers
+    evenly; it must equal that double sum taken term by term."""
 
     def check(self, G, H, tables):
         rows = [row["values"] for row in H.character_table()]
@@ -322,6 +327,33 @@ class TestOrbitCountedSuperinduction:
         # U_3 has 7 pattern subgroups: all subsets of its three positions
         # except {(1,2), (2,3)}, which is not closed
         assert len(list(pattern_subgroups(3))) == 7
+
+
+class TestClassesIn:
+    """``_classes_in`` reads each H-superclass at its representative: every
+    member must lie in the G-superclass it gives, carried into G's indices
+    coordinate by coordinate."""
+
+    def check(self, G, H):
+        classes_in = _classes_in(G, H)
+        class_of = G.superclass_table().class_of
+        for c, members in enumerate(H.superclass_table().members):
+            for idx in members:
+                coords = dict(zip(H.positions, H.vec_of_index(idx)))
+                vec = [coords.get(pos, 0) for pos in G.positions]
+                assert class_of[G.index_of_vec(vec)] == classes_in[c]
+
+    def test_every_pattern_subgroup_to_n_3(self):
+        for p in (2, 3):
+            for n in range(1, 4):
+                G = PatternGroup.full(n, p)
+                for positions in pattern_subgroups(n):
+                    self.check(G, PatternGroup(n, positions, p))
+
+    def test_parabolic_subgroups_of_u_4_2(self):
+        G = PatternGroup.full(4, 2)
+        for parts in set_partitions(range(1, 5)):
+            self.check(G, PatternGroup.parabolic(PartitionIndex(4, parts), 2))
 
 
 def summed_inner_product(G, f_vals, g_vals):

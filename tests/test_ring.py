@@ -268,6 +268,29 @@ class TestLabelRange:
         assert char_value(lam, lam, 3) == char_value_in(lam, lam, PartitionIndex.full(3), 3)
 
 
+class TestIndexSize:
+    """A partition on another n than the index is refused by every public
+    rule that takes both, with one message."""
+
+    def test_a_partition_off_the_index_n_is_refused(self):
+        chi, u = lsp(3, [(1, 3, 1)]), lsp(5, [(1, 3, 1)])
+        arc = lsp(2, [(1, 2, 1)])
+        full, full3 = PartitionIndex.full(5), PartitionIndex.full(3)
+        K = PartitionIndex(3, [[1, 2], [3]])
+        calls = [
+            (lambda: restrict(chi, full, 2), 3, 5),
+            (lambda: superinduce(arc, K, 2), 2, 3),
+            (lambda: superinduce(lsp(5, [(4, 5, 1)]), full3, 2), 5, 3),
+            (lambda: sinf(arc, K, full3), 2, 3),
+            (lambda: char_value_in(chi, u, full, 2), 3, 5),
+            (lambda: char_value_in(u, chi, full, 2), 3, 5),
+            (lambda: combo_value(CharCombo.of(chi), u, 2), 5, 3),
+        ]
+        for call, n, k in calls:
+            with pytest.raises(ValueError, match="partition has n=%d, the index n=%d" % (n, k)):
+                call()
+
+
 class TestRestrict:
     def test_pointwise_against_direct_evaluation(self):
         # small sweep; the full one is in the acceptance suite
@@ -362,6 +385,12 @@ class TestTensor:
                         assert combo_value(prod, nu, p) == char_value(
                             lam, nu, p
                         ) * char_value(mu, nu, p)
+
+    def test_the_unchecked_single_arc_product_is_not_public(self):
+        # tensor_pair checks neither labels nor arcs; straighten checks both
+        # before it calls it, and the module attribute stays for it
+        assert "tensor_pair" not in ring.__all__
+        assert callable(ring.tensor_pair)
 
     def test_straightening_refuses_a_rewrite_that_does_not_shrink(self, monkeypatch):
         # the rewrite of 1-2 and 1-4 is replaced by one of the same measure
