@@ -24,6 +24,7 @@ from fractions import Fraction
 from . import __version__
 from .qcoeff import is_prime
 from .setpart import (
+    BudgetError,
     LabeledSetPartition,
     PartitionIndex,
     count_sn,
@@ -72,8 +73,8 @@ def _parse_char(text, q, n=None):
 
 
 def _render(x, fmt):
-    """A combination, Laurent polynomial or cyclotomic value as text or
-    JSON."""
+    """A combination, Laurent polynomial, cyclotomic value or NCSym
+    element as text or JSON."""
     if fmt == "json":
         return json.dumps(x.to_json(), sort_keys=True)
     return str(x)
@@ -86,8 +87,6 @@ def _check_sind_budget(n, args):
         return
     labels = count_sn(n, args.q)
     if labels > args.budget:
-        from .oracle import BudgetError
-
         raise BudgetError(
             "superinduction to U_%d(%d) walks %d labels, over the budget of %d"
             % (n, args.q, labels, args.budget)
@@ -208,9 +207,7 @@ def cmd_ncsym(args):
         out = nc.p_from_m(x) if args.op == "to-p" else nc.m_from_p(x)
     else:
         raise ValueError("unknown ncsym op %r" % args.op)
-    if args.format == "json":
-        return EXIT_OK, json.dumps(out.to_json(), sort_keys=True)
-    return EXIT_OK, out.to_text()
+    return EXIT_OK, _render(out, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +574,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .oracle import BudgetError
-
     try:
         if not is_prime(args.q):
             raise ValueError("--q must be prime, got %d" % args.q)

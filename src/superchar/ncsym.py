@@ -174,6 +174,8 @@ class NCSymElem:
             for K, c in self.sorted_terms()
         )
 
+    __str__ = to_text
+
     def to_json(self):
         return {
             "basis": self.basis,

@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .qcoeff import Cyclotomic, is_prime
-from .setpart import PartitionIndex, enumerate_compatible
+from .setpart import BudgetError, PartitionIndex, enumerate_compatible
 
 __all__ = [
     "BudgetError",
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_GROUP = 3 ** 6
-
-
-class BudgetError(RuntimeError):
-    """A brute-force request exceeded its enumeration budget."""
 
 
 def _is_transitively_closed(positions):

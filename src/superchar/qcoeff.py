@@ -262,8 +262,6 @@ class LaurentPoly:
             out[e] = out.get(e, 0) + c
             pos = m.end()
             first = False
-        if s[pos:].strip():
-            raise ValueError("trailing junk in %r" % s)
         return cls(out)
 
     def to_json(self):

@@ -28,7 +28,6 @@ from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
 from .qcoeff import Cyclotomic, LaurentPoly
 from .ring import (
     CharCombo,
-    _single,
     combo_value,
     degree_in,
     restrict,
@@ -103,7 +102,7 @@ def superinduce_via_permchar(mu, K, p, L=None):
     (el, cl), = deg_L.coeffs.items() if deg_L.coeffs else [(0, 0)]
     if ck != 1 or cl != 1:
         raise RuntimeError("degrees must be monic q-powers")
-    sind_triv = superinduce(_single(n, ()), K, p, L)
+    sind_triv = superinduce(LabeledSetPartition(range(1, n + 1)), K, p, L)
     lifted = CharCombo.of(mu, L)
     return tensor(lifted, sind_triv, p).scale(LaurentPoly.q_power(ek - el))
 
@@ -123,7 +122,8 @@ def sinf_combo(x, L):
 def _sinfres_single(arc, lo, hi, n, p):
     """Restrict a single-arc character to the interval subgroup on [lo,hi]
     and read the result back in the full group (inflation keeps the arcs)."""
-    sub = restrict(_single(n, [arc]), PartitionIndex.from_subset(range(lo, hi + 1), n), p)
+    lam = LabeledSetPartition(range(1, n + 1), [arc])
+    sub = restrict(lam, PartitionIndex.from_subset(range(lo, hi + 1), n), p)
     return sinf_combo(sub, PartitionIndex.full(n))
 
 
@@ -136,7 +136,7 @@ def sinfres_identities_check(i, j, k, l, a, b, n, p):
     neg_a = (-a) % p
 
     def chi(*arcs):
-        return CharCombo.of(_single(n, arcs), full)
+        return CharCombo.of(LabeledSetPartition(range(1, n + 1), arcs), full)
 
     checks = [
         (

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .qcoeff import Cyclotomic, LaurentPoly
 from .setpart import (
+    Arc,
     LabeledSetPartition,
     PartitionIndex,
     enumerate_compatible,
@@ -85,14 +86,14 @@ class CharCombo:
 
     ``ambient`` is the PartitionIndex K (a single part means the full group);
     ``terms`` maps labeled set partitions, each with arcs inside parts of K,
-    to nonzero LaurentPoly coefficients.  Instances are immutable.
+    to nonzero LaurentPoly coefficients.  Instances are immutable.  The
+    public constructor checks every term; results are built with ``_make``.
     """
 
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient, terms=()):
         items = terms.items() if hasattr(terms, "items") else terms
-        lookup = ambient.part_lookup()
         acc = {}
         for lam, c in items:
             if not isinstance(c, LaurentPoly):
@@ -101,14 +102,20 @@ class CharCombo:
                 continue
             if lam.n != ambient.n:
                 raise ValueError("term n=%d does not match ambient n=%d" % (lam.n, ambient.n))
-            for arc in lam.arcs:
-                if lookup[arc.left] != lookup[arc.right]:
-                    raise ValueError(
-                        "arc %d-%d straddles parts of the ambient" % (arc.left, arc.right)
-                    )
+            lam.crossings_within(ambient)  # refuses an arc across two parts
             _add(acc, lam, c)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", acc)
+
+    @classmethod
+    def _make(cls, ambient, terms):
+        """A combination owning the trusted dict ``terms`` (partitions with
+        arcs inside parts of ``ambient`` to nonzero LaurentPolys), with no
+        checks: the constructor of internal results."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("CharCombo is immutable")
@@ -117,7 +124,7 @@ class CharCombo:
 
     @classmethod
     def zero(cls, ambient):
-        return cls(ambient)
+        return cls._make(ambient, {})
 
     @classmethod
     def one(cls, ambient):
@@ -141,10 +148,10 @@ class CharCombo:
         acc = dict(self.terms)
         for lam, c in other.terms.items():
             _add(acc, lam, c)
-        return CharCombo(self.ambient, acc)
+        return CharCombo._make(self.ambient, acc)
 
     def __neg__(self):
-        return CharCombo(self.ambient, {t: -c for t, c in self.terms.items()})
+        return CharCombo._make(self.ambient, {t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -154,7 +161,7 @@ class CharCombo:
             c = LaurentPoly.const(c)
         if not c:
             return CharCombo.zero(self.ambient)
-        return CharCombo(self.ambient, {t: k * c for t, k in self.terms.items()})
+        return CharCombo._make(self.ambient, {t: k * c for t, k in self.terms.items()})
 
     def coeff(self, lam):
         return self.terms.get(lam, LaurentPoly.zero())
@@ -340,17 +347,14 @@ def combo_value(x, mu, p):
 #
 # Inside the rules a character is a sorted tuple of (i, l, a) arcs and a
 # combination is a dict from such tuples to LaurentPoly coefficients.  Each
-# public rule validates once, when it builds its one CharCombo (``_combo``
-# turns a dict into one).
-
-def _single(n, arcs):
-    return LabeledSetPartition(range(1, n + 1), arcs)
-
+# public rule checks its input at entry; its result is valid by construction
+# and is built unchecked (``_combo`` turns a dict into its CharCombo).
 
 def _combo(K, acc):
-    """The combination on U_K of a dict from sorted arc tuples on {1..n} to
-    coefficients."""
-    return CharCombo(K, [(_single(K.n, arcs), c) for arcs, c in acc.items()])
+    """The combination on U_K of a dict from sorted straight arc tuples on
+    {1..n}, each inside a part of K, to nonzero coefficients."""
+    valid = LabeledSetPartition._valid
+    return CharCombo._make(K, {valid(K.n, tuple(map(Arc._make, a))): c for a, c in acc.items()})
 
 
 def _numbering(part):
@@ -415,8 +419,8 @@ def tensor_pair(arc1, arc2, p):
     is its brackets keeping i and keeping l superimposed when the labels
     cancel, else the merged arc over its bracket keeping neither end; a
     shorter arc sharing an end with a longer one gives the longer arc over
-    the shorter one's bracket keeping its other end.  Compatible arcs (all
-    endpoints distinct, or head-to-tail) simply superimpose."""
+    the shorter one's bracket keeping its other end.  The two arcs must
+    share their left end or their right end."""
     (i1, l1, a1), (i2, l2, a2) = arc1, arc2
     if (i1, l1) == (i2, l2):
         if (a1 + a2) % p == 0:
@@ -424,12 +428,9 @@ def tensor_pair(arc1, arc2, p):
             return [(x + y, cx * cy) for x, cx in lefts for y, cy in rights]
         merged = ((i1, l1, (a1 + a2) % p),)
         return [(merged + arcs, c) for arcs, c in _bracket(i1, l1, False, False, p)]
-    if i1 == i2 or l1 == l2:
-        # the longer arc sorts before every arc of the shorter one's bracket
-        keep, (i, l, _) = (arc1, arc2) if l1 - i1 > l2 - i2 else (arc2, arc1)
-        return [((tuple(keep),) + arcs, c) for arcs, c in _bracket(i, l, l1 == l2, i1 == i2, p)]
-    # head-to-tail chains and disjoint arcs superimpose directly
-    return [(tuple(sorted((tuple(arc1), tuple(arc2)))), LaurentPoly.one())]
+    # the longer arc sorts before every arc of the shorter one's bracket
+    keep, (i, l, _) = (arc1, arc2) if l1 - i1 > l2 - i2 else (arc2, arc1)
+    return [((tuple(keep),) + arcs, c) for arcs, c in _bracket(i, l, l1 == l2, i1 == i2, p)]
 
 
 def _conflicting_pair(arcs):
@@ -604,10 +605,7 @@ def sinf(lam, K, L):
     _check_n((lam,), K)
     if not K.refines(L):
         raise ValueError("superinflation needs the source index to refine the target")
-    lookup = K.part_lookup()
-    for arc in lam.arcs:
-        if lookup[arc.left] != lookup[arc.right]:
-            raise ValueError("partition is not compatible with the source index")
+    lam.crossings_within(K)  # refuses an arc across two parts
     return lam
 
 
@@ -652,7 +650,7 @@ def superinduce(mu, K, p, L=None):
     ]
     one = LaurentPoly.one()
     memo = {(): {(): one}}
-    terms = []
+    terms = {}
     for nu in enumerate_compatible(L, p):
         b = one
         for rank, block, loc in parts:
@@ -661,14 +659,14 @@ def superinduce(mu, K, p, L=None):
                 break
             b = b * c
         else:
-            terms.append((nu, b.shift(c_mu - nu.crossings_within(L))))
-    return CharCombo(L, terms)
+            terms[nu] = b.shift(c_mu - nu.crossings_within(L))
+    return CharCombo._make(L, terms)
 
 
 def star_K(lam, mu, K, p):
     """The glued product: transport lam (degree m) and mu (degree n) onto the
-    two blocks of K with ``union_K`` and superinduce up to U_(m+n)."""
-    check_labels((lam, mu), p)
+    two blocks of K with ``union_K`` and superinduce up to U_(m+n), which
+    checks the glued labels."""
     return superinduce(union_K(lam, mu, K), K, p)
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 __all__ = [
     "Arc",
+    "BudgetError",
     "LabeledSetPartition",
     "PartitionIndex",
     "set_partitions",
@@ -373,6 +374,12 @@ def _walk(n, starts, k, ended, arcs):
                 yield from _walk(n, starts, k + 1, ended, arcs)
                 arcs.pop()
             ended[w] = False
+
+
+class BudgetError(RuntimeError):
+    """A request exceeded its enumeration budget: an oracle group over its
+    size bound, or a superinduction walking more labels (``count_sn``) than
+    the CLI's ``--budget``."""
 
 
 def count_sn_poly(n):

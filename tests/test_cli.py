@@ -121,6 +121,73 @@ class TestCommands:
         )
         assert (code, out) == (0, "(1)*p[{1|2}]\n")
 
+    def test_ncsym_product_along_blocks(self, capsys):
+        from superchar import ncsym as nc
+        from superchar.setpart import PartitionIndex
+
+        argv = ["ncsym", "--op", "product", "--left", "{1,2}", "--right", "{1}", "--q", "2"]
+        code, out, _ = run(argv + ["--blocks", "{1,3|2}", "--basis", "m"], capsys)
+        x = nc.NCSymElem.single("m", PartitionIndex.from_text("{1,2}"))
+        y = nc.NCSymElem.single("m", PartitionIndex.from_text("{1}"))
+        want = nc.star_K_product(x, y, PartitionIndex.from_text("{1,3|2}"))
+        assert (code, out) == (0, want.to_text() + "\n")
+        # in the p basis the glued product is the one glued partition
+        code, out, _ = run(argv + ["--blocks", "{1,3|2}"], capsys)
+        assert (code, out) == (0, "(1)*p[{1,3|2}]\n")
+
+    def test_ncsym_json_is_the_text_result(self, capsys):
+        from superchar import ncsym as nc
+
+        argv = ["ncsym", "--op", "product", "--left", "{1,2}", "--right", "{1}", "--q", "2"]
+        _, text, _ = run(argv + ["--basis", "m"], capsys)
+        code, out, _ = run(argv + ["--basis", "m", "--format", "json"], capsys)
+        assert code == 0
+        assert nc.NCSymElem.from_json(json.loads(out)).to_text() + "\n" == text
+
+    def test_ncsym_conversions_round_trip(self, capsys):
+        from superchar import ncsym as nc
+
+        element = {
+            "basis": "m",
+            "degree": 3,
+            "terms": [
+                {"partition": "{1,3|2}", "coeff": "1/2"},
+                {"partition": "{1|2|3}", "coeff": "-2"},
+            ],
+        }
+        x = nc.NCSymElem.from_json(element)
+        code, out, _ = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out) == (0, nc.p_from_m(x).to_text() + "\n")
+        code, out, _ = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2",
+             "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        code, out, _ = run(
+            ["ncsym", "--op", "to-m", "--element", out.strip(), "--q", "2", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert nc.NCSymElem.from_json(json.loads(out)) == x
+
+    def test_star_along_blocks(self, capsys):
+        from superchar.ring import star_K
+        from superchar.setpart import LabeledSetPartition, PartitionIndex
+
+        code, out, _ = run(
+            ["star", "--left", "n=2; 1-2:1", "--right", "n=1", "--blocks", "{1,3|2}",
+             "--q", "2"],
+            capsys,
+        )
+        lam = LabeledSetPartition.from_text("n=2; 1-2:1")
+        mu = LabeledSetPartition.from_text("n=1")
+        want = star_K(lam, mu, PartitionIndex.from_text("{1,3|2}"), 2)
+        assert (code, out) == (0, want.to_text() + "\n")
+        assert out == "(q)*chi[n=3; 1-3:1]\n"
+
     def test_tensor_json_parses(self, capsys):
         code, out, _ = run(
             [
@@ -409,6 +476,19 @@ class TestErrors:
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err == "error: --budget must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "chars, message",
+        [
+            (["n=2; 1-2:1"], "needs at least two --char factors"),
+            (["n=2; 1-2:1", "n=3"], "factors live on different groups"),
+        ],
+    )
+    def test_tensor_needs_two_factors_on_one_group(self, chars, message, capsys):
+        argv = ["tensor", "--q", "2"] + [arg for c in chars for arg in ("--char", c)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert message in err
+
     def test_count_without_n_is_refused(self, capsys):
         code, out, err = run(["count", "--q", "2"], capsys)
         assert (code, out) == (cli.EXIT_PARSE, "")
@@ -502,6 +582,28 @@ def test_import_loads_only_the_modules_needed(module, needed):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split() == ["superchar"] + ["superchar." + m for m in needed]
+
+
+def test_a_request_without_the_oracle_does_not_load_it():
+    # BudgetError lives in setpart, so catching it loads no oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
+    probe = (
+        "import sys; from superchar import cli; "
+        "code = cli.main(['count', '--n', '3', '--q', '2']); "
+        "print(code, 'superchar.oracle' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["5", "0", "False"]
+
+
+def test_the_oracle_exports_the_budget_error():
+    from superchar import oracle, setpart
+
+    assert oracle.BudgetError is setpart.BudgetError
+    assert "BudgetError" in oracle.__all__
 
 
 class TestCache:

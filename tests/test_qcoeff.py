@@ -68,6 +68,22 @@ class TestLaurentPoly:
             g = random_poly(rng)
             assert LaurentPoly.from_text(str(g)) == g
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("q^2 3", "missing \\+/- between terms"),
+            ("3^2", "constant with exponent"),
+            ("q + x", "bad Laurent polynomial text"),
+        ],
+    )
+    def test_unparseable_text_is_refused(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly.from_text(text)
+
+    def test_json_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            LaurentPoly.from_json([1])
+
     def test_cancelling_results_are_zero(self):
         q = LaurentPoly({1: 1})
         diff = (q + 1) * (q - 1) - (q * q - 1)

@@ -645,10 +645,82 @@ class TestSinf:
 
     def test_validation(self):
         K = PartitionIndex(3, [[1, 2], [3]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="straddles"):
             sinf(lsp(3, [(1, 3, 1)]), K, PartitionIndex.full(3))
         with pytest.raises(ValueError):
             sinf(lsp(3, []), PartitionIndex(3, [[1, 3], [2]]), PartitionIndex(3, [[1, 2], [3]]))
+
+
+class TestBoundary:
+    """The constructors and the rule entries refuse input from outside; the
+    rules build their results unchecked, so those must be valid as built."""
+
+    def test_a_term_on_another_n_is_refused(self):
+        with pytest.raises(ValueError, match="does not match ambient n=3"):
+            CharCombo(PartitionIndex.full(3), [(lsp(4, []), 1)])
+
+    def test_an_arc_across_two_parts_is_refused(self):
+        K = PartitionIndex(3, [[1], [2, 3]])
+        with pytest.raises(ValueError, match="straddles"):
+            CharCombo(K, [(lsp(3, [(1, 3, 1)]), 1)])
+
+    def test_zero_coefficients_are_dropped(self):
+        full = PartitionIndex.full(3)
+        x = CharCombo(
+            full,
+            [
+                (lsp(3, []), 0),
+                (lsp(3, [(1, 2, 1)]), LaurentPoly.zero()),
+                (lsp(3, [(1, 3, 1)]), 2),
+                (lsp(3, [(2, 3, 1)]), 1),
+                (lsp(3, [(2, 3, 1)]), -1),
+            ],
+        )
+        assert x.terms == {lsp(3, [(1, 3, 1)]): LaurentPoly.const(2)}
+
+    def test_unparseable_combination_text_is_refused(self):
+        full = PartitionIndex.full(3)
+        for text in ("(1)*chi[n=3] (1)*chi[n=3; 1-2:1]", "chi[n=3]", "(1)*chi[n=3] +"):
+            with pytest.raises(ValueError, match="unparseable"):
+                CharCombo.from_text(text, full)
+
+    def test_restriction_to_an_index_off_the_ambient_is_refused(self):
+        x = CharCombo.of(lsp(3, []), PartitionIndex(3, [[1, 2], [3]]))
+        with pytest.raises(ValueError, match="must refine the ambient"):
+            restrict_combo(x, PartitionIndex(3, [[1], [2, 3]]), 2)
+
+    def test_superinduction_from_an_index_off_the_target_is_refused(self):
+        L = PartitionIndex(3, [[1, 2], [3]])
+        with pytest.raises(ValueError, match="refine the target"):
+            superinduce(lsp(3, []), PartitionIndex(3, [[1], [2, 3]]), 2, L=L)
+
+    def test_basis_conversion_off_the_full_group_is_refused(self):
+        x = CharCombo.one(PartitionIndex(3, [[1, 2], [3]]))
+        with pytest.raises(ValueError, match="full group"):
+            chi_to_kappa(x, 2)
+
+    def test_every_rule_result_is_a_valid_partition(self):
+        def check(x):
+            for lam in x.terms:
+                assert lam == LabeledSetPartition(range(1, lam.n + 1), lam.arcs)
+                assert all(isinstance(arc, Arc) for arc in lam.arcs)
+                lam.crossings_within(x.ambient)
+
+        for p in (2, 3):
+            for n in range(1, 5):
+                full = PartitionIndex.full(n)
+                indices = [PartitionIndex(n, parts) for parts in set_partitions(range(1, n + 1))]
+                for K in indices:
+                    for lam in enumerate_compatible(full, p):
+                        check(restrict(lam, K, p))
+                    for L in indices:
+                        if K.refines(L):
+                            for mu in enumerate_compatible(K, p):
+                                check(superinduce(mu, K, p, L))
+                if n <= 3:
+                    labels = [CharCombo.of(lam) for lam in enumerate_compatible(full, p)]
+                    for x, y in itertools.product(labels, repeat=2):
+                        check(tensor(x, y, p))
 
 
 class TestSerialization:
