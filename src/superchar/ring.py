@@ -389,24 +389,26 @@ def _superimpose(K, factors, coeff, acc):
         _add(acc, tuple(sorted(arcs)), c)
 
 
+@functools.lru_cache(maxsize=None)
 def _bracket(i, l, left, right, p):
     """The subset restriction rule's bracket of an arc i-l for a vertex set
     that keeps i (``left``), keeps l (``right``) or keeps neither, with its
-    vertices between them numbered i+1..l-1, as (arc tuple, LaurentPoly)
-    pairs.  Keeping l, it is the empty diagram plus every j-l; keeping i,
-    the empty diagram plus every i-k; keeping neither, (q-1)(l-i-1)+1 times
-    the empty diagram plus q-1 times every j-k with i < j < k < l."""
+    vertices between them numbered i+1..l-1, as a tuple of (arc tuple,
+    LaurentPoly) pairs.  Keeping l, it is the empty diagram plus every j-l;
+    keeping i, the empty diagram plus every i-k; keeping neither,
+    (q-1)(l-i-1)+1 times the empty diagram plus q-1 times every j-k with
+    i < j < k < l.  A table: the key is bounded by n and p."""
     units = range(1, p)
     between = range(i + 1, l)
     one = LaurentPoly.one()
     if right:
-        return [((), one)] + [(((j, l, b),), one) for j in between for b in units]
+        return ((), one), *((((j, l, b),), one) for j in between for b in units)
     if left:
-        return [((), one)] + [(((i, k, b),), one) for k in between for b in units]
+        return ((), one), *((((i, k, b),), one) for k in between for b in units)
     qm1 = LaurentPoly.q_minus_one()
-    return [((), qm1 * len(between) + one)] + [
+    return ((), qm1 * len(between) + one), *(
         (((j, k, c),), qm1) for j, k in itertools.combinations(between, 2) for c in units
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +507,16 @@ def _ranks(part, n):
 def _trace(arcs, rank, block, where):
     """All that part P of K sees of the character of U_L with ``arcs``
     (``where`` maps a vertex to its part of L, ``block`` is P's part of L
-    and ``rank`` is ``_ranks(P, n)``): for each arc in P's part of L whose
-    span meets P, its endpoints' ranks and its label if both ends lie on P."""
+    and ``rank`` is ``_ranks(P, n)``): for each arc in P's part of L with a
+    vertex of P under it or both ends on P, its endpoints' ranks and its
+    label if both ends lie on P.  Any other arc's bracket is 1."""
     trace = []
     for i, l, a in arcs:
         if where[i] != block:
             continue
         ri = rank[i]
         rl = rank[l]
-        if ri != rl:
+        if rl - ri > 1:
             trace.append((ri, rl, a if ri & rl & 1 else 0))
     return tuple(trace)
 
@@ -523,26 +526,31 @@ def _extend(product, step, p):
     from straight arc tuples in P's numbering 1..m to coefficients): the
     arc's bracket of the subset restriction rule for the vertex set P (the
     arc itself if P keeps both ends, else ``_bracket``), multiplied in by
-    straightening."""
+    straightening.  A bracket arc sharing no end with a key's arcs is
+    inserted in order instead: that multiset is straight already."""
     ri, rl, a = step
     # i is P's last vertex at or left of the arc's left end (0 if none),
     # l its first vertex at or right of the right end (m+1 if none);
     # P's vertices strictly under the arc lie between them
     i, l = (ri + 1) // 2, rl // 2 + 1
+    one = LaurentPoly.one()
     if ri & rl & 1:
-        bracket = [(((i, l, a),), LaurentPoly.one())]
+        bracket = ((((i, l, a),), one),)
     else:
-        bracket = _bracket(i, l, ri & 1, rl & 1, p)
+        bracket = _bracket(i, l, bool(ri & 1), bool(rl & 1), p)
     nxt = {}
     for arcs1, c1 in product.items():
+        lefts, rights = {x[0] for x in arcs1}, {x[1] for x in arcs1}
         for arcs2, c2 in bracket:
-            c = c1 * c2
+            c = c1 if c2 is one else c1 * c2
             if not arcs2:
                 # the keys of ``product`` are straight already
                 _add(nxt, arcs1, c)
-                continue
-            for loc, c_loc in _straighten(arcs1 + arcs2, p).items():
-                _add(nxt, loc, c * c_loc)
+            elif arcs2[0][0] not in lefts and arcs2[0][1] not in rights:
+                _add(nxt, tuple(sorted(arcs1 + arcs2)), c)
+            else:
+                for loc, c_loc in _straighten(arcs1 + arcs2, p).items():
+                    _add(nxt, loc, c if c_loc is one else c * c_loc)
     return nxt
 
 
@@ -632,8 +640,9 @@ def superinduce(mu, K, p, L=None):
     the parts P of P's restriction factor read at mu's arcs on P.  The
     factor is a function of nu's ``_trace`` on P and a product over the
     trace's arcs, so each call memoizes the factor of every trace prefix
-    (``_memo_factor``): traces sharing a prefix share its work.  Nothing is
-    kept across calls."""
+    (``_memo_factor``): traces sharing a prefix share its work, and each
+    part keeps the entry read at each trace.  Across calls only the bracket
+    table (``_bracket``) is kept, not the factors."""
     _check_n((mu,), K)
     if L is None:
         L = PartitionIndex.full(K.n)
@@ -645,19 +654,21 @@ def superinduce(mu, K, p, L=None):
         return CharCombo.of(mu, L)
     where = L.part_lookup()
     parts = [
-        (_ranks(part, K.n), where[part[0]], _local(mu.arcs, _numbering(part)))
+        (_ranks(part, K.n), where[part[0]], _local(mu.arcs, _numbering(part)), {})
         for part in K.parts
     ]
-    one = LaurentPoly.one()
-    memo = {(): {(): one}}
+    memo = {(): {(): LaurentPoly.one()}}
     terms = {}
     for nu in enumerate_compatible(L, p):
-        b = one
-        for rank, block, loc in parts:
-            c = _memo_factor(_trace(nu.arcs, rank, block, where), p, memo).get(loc)
+        b = None
+        for rank, block, loc, read in parts:
+            trace = _trace(nu.arcs, rank, block, where)
+            if trace not in read:
+                read[trace] = _memo_factor(trace, p, memo).get(loc)
+            c = read[trace]
             if c is None:
                 break
-            b = b * c
+            b = c if b is None else b * c
         else:
             terms[nu] = b.shift(c_mu - nu.crossings_within(L))
     return CharCombo._make(L, terms)

@@ -132,7 +132,9 @@ class LabeledSetPartition:
         part_of = index.part_lookup()
         for a in self.arcs:
             if part_of[a.left] != part_of[a.right]:
-                raise ValueError("arc %d-%d straddles the parts of %s" % (a.left, a.right, index))
+                raise ValueError(
+                    "arc %d-%d straddles the parts of %s" % (a.left, a.right, index.to_text())
+                )
         total = 0
         for a, b in self.crossing_pairs():
             if part_of[a.left] == part_of[b.left]:

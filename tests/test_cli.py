@@ -416,6 +416,15 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert "straddles" in err
 
+    @pytest.mark.parametrize("command, subgroup", [("sinf", "{1,2|3}"), ("sind", "{1|2,3}")])
+    def test_a_straddling_arc_names_the_index_by_its_text(self, command, subgroup, capsys):
+        argv = [command, "--char", "n=3; 1-3:1", "--subgroup", subgroup, "--q", "2"]
+        assert run(argv, capsys) == (
+            cli.EXIT_PARSE,
+            "",
+            "error: arc 1-3 straddles the parts of %s\n" % subgroup,
+        )
+
     def test_conflicting_n_is_refused(self, capsys):
         code, _, err = run(
             [

@@ -439,6 +439,70 @@ class TestTensor:
         assert got == want
 
 
+def straightened_extend(product, step, p):
+    """``ring._extend`` without its fast paths: every bracket term, the
+    empty diagram too, is multiplied in by straightening."""
+    ri, rl, a = step
+    i, l = (ri + 1) // 2, rl // 2 + 1
+    if ri & rl & 1:
+        bracket = [(((i, l, a),), LaurentPoly.one())]
+    else:
+        bracket = ring._bracket(i, l, bool(ri & 1), bool(rl & 1), p)
+    acc = {}
+    for arcs1, c1 in product.items():
+        for arcs2, c2 in bracket:
+            for arcs, c in ring._straighten(arcs1 + arcs2, p).items():
+                ring._add(acc, arcs, c1 * c2 * c)
+    return acc
+
+
+class TestRestrictionFactor:
+    """The work ``_trace`` and ``_extend`` leave out changes no factor."""
+
+    def test_an_arc_with_one_end_kept_and_nothing_under_it_is_the_identity(self):
+        # ranks one apart: _trace drops the step, since its bracket is 1
+        for p in (2, 3, 5):
+            for i in range(6):
+                assert ring._bracket(i, i + 1, True, False, p) == (((), 1),)
+                assert ring._bracket(i, i + 1, False, True, p) == (((), 1),)
+
+    def test_the_bracket_table_cannot_be_mutated(self):
+        for left, right in ((True, False), (False, True), (False, False)):
+            bracket = ring._bracket(1, 5, left, right, 3)
+            assert type(bracket) is tuple
+            assert all(type(term) is tuple and type(term[0]) is tuple for term in bracket)
+
+    def test_an_arc_sharing_no_end_is_straight_already(self):
+        for p in (2, 3):
+            for n in range(1, 6):
+                for lam in enumerate_compatible(PartitionIndex.full(n), p):
+                    arcs = tuple(tuple(arc) for arc in lam.arcs)
+                    lefts, rights = {i for i, _, _ in arcs}, {l for _, l, _ in arcs}
+                    for i, l in itertools.combinations(range(1, n + 1), 2):
+                        if i in lefts or l in rights:
+                            continue
+                        for a in range(1, p):
+                            got = ring._straighten(arcs + ((i, l, a),), p)
+                            assert got == {tuple(sorted(arcs + ((i, l, a),))): 1}
+
+    def test_the_fast_paths_change_no_factor(self, monkeypatch):
+        # every factor that the superinductions of n <= 5 at p = 2 build
+        fast, steps = ring._extend, []
+
+        def checked(product, step, p):
+            got = fast(product, step, p)
+            assert got == straightened_extend(product, step, p), (product, step)
+            steps.append(step)
+            return got
+
+        monkeypatch.setattr(ring, "_extend", checked)
+        for n in range(2, 6):
+            for K in refinements(PartitionIndex.full(n)):
+                for mu in enumerate_compatible(K, 2):
+                    superinduce(mu, K, 2)
+        assert len(steps) > 1000
+
+
 class TestSuperinduce:
     def test_frobenius_reciprocity(self):
         # <SInd_K^L chi^mu, chi^nu> = <chi^mu, Res chi^nu> as formal Laurent
@@ -511,7 +575,7 @@ class TestSuperinduce:
 
     def test_trivial_character_renders_like_the_closed_form(self):
         # deep enough that traces share prefixes, so the prefix memo is used
-        for p, sizes in ((2, range(5, 8)), (3, range(4, 6))):
+        for p, sizes in ((2, range(5, 9)), (3, range(4, 6))):
             for n in sizes:
                 for k in range(1, n):
                     K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
