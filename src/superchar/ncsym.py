@@ -9,15 +9,19 @@ that the K-indexed shuffle products concatenate indices:
 
     p_lam *_K p_mu = p_{lam glued along K with mu}.
 
-Everything here is exact rational arithmetic.  Shuffle products are
-computed in the m-basis by the Rosas-Sagan rule (a p-basis factor is first
-rewritten in the m-basis), and basis changes walk the coarsenings of each
-index once.  The independent references live in :mod:`superchar.reference`:
-the word expansions (an element of degree n is faithful over an alphabet of
-n letters) with the product computed word by word, the Mobius function of
-the partition lattice, and the bridge to the group side -- scaled
-superclass indicators multiply the same way under superinduction at p = 2,
-checked against the brute-force oracle.
+Coefficients are exact rationals, each stored as an int when integral, else
+as a Fraction in lowest terms, and no zero is stored.  The constructor,
+``single``, ``scale`` and ``from_json`` set this and refuse floats, so sums
+and products of integral coefficients run on plain ints, and basis changes
+sum in ints over their input's least common denominator.  Shuffle products
+are computed in the m-basis by the Rosas-Sagan rule (a p-basis factor is
+first rewritten in the m-basis), and basis changes walk the coarsenings of
+each index once.  The independent references live in
+:mod:`superchar.reference`: the word expansions (an element of degree n is
+faithful over an alphabet of n letters) with the product computed word by
+word, the Mobius function of the partition lattice, and the bridge to the
+group side -- scaled superclass indicators multiply the same way under
+superinduction at p = 2, checked against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import functools
 import math
 from fractions import Fraction
 
+from .qcoeff import rational
 from .setpart import PartitionIndex, set_partitions
 
 __all__ = [
@@ -90,7 +95,11 @@ def _coarsenings_with_mobius(K):
 
 
 class NCSymElem:
-    """A homogeneous element in the m- or p-basis with rational coefficients."""
+    """A homogeneous element in the m- or p-basis.
+
+    ``coeffs`` maps canonical indices to nonzero exact rationals, each an
+    int when integral, else a Fraction in lowest terms.
+    """
 
     __slots__ = ("basis", "degree", "coeffs")
 
@@ -106,7 +115,7 @@ class NCSymElem:
                 raise ValueError(
                     "partition %s is not of degree %d" % (K.to_text(), degree)
                 )
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 key = canonical_index(K)
                 if key in clean:
@@ -121,14 +130,14 @@ class NCSymElem:
 
     @classmethod
     def single(cls, basis, K, coeff=1):
-        return cls(basis, K.n, {K: Fraction(coeff)})
+        return cls(basis, K.n, {K: coeff})
 
     @classmethod
     def zero(cls, basis, degree):
         return cls(basis, degree, {})
 
     def coeff(self, K):
-        return self.coeffs.get(canonical_index(K), Fraction(0))
+        return self.coeffs.get(canonical_index(K), 0)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -148,7 +157,7 @@ class NCSymElem:
             raise ValueError("cannot add across bases or degrees")
         coeffs = dict(self.coeffs)
         for K, c in other.coeffs.items():
-            coeffs[K] = coeffs.get(K, Fraction(0)) + c
+            coeffs[K] = coeffs.get(K, 0) + c
         return NCSymElem(self.basis, self.degree, coeffs)
 
     def __neg__(self):
@@ -158,7 +167,7 @@ class NCSymElem:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return NCSymElem(
             self.basis, self.degree, {K: c * v for K, v in self.coeffs.items()}
         )
@@ -176,6 +185,9 @@ class NCSymElem:
 
     __str__ = to_text
 
+    def __repr__(self):
+        return "NCSymElem(%s, %s)" % (self.basis, self.to_text())
+
     def to_json(self):
         return {
             "basis": self.basis,
@@ -192,14 +204,24 @@ class NCSymElem:
         coeffs = {}
         for term in data["terms"]:
             K = PartitionIndex.from_text(term["partition"], n=degree)
-            coeffs[canonical_index(K)] = Fraction(term["coeff"])
+            coeffs[canonical_index(K)] = term["coeff"]
         return cls(data["basis"], degree, coeffs)
 
-def _from_parts(basis, degree, coeffs):
-    """An element from coefficients keyed by canonical parts tuples."""
-    return NCSymElem(
-        basis, degree, {PartitionIndex(degree, parts): c for parts, c in coeffs.items()}
-    )
+
+def _from_parts(basis, degree, coeffs, denominator=1):
+    """An element from int or rational coefficients keyed by canonical parts
+    tuples, each divided by ``denominator``."""
+    return NCSymElem(basis, degree, {
+        PartitionIndex(degree, parts): c if denominator == 1 else Fraction(c, denominator)
+        for parts, c in coeffs.items()
+    })
+
+
+def _over_common_denominator(x):
+    """(d, pairs (K, d * c)) for the coefficients c of ``x``, with d the
+    least common denominator, so every scaled coefficient is an int."""
+    d = math.lcm(*(c.denominator for c in x.coeffs.values()))
+    return d, [(K, c.numerator * (d // c.denominator)) for K, c in x.coeffs.items()]
 
 
 def p_from_m(x):
@@ -207,26 +229,29 @@ def p_from_m(x):
 
     With p_K the sum of m_M over coarsenings M of K, the inverse direction
     is Mobius inversion: m_K is the alternating sum of p_M over the same
-    coarsenings.
+    coarsenings.  The sums run in ints over the input's common denominator.
     """
     if x.basis != "m":
         raise ValueError("p_from_m starts from the m basis")
+    d, scaled = _over_common_denominator(x)
     coeffs = {}
-    for K, c in x.coeffs.items():
+    for K, c in scaled:
         for parts, mu in _coarsenings_with_mobius(K):
             coeffs[parts] = coeffs.get(parts, 0) + c * mu
-    return _from_parts("p", x.degree, coeffs)
+    return _from_parts("p", x.degree, coeffs, d)
 
 
 def m_from_p(x):
-    """Rewrite a p-basis element in the m-basis (plain coarsening sums)."""
+    """Rewrite a p-basis element in the m-basis (plain coarsening sums, in
+    ints over the input's common denominator)."""
     if x.basis != "p":
         raise ValueError("m_from_p starts from the p basis")
+    d, scaled = _over_common_denominator(x)
     coeffs = {}
-    for K, c in x.coeffs.items():
+    for K, c in scaled:
         for parts, _ in _coarsenings_with_mobius(K):
             coeffs[parts] = coeffs.get(parts, 0) + c
-    return _from_parts("m", x.degree, coeffs)
+    return _from_parts("m", x.degree, coeffs, d)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Two scalar domains, both exact:
   rational basis ``1, zeta, ..., zeta^(p-2)`` with the reduction
   ``zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))``.
 
+Rational scalars (Cyclotomic coordinates, NCSym coefficients) are stored as
+an int when integral, else as a Fraction; :func:`rational` brings a value
+from outside to that form and refuses floats.
+
 Everything here is immutable, so values can be shared freely across threads
 or processes: an operation may return one of its operands or a shared
 constant rather than a fresh object.  Values are validated where they enter
@@ -37,6 +41,19 @@ def is_prime(p):
             return False
         d += 1
     return True
+
+
+def rational(c):
+    """``c`` as an exact rational: an int when integral, else a Fraction in
+    lowest terms.  Anything ``Fraction`` accepts except a float, which is
+    refused with ``TypeError`` (a float is a binary approximation)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError("exact coefficients only, not the float %r" % (c,))
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +307,10 @@ class Cyclotomic:
     int when integral, else Fraction; the class supports ring arithmetic
     and complex conjugation (zeta^k -> zeta^(p-k)).  The public constructor
     validates p and every coordinate; ``zero``, ``one``, ``from_rational``
-    and ``zeta_power`` check only p, and arithmetic builds its results with
-    ``_make``, unchecked.  An element with a rational value equals, and
-    hashes as, that int or Fraction.
+    and ``zeta_power`` check only p.  The constructor and ``from_rational``
+    refuse a float with ``TypeError``, as ``LaurentPoly`` does.  Arithmetic
+    builds its results with ``_make``, unchecked.  An element with a
+    rational value equals, and hashes as, that int or Fraction.
     """
 
     __slots__ = ("p", "coords")
@@ -300,7 +318,7 @@ class Cyclotomic:
     def __init__(self, p, coords):
         if not is_prime(p):
             raise ValueError("cyclotomic order must be prime, got %r" % (p,))
-        coords = [Fraction(c) for c in coords]
+        coords = [rational(c) for c in coords]
         if len(coords) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coords)))
         self._store(p, coords)
@@ -343,7 +361,7 @@ class Cyclotomic:
     def from_rational(cls, p, r):
         if not is_prime(p):
             raise ValueError("cyclotomic order must be prime, got %r" % (p,))
-        return cls._make(p, [r if type(r) is int else Fraction(r)] + [0] * (p - 2))
+        return cls._make(p, [rational(r)] + [0] * (p - 2))
 
     @classmethod
     def zeta_power(cls, p, k):
@@ -461,5 +479,5 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["p"]), [Fraction(c) for c in obj["coords"]])
+        return cls(int(obj["p"]), obj["coords"])
 

@@ -25,7 +25,7 @@ from .ncsym import (
     star_K_product,
 )
 from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
-from .qcoeff import Cyclotomic, LaurentPoly
+from .qcoeff import Cyclotomic, LaurentPoly, rational
 from .ring import (
     CharCombo,
     combo_value,
@@ -312,10 +312,11 @@ def _parts_of_word(word):
 class WordExpansion:
     """Exact expansion of a degree-n element over a finite alphabet.
 
-    Words are length-n tuples of letters 1..alphabet with rational
-    coefficients.  Construction asserts the defining symmetry: the
-    coefficient only depends on the equal-positions partition of the word,
-    and a class is either absent or fully present.
+    Words are length-n tuples of letters 1..alphabet with exact rational
+    coefficients, stored as ``NCSymElem`` stores them: an int when integral,
+    else a Fraction, and no zero.  Construction asserts the defining
+    symmetry: the coefficient only depends on the equal-positions partition
+    of the word, and a class is either absent or fully present.
     """
 
     __slots__ = ("alphabet", "degree", "coeffs", "_classes")
@@ -332,7 +333,7 @@ class WordExpansion:
                 raise ValueError("word %r is not of degree %d" % (word, degree))
             if any(v < 1 or v > alphabet for v in word):
                 raise ValueError("word %r leaves the alphabet 1..%d" % (word, alphabet))
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 clean[word] = c
         # symmetry: constant and complete on every equal-positions class
@@ -374,11 +375,11 @@ class WordExpansion:
             raise ValueError("expansions live on different word sets")
         coeffs = dict(self.coeffs)
         for word, c in other.coeffs.items():
-            coeffs[word] = coeffs.get(word, Fraction(0)) + c
+            coeffs[word] = coeffs.get(word, 0) + c
         return WordExpansion(self.alphabet, self.degree, coeffs)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return WordExpansion(
             self.alphabet, self.degree, {w: c * v for w, v in self.coeffs.items()}
         )
@@ -417,7 +418,7 @@ def m_expand(K, N):
     is K.
     """
     N = int(N)
-    return WordExpansion(N, K.n, dict.fromkeys(_monomial_words(K, N), Fraction(1)))
+    return WordExpansion(N, K.n, dict.fromkeys(_monomial_words(K, N), 1))
 
 
 def expand(x, N=None):
@@ -456,7 +457,7 @@ def _star_K_product_words(x, y, K):
             for pos, letter in zip(pos2, v):
                 word[pos - 1] = letter
             word = tuple(word)
-            coeffs[word] = coeffs.get(word, Fraction(0)) + cu * cv
+            coeffs[word] = coeffs.get(word, 0) + cu * cv
     product = WordExpansion(N, m + n, coeffs)
     # recognition: symmetry was asserted on construction, so the class
     # coefficients are the m-basis coefficients

@@ -144,6 +144,14 @@ class TestCommands:
         assert code == 0
         assert nc.NCSymElem.from_json(json.loads(out)).to_text() + "\n" == text
 
+    def test_ncsym_refuses_a_float_coefficient(self, capsys):
+        element = {"basis": "m", "degree": 2, "terms": [{"partition": "{1|2}", "coeff": 0.1}]}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "float" in err
+
     def test_ncsym_conversions_round_trip(self, capsys):
         from superchar import ncsym as nc
 

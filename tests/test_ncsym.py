@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from superchar.ncsym import (
     NCSymElem,
     _coarsenings_with_mobius,
+    canonical_index,
     concat_product,
     m_from_p,
     p_from_m,
@@ -39,6 +42,20 @@ def m_single(n, parts, coeff=1):
 
 def p_single(n, parts, coeff=1):
     return NCSymElem.single("p", pidx(n, parts), coeff)
+
+
+def indices(n):
+    return [canonical_index(pidx(n, parts)) for parts in set_partitions(range(1, n + 1))]
+
+
+def assert_stored_exactly(coeffs):
+    """Each coefficient is an int exactly when integral, else a Fraction in
+    lowest terms, and none is zero."""
+    for c in coeffs.values():
+        assert c != 0
+        if type(c) is not int:
+            assert type(c) is Fraction
+            assert c.denominator != 1 and math.gcd(c.numerator, c.denominator) == 1
 
 
 class TestPartitionLattice:
@@ -252,3 +269,130 @@ class TestSerialization:
 class TestBridge:
     def test_products_match_across_the_bridge(self):
         assert characteristic_map_check(3)
+
+
+class TestCoefficients:
+    """Coefficients are stored as ints when integral, else as Fractions;
+    the boundary sets this and refuses floats."""
+
+    def test_the_boundary_normalizes(self):
+        K, M = pidx(2, [[1], [2]]), pidx(2, [[1, 2]])
+        x = NCSymElem("m", 2, {K: Fraction(4, 2), M: "3/6"})
+        assert_stored_exactly(x.coeffs)
+        assert type(x.coeff(K)) is int and x.coeff(M) == Fraction(1, 2)
+        assert NCSymElem("m", 2, {K: Fraction(0), M: 0}).coeffs == {}
+        assert type(NCSymElem.single("p", K, Fraction(-6, 3)).coeff(K)) is int
+        assert type(NCSymElem.zero("m", 2).coeff(K)) is int
+        assert_stored_exactly(x.scale(Fraction(2)).coeffs)
+        assert_stored_exactly(x.scale(Fraction(4, 6)).coeffs)
+        assert_stored_exactly(NCSymElem.from_json(x.to_json()).coeffs)
+        assert NCSymElem.from_json(x.to_json()) == x
+
+    def test_floats_are_refused(self):
+        K = pidx(2, [[1], [2]])
+        # Fraction(0.1) is the binary fraction 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="float"):
+            NCSymElem("m", 2, {K: 0.1})
+        with pytest.raises(TypeError, match="float"):
+            NCSymElem.single("p", K, 0.5)
+        with pytest.raises(TypeError, match="float"):
+            NCSymElem.single("m", K).scale(0.5)
+        blob = {"basis": "m", "degree": 2, "terms": [{"partition": "{1|2}", "coeff": 0.5}]}
+        with pytest.raises(TypeError, match="float"):
+            NCSymElem.from_json(blob)
+
+    def test_repr_shows_the_element(self):
+        assert repr(p_single(2, [[1], [2]])) == "NCSymElem(p, (1)*p[{1|2}])"
+        assert repr(m_single(2, [[1, 2]], Fraction(-1, 2))) == "NCSymElem(m, (-1/2)*m[{1,2}])"
+        assert repr(NCSymElem.zero("m", 3)) == "NCSymElem(m, 0)"
+
+    def test_every_operation_keeps_the_invariant(self):
+        half = Fraction(1, 2)
+        x = m_single(2, [[1], [2]], half) + m_single(2, [[1, 2]], Fraction(3, 2))
+        y = p_single(2, [[1], [2]], Fraction(2, 3)) + p_single(2, [[1, 2]], Fraction(-1, 3))
+        K = pidx(4, [[1, 3], [2, 4]])
+        results = [
+            x + m_single(2, [[1], [2]], half),
+            x - x,
+            x.scale(2),
+            y.scale(Fraction(3, 2)),
+            star_K_product(x, y, K),
+            star_K_product(x.scale(2), y.scale(3), K),
+            concat_product(y, x),
+            p_from_m(x),
+            m_from_p(y),
+            p_from_m(m_from_p(y)),
+            _star_K_product_words(x, y, K),
+            _star_K_product_words(x.scale(2), y.scale(3), K),
+        ]
+        for out in results:
+            assert_stored_exactly(out.coeffs)
+        assert type(star_K_product(x.scale(2), y.scale(3), K).coeff(pidx(4, [[1, 2, 3, 4]]))) is int
+        for e in (expand(x, 3), expand(y.scale(3)), m_expand(pidx(2, [[1], [2]]), 2)):
+            assert_stored_exactly(e.coeffs)
+            assert_stored_exactly(e.class_coefficients())
+        assert_stored_exactly(expand(x, 3).scale(2).coeffs)
+        assert_stored_exactly((expand(x, 3) + expand(x, 3)).coeffs)
+
+
+def _fraction_fold(x, with_mobius):
+    """The basis change term by term in Fractions: each coefficient goes
+    to every coarsening, times the Mobius value for the m-to-p direction."""
+    out = {}
+    for K, c in x.coeffs.items():
+        for M in coarsenings(K):
+            w = mobius_partition(K, M) if with_mobius else 1
+            out[M] = out.get(M, Fraction(0)) + Fraction(c) * w
+    return {M: c for M, c in out.items() if c}
+
+
+class TestBasisChangeOverACommonDenominator:
+    """p_from_m and m_from_p sum in ints over the input's least common
+    denominator; they must equal the Fraction fold on every index of
+    degree at most 5."""
+
+    DENOMINATORS = (2, 3, 4, 6)
+
+    def _check(self, x):
+        p_or_m = p_from_m if x.basis == "m" else m_from_p
+        got = p_or_m(x)
+        assert_stored_exactly(got.coeffs)
+        assert got.coeffs == _fraction_fold(x, x.basis == "m"), x
+
+    def test_seeded_combinations(self):
+        rnd = random.Random(5)
+        for n in range(1, 6):
+            idx = indices(n)
+            for K in idx:
+                others = rnd.sample(idx, min(2, len(idx)))
+                coeffs = {
+                    M: Fraction(rnd.choice((-7, -5, -3, -1, 1, 2, 3, 5)), rnd.choice(self.DENOMINATORS))
+                    for M in [K] + others
+                }
+                for basis in "mp":
+                    self._check(NCSymElem(basis, n, coeffs))
+
+    def test_sums_that_cancel_to_zero_or_an_integer(self):
+        # With K and the one-block index F in the support, F's output
+        # coefficient is c_F + c_K * w (w the Mobius value, or 1): choosing
+        # c_F cancels it to 0 or to the integer 1.
+        for n in range(2, 6):
+            F = PartitionIndex.full(n)
+            for K in indices(n):
+                if K == F:
+                    continue
+                for basis, w in (("m", mobius_partition(K, F)), ("p", 1)):
+                    for d in self.DENOMINATORS:
+                        c = Fraction(1, d)
+                        for target in (0, 1):
+                            x = NCSymElem(basis, n, {K: c, F: target - c * w})
+                            got = (p_from_m if basis == "m" else m_from_p)(x)
+                            assert got.coeff(F) == target
+                            self._check(x)
+
+    def test_every_single_element(self):
+        for n in range(6):
+            for K in indices(n):
+                for basis in "mp":
+                    for c in (1, Fraction(-5, 6)):
+                        self._check(NCSymElem.single(basis, K, c))

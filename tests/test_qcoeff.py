@@ -207,6 +207,17 @@ class TestCyclotomicBoundary:
         with pytest.raises(TypeError):
             Cyclotomic(3, [1, None])
 
+    def test_constructors_refuse_floats(self):
+        # Fraction(0.1) is the binary fraction 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="float"):
+            Cyclotomic(3, [Fraction(1, 2), 0.1])
+        with pytest.raises(TypeError, match="float"):
+            Cyclotomic.from_rational(2, 0.1)
+        with pytest.raises(TypeError, match="float"):
+            Cyclotomic.from_json({"p": 3, "coords": ["1/2", 0.5]})
+        assert Cyclotomic.from_rational(2, "1/10").coords == (Fraction(1, 10),)
+        assert type(Cyclotomic(3, [Fraction(4, 2), "3/6"]).coords[0]) is int
+
     def test_as_rational_is_a_fraction(self):
         for x in (
             Cyclotomic.one(3),
