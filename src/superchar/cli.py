@@ -80,16 +80,17 @@ def _render(x, fmt):
     return str(x)
 
 
-def _check_sind_budget(n, args):
-    """Superinduction to U_n walks every label of U_n; refuse the request
-    when they outnumber an explicit --budget."""
+def _check_walk_budget(n, args, walk="superinduction to"):
+    """Superinduction to U_n, and the restriction and tensor suites up to
+    U_n, walk every label of U_n; refuse the request when they outnumber an
+    explicit --budget."""
     if args.budget is None:
         return
     labels = count_sn(n, args.q)
     if labels > args.budget:
         raise BudgetError(
-            "superinduction to U_%d(%d) walks %d labels, over the budget of %d"
-            % (n, args.q, labels, args.budget)
+            "%s U_%d(%d) walks %d labels, over the budget of %d"
+            % (walk, n, args.q, labels, args.budget)
         )
 
 
@@ -123,7 +124,7 @@ def cmd_sind(args):
     mu = _parse_char(args.char, args.q, args.n)
     n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
-    _check_sind_budget(n, args)
+    _check_walk_budget(n, args)
     return EXIT_OK, _render(superinduce(mu, K, args.q), args.format)
 
 
@@ -146,7 +147,7 @@ def cmd_star(args):
         # an index carries no empty block, so an n=0 factor's block is left out
         blocks = (range(1, m + 1), range(m + 1, m + n + 1))
         K = PartitionIndex(m + n, [block for block in blocks if block])
-    _check_sind_budget(m + n, args)
+    _check_walk_budget(m + n, args)
     return EXIT_OK, _render(star_K(lam, mu, K, args.q), args.format)
 
 
@@ -240,16 +241,25 @@ def _suite_orthogonality(args):
 
 
 def _suite_restriction(args):
+    from .ring import _char_value_std, _combo_coords, _mono_coords, _value_rows
+
+    _check_walk_budget(args.max_n, args, "the restriction suite on")
+    p = args.q
     checks = 0
     for n in range(2, args.max_n + 1):
         full = PartitionIndex.full(n)
-        for lam in enumerate_compatible(full, args.q):
+        # each K's labels and the monomial rows of its characters, shared by every lam
+        subgroups = []
+        for parts in set_partitions(range(1, n + 1)):
+            K = PartitionIndex(n, parts)
+            labels = list(enumerate_compatible(K, p))
+            subgroups.append((K, labels, _value_rows(labels, labels, K, p)))
+        for lam in enumerate_compatible(full, p):
             x = CharCombo.of(lam, full)
-            for parts in set_partitions(range(1, n + 1)):
-                K = PartitionIndex(n, parts)
-                res = restrict_combo(x, K, args.q)
-                for mu in enumerate_compatible(K, args.q):
-                    if combo_value(res, mu, args.q) != char_value(lam, mu, args.q):
+            for K, labels, rows in subgroups:
+                res = restrict_combo(x, K, p)
+                for mu, got in zip(labels, _combo_coords(res, labels, p, rows)):
+                    if got != _mono_coords(_char_value_std(lam.arcs, mu.arcs, p), p):
                         return False, "Res %s to %s at %s" % (
                             lam.to_text(),
                             K.to_text(),
@@ -260,19 +270,26 @@ def _suite_restriction(args):
 
 
 def _suite_tensor(args):
+    from .ring import _combo_coords, _mono_coords, _value_rows
+
     if args.samples < 0:
         raise ValueError("--samples must be nonnegative")
+    _check_walk_budget(args.max_n, args, "the tensor suite on")
+    p = args.q
     rnd = random.Random(args.seed)
     checks = 0
-    # exhaustive pointwise correctness on small groups
+    # exhaustive pointwise correctness on small groups, read off one
+    # monomial table per group: chi^lam chi^mu is a product of monomials
     for n in range(2, min(args.max_n, 4) + 1):
         amb = PartitionIndex.full(n)
-        labels = list(enumerate_compatible(amb, args.q))
+        labels = list(enumerate_compatible(amb, p))
+        rows = _value_rows(labels, labels, amb, p)
         for lam, mu in itertools.product(labels, repeat=2):
-            t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), args.q)
-            for nu in labels:
-                lhs = char_value(lam, nu, args.q) * char_value(mu, nu, args.q)
-                if combo_value(t, nu, args.q) != lhs:
+            t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), p)
+            got = _combo_coords(t, labels, p, rows)
+            for nu, value, m1, m2 in zip(labels, got, rows[lam], rows[mu]):
+                want = m1 and m2 and (m1[0] + m2[0], (m1[1] + m2[1]) % p)
+                if value != _mono_coords(want, p):
                     return False, "%s (x) %s at %s" % (
                         lam.to_text(),
                         mu.to_text(),
@@ -283,14 +300,14 @@ def _suite_tensor(args):
     # distinct pairs of different characters, each counted once
     n = args.max_n
     amb = PartitionIndex.full(n)
-    labels = list(enumerate_compatible(amb, args.q))
+    labels = list(enumerate_compatible(amb, p))
     pairs = len(labels) * (len(labels) - 1) // 2
     for t in sorted(rnd.sample(range(pairs), min(args.samples, pairs))):
         # pair number t is (i, j) with t = j(j-1)/2 + i and i < j
         j = (1 + math.isqrt(1 + 8 * t)) // 2
         lam, mu = labels[t - j * (j - 1) // 2], labels[j]
-        a = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), args.q)
-        b = tensor(CharCombo.of(mu, amb), CharCombo.of(lam, amb), args.q)
+        a = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), p)
+        b = tensor(CharCombo.of(mu, amb), CharCombo.of(lam, amb), p)
         if a != b:
             return False, "commutativity %s (x) %s" % (lam.to_text(), mu.to_text())
         checks += 1

@@ -208,7 +208,10 @@ class LaurentPoly:
         is integral, else a Fraction.  At an int x the sum is taken in ints:
         with a negative least exponent low, q^-low times the polynomial is
         summed and divided by x^-low once.  Evaluation at 0 with a negative
-        exponent present is an error."""
+        exponent present is an error, and a float point is refused with
+        ``TypeError``, as the constructors refuse a float."""
+        if isinstance(x, float):
+            raise TypeError("exact evaluation only, not at the float %r" % (x,))
         low = min(self.coeffs, default=0)
         if x == 0 and low < 0:
             raise ZeroDivisionError("Laurent polynomial has a pole at q=0")

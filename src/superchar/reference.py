@@ -28,7 +28,7 @@ from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
 from .qcoeff import Cyclotomic, LaurentPoly, rational
 from .ring import (
     CharCombo,
-    combo_value,
+    _combo_coords,
     degree_in,
     restrict,
     sinf,
@@ -173,8 +173,11 @@ def sinfres_identities_check(i, j, k, l, a, b, n, p):
 def tensor_values(x, y, n, p):
     """Value vector of a pointwise product over all superclass labels (no
     straightening involved -- tensor values are plain products)."""
-    labels = enumerate_compatible(PartitionIndex.full(n), p)
-    return tuple(combo_value(x, mu, p) * combo_value(y, mu, p) for mu in labels)
+    labels = list(enumerate_compatible(PartitionIndex.full(n), p))
+    return tuple(
+        Cyclotomic._make(p, a) * Cyclotomic._make(p, b)
+        for a, b in zip(_combo_coords(x, labels, p), _combo_coords(y, labels, p))
+    )
 
 
 def reflect_combo(x):

@@ -283,14 +283,14 @@ def _char_value_std(arcs_lam, arcs_mu, p):
     return e, k % p
 
 
-def _cyclotomic(p, mono):
-    """The element p^e zeta^k of Q(zeta_p) for the monomial (e, k), or 0
-    for None."""
+@functools.lru_cache(maxsize=None)
+def _mono_coords(mono, p):
+    """Cyclotomic's coordinates of the monomial (e, k), p^e zeta^k, or of 0
+    for None: slot i minus slot p-1 of the full vector with p^e in slot k."""
     vec = [0] * p
     if mono is not None:
-        e, k = mono
-        vec[k] = p ** e
-    return Cyclotomic._from_full(p, vec)
+        vec[mono[1]] = p ** mono[0]
+    return tuple([a - vec[p - 1] for a in vec[:-1]])
 
 
 def char_value(lam, mu, p):
@@ -298,7 +298,7 @@ def char_value(lam, mu, p):
     if lam.n != mu.n:
         raise ValueError("character and superclass have different n")
     check_labels((lam, mu), p)
-    return _cyclotomic(p, _char_value_std(lam.arcs, mu.arcs, p))
+    return Cyclotomic._make(p, _mono_coords(_char_value_std(lam.arcs, mu.arcs, p), p))
 
 
 def _char_value_in(lam, mu, index, p):
@@ -324,21 +324,37 @@ def char_value_in(lam, mu, index, p):
     """
     _check_n((lam, mu), index)
     check_labels((lam, mu), p)
-    return _cyclotomic(p, _char_value_in(lam, mu, index, p))
+    return Cyclotomic._make(p, _mono_coords(_char_value_in(lam, mu, index, p), p))
+
+
+def _value_rows(terms, labels, K, p):
+    """Each partition of ``terms`` -> its monomials inside U_K
+    (``_char_value_in``) at ``labels``, in order: a table read once per
+    pair."""
+    return {lam: [_char_value_in(lam, mu, K, p) for mu in labels] for lam in terms}
+
+
+def _combo_coords(x, labels, p, rows=None):
+    """The values of a combination at ``labels``, each as Cyclotomic's
+    coordinates (ints or Fractions): every term's c(p) p^e added into slot k
+    of one full vector per label.  ``rows`` (``_value_rows`` on x's ambient
+    and ``labels``) may hold the terms' monomials already."""
+    rows = rows or {}
+    vecs = [[0] * p for _ in labels]
+    for lam, c in x.terms.items():
+        row = rows.get(lam) or _value_rows((lam,), labels, x.ambient, p)[lam]
+        c = c.eval_at(p)
+        for vec, mono in zip(vecs, row):
+            if mono is not None:
+                vec[mono[1]] += c * p ** mono[0]
+    return [tuple([vec[i] - vec[p - 1] for i in range(p - 1)]) for vec in vecs]
 
 
 def combo_value(x, mu, p):
-    """Pointwise value of a combination at the superclass of u_mu: each
-    term's c(p) p^e added into slot k of one coordinate vector."""
+    """Pointwise value of a combination at the superclass of u_mu."""
     _check_n((mu,), x.ambient)
     check_labels((mu, *x.terms), p)
-    vec = [0] * p
-    for lam, c in x.terms.items():
-        mono = _char_value_in(lam, mu, x.ambient, p)
-        if mono is not None:
-            e, k = mono
-            vec[k] += c.eval_at(p) * p ** e
-    return Cyclotomic._from_full(p, vec)
+    return Cyclotomic._make(p, _combo_coords(x, [mu], p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +706,9 @@ def chi_to_kappa(x, p):
     exact value, i.e. the coefficients on the superclass-indicator basis."""
     if len(x.ambient.parts) != 1:
         raise ValueError("basis conversion lives on the full group")
-    return {mu: combo_value(x, mu, p) for mu in enumerate_compatible(x.ambient, p)}
+    check_labels(x.terms, p)
+    labels = list(enumerate_compatible(x.ambient, p))
+    return {mu: Cyclotomic._make(p, v) for mu, v in zip(labels, _combo_coords(x, labels, p))}
 
 
 def kappa_to_chi(values, p):
@@ -710,7 +728,7 @@ def kappa_to_chi(values, p):
     if any(v.p != p for v in values.values()):
         raise ValueError("need values in Q(zeta_%d)" % p)
     inv_norms = [Fraction(1, p ** lam.num_crossings()) for lam in labels]
-    table = [[_char_value_std(lam.arcs, mu.arcs, p) for mu in labels] for lam in labels]
+    table = list(_value_rows(labels, labels, PartitionIndex.full(n), p).values())
     weights = []  # the coordinates of f(mu) / z_mu
     for j, mu in enumerate(labels):
         z = sum(p ** (2 * row[j][0]) * w for row, w in zip(table, inv_norms) if row[j])

@@ -7,12 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
 import superchar
 from superchar import cli
-from superchar.setpart import count_sn
+from superchar.ring import CharCombo, char_value, combo_value
+from superchar.setpart import LabeledSetPartition, PartitionIndex, count_sn, enumerate_compatible
 
 
 def run(argv, capsys):
@@ -329,6 +331,72 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY
         report = json.loads(out)
         assert (report["suite"], report["ok"]) == (suite, False)
+
+    @staticmethod
+    def bumped(x):
+        """x with its last term's coefficient raised by one."""
+        lam, c = x.sorted_terms()[-1]
+        return CharCombo(x.ambient, {**x.terms, lam: c + 1})
+
+    def assert_fails_at(self, suite, detail, capsys):
+        argv = ["verify", "--suite", suite, "--q", "2", "--max-n", "3"]
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (cli.EXIT_VERIFY, "%s: FAIL (%s)\n" % (suite, detail))
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == cli.EXIT_VERIFY
+        assert json.loads(out)["detail"] == detail
+
+    def test_tensor_suite_names_the_one_wrong_point(self, capsys, monkeypatch):
+        full = PartitionIndex.full(3)
+        lam = LabeledSetPartition.from_text("n=3; 1-2:1")
+        mu = LabeledSetPartition.from_text("n=3; 1-3:1")
+        right = cli.tensor
+        wrong = self.bumped(right(CharCombo.of(lam, full), CharCombo.of(mu, full), 2))
+        at = (CharCombo.of(lam, full), CharCombo.of(mu, full))
+        monkeypatch.setattr(
+            cli, "tensor", lambda x, y, p: wrong if (x, y) == at else right(x, y, p)
+        )
+        # the first label where the wrong product's value differs
+        nu = next(
+            nu for nu in enumerate_compatible(full, 2)
+            if combo_value(wrong, nu, 2) != char_value(lam, nu, 2) * char_value(mu, nu, 2)
+        )
+        self.assert_fails_at("tensor", "n=3; 1-2:1 (x) n=3; 1-3:1 at %s" % nu.to_text(), capsys)
+
+    def test_restriction_suite_names_the_one_wrong_point(self, capsys, monkeypatch):
+        full = PartitionIndex.full(3)
+        lam = LabeledSetPartition.from_text("n=3; 1-3:1")
+        K = PartitionIndex.from_text("{1,3|2}")
+        right = cli.restrict_combo
+        wrong = self.bumped(right(CharCombo.of(lam, full), K, 2))
+        monkeypatch.setattr(
+            cli,
+            "restrict_combo",
+            lambda x, L, p: wrong
+            if (x, L.to_text()) == (CharCombo.of(lam, full), K.to_text())
+            else right(x, L, p),
+        )
+        nu = next(
+            nu for nu in enumerate_compatible(K, 2)
+            if combo_value(wrong, nu, 2) != char_value(lam, nu, 2)
+        )
+        self.assert_fails_at("restriction", "Res n=3; 1-3:1 to {1,3|2} at %s" % nu.to_text(), capsys)
+
+    @pytest.mark.parametrize("suite", ["tensor", "restriction"])
+    def test_label_walk_over_budget_is_refused_at_once(self, suite, capsys):
+        argv = ["verify", "--suite", suite, "--q", "2", "--max-n", "11", "--budget", "10"]
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (cli.EXIT_BUDGET, "")
+        assert err == (
+            "budget refused: the %s suite on U_11(2) walks 678570 labels, "
+            "over the budget of 10\n" % suite
+        )
+        # U_3(2) has 5 labels: a budget of 5 admits the suite, 4 refuses it
+        small = ["verify", "--suite", suite, "--q", "2", "--max-n", "3"]
+        assert run(small + ["--budget", "5"], capsys)[:2] == run(small, capsys)[:2]
+        assert run(small + ["--budget", "4"], capsys)[0] == cli.EXIT_BUDGET
 
     def test_budget_refusal(self, capsys):
         code, _, err = run(

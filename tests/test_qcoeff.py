@@ -132,6 +132,15 @@ class TestLaurentPoly:
         assert value == 4 and type(value) is int
         assert type(LaurentPoly({-2: 1}).eval_at(2)) is Fraction
 
+    def test_evaluation_refuses_a_float_point(self):
+        q = LaurentPoly({1: 1})
+        with pytest.raises(TypeError, match="float"):
+            q.eval_at(0.1)
+        with pytest.raises(TypeError, match="float"):
+            LaurentPoly({-1: 1}).eval_at(2.0)
+        assert q.eval_at(3) == 3 and type(q.eval_at(3)) is int
+        assert q.eval_at(Fraction(1, 10)) == Fraction(1, 10)
+
     def test_constructor_refuses_non_int_coefficients(self):
         with pytest.raises(TypeError):
             LaurentPoly({0: 1.0})

@@ -192,6 +192,52 @@ class TestMonomialValues:
                     assert_canonical(got)
 
 
+class TestValueTables:
+    """The verify suites read a combination's values at every label off one
+    monomial table; each value's coordinates are exactly ``combo_value``'s."""
+
+    @staticmethod
+    def assert_coords_match(x, labels, p, rows=None):
+        got = ring._combo_coords(x, labels, p, rows)
+        assert got == [combo_value(x, mu, p).coords for mu in labels], x.to_text()
+
+    def test_monomial_coords_are_cyclotomic_coords(self):
+        for p in (2, 3, 5):
+            assert ring._mono_coords(None, p) == Cyclotomic.zero(p).coords
+            for e in range(3):
+                for k in range(p):
+                    want = (Cyclotomic.zeta_power(p, k) * p ** e).coords
+                    assert ring._mono_coords((e, k), p) == want
+
+    def test_every_tensor_and_restriction_suite_result(self):
+        for p in (2, 3):
+            for n in range(2, 5):
+                full = PartitionIndex.full(n)
+                labels = list(enumerate_compatible(full, p))
+                rows = ring._value_rows(labels, labels, full, p)
+                for i, lam in enumerate(labels):
+                    # tensor commutes, so each unordered pair gives one result
+                    for mu in labels[i:]:
+                        x = tensor(CharCombo.of(lam, full), CharCombo.of(mu, full), p)
+                        self.assert_coords_match(x, labels, p, rows)
+                for parts in set_partitions(range(1, n + 1)):
+                    K = PartitionIndex(n, parts)
+                    k_labels = list(enumerate_compatible(K, p))
+                    k_rows = ring._value_rows(k_labels, k_labels, K, p)
+                    for lam in labels:
+                        x = restrict_combo(CharCombo.of(lam, full), K, p)
+                        self.assert_coords_match(x, k_labels, p, k_rows)
+
+    def test_a_coefficient_with_a_negative_power_of_q(self):
+        x = superinduce(lsp(4, [(1, 3, 1)]), PartitionIndex(4, [(1, 2, 3), (4,)]), 2)
+        assert any(e < 0 for c in x.terms.values() for e in c.coeffs)
+        labels = list(enumerate_compatible(PartitionIndex.full(4), 2))
+        self.assert_coords_match(x, labels, 2)
+        # rows missing some terms are completed
+        partial = ring._value_rows(list(x.terms)[:1], labels, x.ambient, 2)
+        self.assert_coords_match(x, labels, 2, partial)
+
+
 @st.composite
 def value_cases(draw):
     """p and two labeled set partitions of one n <= 7: each vertex in turn
