@@ -11,15 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
-import math
 import os
-import random
 import sys
 import tempfile
 import time
-from fractions import Fraction
 
 from . import __version__
 from .qcoeff import is_prime
@@ -27,16 +23,13 @@ from .setpart import (
     BudgetError,
     LabeledSetPartition,
     PartitionIndex,
+    check_walk_budget,
     count_sn,
-    enumerate_compatible,
-    set_partitions,
-    union_K,
 )
 from .ring import (
     CharCombo,
     char_value,
     check_labels,
-    combo_value,
     inner_product,
     restrict_combo,
     sinf,
@@ -80,20 +73,6 @@ def _render(x, fmt):
     return str(x)
 
 
-def _check_walk_budget(n, args, walk="superinduction to"):
-    """Superinduction to U_n, and the restriction and tensor suites up to
-    U_n, walk every label of U_n; refuse the request when they outnumber an
-    explicit --budget."""
-    if args.budget is None:
-        return
-    labels = count_sn(n, args.q)
-    if labels > args.budget:
-        raise BudgetError(
-            "%s U_%d(%d) walks %d labels, over the budget of %d"
-            % (walk, n, args.q, labels, args.budget)
-        )
-
-
 # ---------------------------------------------------------------------------
 # compute commands: each returns (exit_code, output string)
 
@@ -124,7 +103,7 @@ def cmd_sind(args):
     mu = _parse_char(args.char, args.q, args.n)
     n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
-    _check_walk_budget(n, args)
+    check_walk_budget(n, args.q, args.budget)
     return EXIT_OK, _render(superinduce(mu, K, args.q), args.format)
 
 
@@ -147,7 +126,7 @@ def cmd_star(args):
         # an index carries no empty block, so an n=0 factor's block is left out
         blocks = (range(1, m + 1), range(m + 1, m + n + 1))
         K = PartitionIndex(m + n, [block for block in blocks if block])
-    _check_walk_budget(m + n, args)
+    check_walk_budget(m + n, args.q, args.budget)
     return EXIT_OK, _render(star_K(lam, mu, K, args.q), args.format)
 
 
@@ -212,226 +191,29 @@ def cmd_ncsym(args):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification: the suites live in superchar.verify, imported only here
 
-
-def _suite_orthogonality(args):
-    from .oracle import PatternGroup, brute_inner_product
-
-    checks = 0
-    for n in range(2, args.max_n + 1):
-        G = PatternGroup.full(n, args.q, max_size=args.budget)
-        table = G.superclass_table()
-        rows = G.character_table()
-        for i, lam in enumerate(table.labels):
-            for j, mu in enumerate(table.labels):
-                got = brute_inner_product(G, rows[i]["values"], rows[j]["values"])
-                want = (
-                    Fraction(args.q ** lam.num_crossings()) if i == j else Fraction(0)
-                )
-                if got.as_rational() != want:
-                    return False, "inner(%s, %s) = %s at n=%d" % (
-                        lam.to_text(),
-                        mu.to_text(),
-                        got,
-                        n,
-                    )
-                checks += 1
-    return True, "%d inner products" % checks
-
-
-def _suite_restriction(args):
-    from .ring import _char_value_std, _combo_coords, _mono_coords, _value_rows
-
-    _check_walk_budget(args.max_n, args, "the restriction suite on")
-    p = args.q
-    checks = 0
-    for n in range(2, args.max_n + 1):
-        full = PartitionIndex.full(n)
-        # each K's labels and the monomial rows of its characters, shared by every lam
-        subgroups = []
-        for parts in set_partitions(range(1, n + 1)):
-            K = PartitionIndex(n, parts)
-            labels = list(enumerate_compatible(K, p))
-            subgroups.append((K, labels, _value_rows(labels, labels, K, p)))
-        for lam in enumerate_compatible(full, p):
-            x = CharCombo.of(lam, full)
-            for K, labels, rows in subgroups:
-                res = restrict_combo(x, K, p)
-                for mu, got in zip(labels, _combo_coords(res, labels, p, rows)):
-                    if got != _mono_coords(_char_value_std(lam.arcs, mu.arcs, p), p):
-                        return False, "Res %s to %s at %s" % (
-                            lam.to_text(),
-                            K.to_text(),
-                            mu.to_text(),
-                        )
-                    checks += 1
-    return True, "%d pointwise values" % checks
-
-
-def _suite_tensor(args):
-    from .ring import _combo_coords, _mono_coords, _value_rows
-
-    if args.samples < 0:
-        raise ValueError("--samples must be nonnegative")
-    _check_walk_budget(args.max_n, args, "the tensor suite on")
-    p = args.q
-    rnd = random.Random(args.seed)
-    checks = 0
-    # exhaustive pointwise correctness on small groups, read off one
-    # monomial table per group: chi^lam chi^mu is a product of monomials
-    for n in range(2, min(args.max_n, 4) + 1):
-        amb = PartitionIndex.full(n)
-        labels = list(enumerate_compatible(amb, p))
-        rows = _value_rows(labels, labels, amb, p)
-        for lam, mu in itertools.product(labels, repeat=2):
-            t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), p)
-            got = _combo_coords(t, labels, p, rows)
-            for nu, value, m1, m2 in zip(labels, got, rows[lam], rows[mu]):
-                want = m1 and m2 and (m1[0] + m2[0], (m1[1] + m2[1]) % p)
-                if value != _mono_coords(want, p):
-                    return False, "%s (x) %s at %s" % (
-                        lam.to_text(),
-                        mu.to_text(),
-                        nu.to_text(),
-                    )
-                checks += 1
-    # seeded commutativity check at the largest size, on at most --samples
-    # distinct pairs of different characters, each counted once
-    n = args.max_n
-    amb = PartitionIndex.full(n)
-    labels = list(enumerate_compatible(amb, p))
-    pairs = len(labels) * (len(labels) - 1) // 2
-    for t in sorted(rnd.sample(range(pairs), min(args.samples, pairs))):
-        # pair number t is (i, j) with t = j(j-1)/2 + i and i < j
-        j = (1 + math.isqrt(1 + 8 * t)) // 2
-        lam, mu = labels[t - j * (j - 1) // 2], labels[j]
-        a = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), p)
-        b = tensor(CharCombo.of(mu, amb), CharCombo.of(lam, amb), p)
-        if a != b:
-            return False, "commutativity %s (x) %s" % (lam.to_text(), mu.to_text())
-        checks += 1
-    return True, "%d checks" % checks
-
-
-def _suite_superinduction(args):
-    from .oracle import PatternGroup, brute_inner_product, brute_superinduce
-    from .reference import superinduce_trivial_twoblock
-    from .ring import char_value_in
-
-    checks = 0
-    for n in range(2, args.max_n + 1):
-        G = PatternGroup.full(n, args.q, max_size=args.budget)
-        gt = G.superclass_table()
-        rows = G.character_table()
-        row_of = {lam: r["values"] for lam, r in zip(gt.labels, rows)}
-        for parts in set_partitions(range(1, n + 1)):
-            K = PartitionIndex(n, parts)
-            H = PatternGroup.parabolic(K, args.q, max_size=args.budget)
-            ht = H.superclass_table()
-            for mu in enumerate_compatible(K, args.q):
-                pipeline = superinduce(mu, K, args.q)
-                chi_vals = tuple(
-                    char_value_in(mu, lab, K, args.q) for lab in ht.labels
-                )
-                vals = brute_superinduce(G, H, chi_vals)
-                for lam in gt.labels:
-                    want = brute_inner_product(G, vals, row_of[lam]).as_rational()
-                    want /= Fraction(args.q ** lam.num_crossings())
-                    got = pipeline.coeff(lam).eval_at(args.q)
-                    if got != want:
-                        return False, "SInd %s from %s, coefficient of %s" % (
-                            mu.to_text(),
-                            K.to_text(),
-                            lam.to_text(),
-                        )
-                    checks += 1
-        # closed form for the two-block trivial case
-        for k in range(1, n):
-            K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
-            trivial = LabeledSetPartition(range(1, n + 1), [])
-            if superinduce(trivial, K, args.q) != superinduce_trivial_twoblock(
-                k, n, args.q
-            ):
-                return False, "closed form at k=%d n=%d" % (k, n)
-            checks += 1
-    return True, "%d coefficients" % checks
-
-
-def _suite_words(args):
-    from . import ncsym as nc
-    from .reference import _labeled_of_parts, _star_K_product_words
-
-    checks = 0
-    for total in range(2, args.max_n + 1):
-        for m in range(1, total):
-            n = total - m
-            for block1 in itertools.combinations(range(1, total + 1), m):
-                block2 = tuple(v for v in range(1, total + 1) if v not in block1)
-                K = PartitionIndex(total, [block1, block2])
-                for mp in set_partitions(range(1, m + 1)):
-                    for np_ in set_partitions(range(1, n + 1)):
-                        glued = union_K(
-                            _labeled_of_parts(mp, m), _labeled_of_parts(np_, n), K
-                        )
-                        x = nc.NCSymElem.single(
-                            "p", nc.canonical_index(PartitionIndex(m, mp))
-                        )
-                        y = nc.NCSymElem.single(
-                            "p", nc.canonical_index(PartitionIndex(n, np_))
-                        )
-                        product = nc.star_K_product(x, y, K)
-                        where = "p_%s *_%s p_%s" % (
-                            PartitionIndex(m, mp).to_text(),
-                            K.to_text(),
-                            PartitionIndex(n, np_).to_text(),
-                        )
-                        # the word-by-word product keeps the check independent
-                        # of the m-basis rule
-                        if product != _star_K_product_words(x, y, K):
-                            return False, where + " differs from the word product"
-                        rhs = nc.NCSymElem.single(
-                            "p",
-                            nc.canonical_index(PartitionIndex(total, glued.parts())),
-                        )
-                        if nc.p_from_m(product) != rhs:
-                            return False, where
-                        checks += 1
-    return True, "%d products" % checks
-
-
-def _suite_charmap(args):
-    from .reference import characteristic_map_check
-
-    if args.q != 2:
-        raise ValueError("the characteristic map lives at q = 2")
-    ok = characteristic_map_check(args.max_n, budget=args.budget)
-    return ok, "degrees up to %d" % args.max_n
-
-
-SUITES = {
-    "orthogonality": _suite_orthogonality,
-    "restriction": _suite_restriction,
-    "tensor": _suite_tensor,
-    "superinduction": _suite_superinduction,
-    "words": _suite_words,
-    "charmap": _suite_charmap,
-}
+# the --suite choices, sorted; a test pins them to superchar.verify.SUITES
+SUITE_NAMES = ("charmap", "orthogonality", "restriction", "superinduction", "tensor", "words")
 
 
 def cmd_verify(args):
     if args.max_n < 0:
         raise ValueError("--max-n must be nonnegative")
+    if args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
+    from .verify import SUITES
+
     if args.suite != "all":
         names = [args.suite]
     else:
         # every suite defined at this q: the characteristic map needs q = 2
-        names = [name for name in sorted(SUITES) if name != "charmap" or args.q == 2]
+        names = [name for name in SUITE_NAMES if name != "charmap" or args.q == 2]
     lines = []
     failed = False
     for name in names:
         start = time.perf_counter()
-        ok, detail = SUITES[name](args)
+        ok, detail = SUITES[name](args.q, args.max_n, args.budget, args.samples, args.seed)
         elapsed = time.perf_counter() - start
         if args.format == "json":
             report = {"suite": name, "ok": ok, "detail": detail, "elapsed_s": elapsed}
@@ -571,7 +353,7 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run a verification suite")
     common(sp)
-    sp.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
+    sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     sp.add_argument("--max-n", type=int, default=4, dest="max_n")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=int, default=500)

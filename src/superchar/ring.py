@@ -704,7 +704,7 @@ def star_K(lam, mu, K, p):
 def chi_to_kappa(x, p):
     """Value vector of a combination on the full group: superclass label ->
     exact value, i.e. the coefficients on the superclass-indicator basis."""
-    if len(x.ambient.parts) != 1:
+    if x.ambient != PartitionIndex.full(x.ambient.n):
         raise ValueError("basis conversion lives on the full group")
     check_labels(x.terms, p)
     labels = list(enumerate_compatible(x.ambient, p))

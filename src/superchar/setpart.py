@@ -26,6 +26,7 @@ from typing import NamedTuple
 __all__ = [
     "Arc",
     "BudgetError",
+    "check_walk_budget",
     "LabeledSetPartition",
     "PartitionIndex",
     "set_partitions",
@@ -407,6 +408,20 @@ def count_sn(n, q):
     if q < 2:
         raise ValueError("q must be at least 2")
     return count_sn_poly(n).eval_at(q)
+
+
+def check_walk_budget(n, q, budget, walk="superinduction to"):
+    """Superinduction to U_n, and the restriction and tensor verify suites
+    up to U_n, walk every label of U_n(q); refuse the walk when they
+    outnumber a budget that is not None."""
+    if budget is None:
+        return
+    labels = count_sn(n, q)
+    if labels > budget:
+        raise BudgetError(
+            "%s U_%d(%d) walks %d labels, over the budget of %d"
+            % (walk, n, q, labels, budget)
+        )
 
 
 def union_K(lam, mu, K):

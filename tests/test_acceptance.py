@@ -2,9 +2,10 @@
 
 Each test states a complete mathematical claim and verifies it exactly
 (integer, rational, or cyclotomic arithmetic throughout -- no floats).
-The slow group-theoretic sweeps are deliberately kept in this file, not
-in the per-module tests, so `pytest tests/test_acceptance.py -v` reads
-as the engine's checklist.
+The slow group-theoretic sweeps run from this file, not from the
+per-module tests, so `pytest tests/test_acceptance.py -v` reads as the
+engine's checklist; three of them are verify suites (`superchar.verify`),
+asserted with their exact check counts.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import time
 from fractions import Fraction
 
 from superchar.ncsym import NCSymElem, canonical_index, p_from_m, star_K_product
-from superchar.oracle import PatternGroup, brute_inner_product, brute_superinduce
+from superchar.oracle import PatternGroup
 from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.reference import (
     characteristic_map_check,
@@ -22,17 +23,8 @@ from superchar.reference import (
     sg_ones,
     sg_sow,
     sinfres_identities_check,
-    superinduce_trivial_twoblock,
 )
-from superchar.ring import (
-    CharCombo,
-    char_value,
-    char_value_in,
-    combo_value,
-    restrict,
-    superinduce,
-    tensor,
-)
+from superchar.ring import CharCombo, char_value, restrict, tensor
 from superchar.setpart import (
     Arc,
     LabeledSetPartition,
@@ -43,10 +35,17 @@ from superchar.setpart import (
     set_partitions,
     union_K,
 )
+from superchar.verify import SUITES
 
 
 def lsp(n, arcs):
     return LabeledSetPartition(range(1, n + 1), [Arc(*a) for a in arcs])
+
+
+def suite(name, p, max_n):
+    """The verify suite's report on U_n(p) for every n <= max_n, at the
+    oracle's default group bound; the detail counts every check made."""
+    return SUITES[name](p, max_n, None, 0, 0)
 
 
 def term_dict(combo):
@@ -127,42 +126,16 @@ def test_criterion_03_restriction_matches_direct_evaluation():
     superclass of U_K: the restricted combination evaluates to the same
     cyclotomic number as the original character does on that superclass.
     Exhaustive for n <= 5 at p = 2 and n <= 4 at p = 3."""
-    for p, max_n in ((2, 5), (3, 4)):
-        for n in range(2, max_n + 1):
-            full = PartitionIndex.full(n)
-            for lam in enumerate_compatible(full, p):
-                x = CharCombo.of(lam, full)
-                for parts in set_partitions(range(1, n + 1)):
-                    K = PartitionIndex(n, parts)
-                    res = restrict(lam, K, p)
-                    for mu in enumerate_compatible(K, p):
-                        assert combo_value(res, mu, p) == char_value(lam, mu, p), (
-                            p,
-                            lam.to_text(),
-                            K.to_text(),
-                            mu.to_text(),
-                        )
+    assert suite("restriction", 2, 5) == (True, "19582 pointwise values")
+    assert suite("restriction", 3, 4) == (True, "7054 pointwise values")
 
 
 def test_criterion_04_orthogonality_under_group_average():
     """<chi^lam, chi^mu> over the full group equals q^{#crossings(lam)}
     when lam == mu and 0 otherwise, for all pairs, n <= 4, p in {2, 3}.
     The inner product side is the independent enumeration oracle."""
-    for p in (2, 3):
-        for n in range(2, 5):
-            G = PatternGroup.full(n, p)
-            table = G.superclass_table()
-            rows = G.character_table()
-            for i, lam in enumerate(table.labels):
-                for j, mu in enumerate(table.labels):
-                    got = brute_inner_product(
-                        G, rows[i]["values"], rows[j]["values"]
-                    )
-                    if i == j:
-                        want = Cyclotomic.from_rational(p, p ** lam.num_crossings())
-                    else:
-                        want = Cyclotomic.zero(p)
-                    assert got == want, (p, lam.to_text(), mu.to_text())
+    assert suite("orthogonality", 2, 4) == (True, "254 inner products")
+    assert suite("orthogonality", 3, 4) == (True, "2531 inner products")
 
 
 def test_criterion_05_superinduction_triangle():
@@ -171,36 +144,8 @@ def test_criterion_05_superinduction_triangle():
     two-block index and the trivial character) the closed form.  All
     coefficients compared exactly after evaluating q at p.
     n <= 4 at p = 2, n <= 3 at p = 3."""
-    for p, max_n in ((2, 4), (3, 3)):
-        for n in range(2, max_n + 1):
-            G = PatternGroup.full(n, p)
-            gt = G.superclass_table()
-            rows = G.character_table()
-            row_of = {lam: r["values"] for lam, r in zip(gt.labels, rows)}
-            for parts in set_partitions(range(1, n + 1)):
-                K = PartitionIndex(n, parts)
-                positions = [
-                    (i, j) for part in K.parts for i in part for j in part if i < j
-                ]
-                H = PatternGroup(n, positions, p, index=K)
-                ht = H.superclass_table()
-                for mu in enumerate_compatible(K, p):
-                    pipeline = superinduce(mu, K, p)
-                    chi_vals = tuple(
-                        char_value_in(mu, lab, K, p) for lab in ht.labels
-                    )
-                    vals = brute_superinduce(G, H, chi_vals)
-                    for lam in gt.labels:
-                        want = brute_inner_product(G, vals, row_of[lam]).as_rational()
-                        want /= Fraction(p ** lam.num_crossings())
-                        got = pipeline.coeff(lam).eval_at(Fraction(p))
-                        assert got == want, (p, mu.to_text(), K.to_text(), lam.to_text())
-            for k in range(1, n):
-                K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
-                trivial = LabeledSetPartition(range(1, n + 1), [])
-                assert superinduce(trivial, K, p) == superinduce_trivial_twoblock(
-                    k, n, p
-                )
+    assert suite("superinduction", 2, 4) == (True, "972 coefficients")
+    assert suite("superinduction", 3, 3) == (True, "246 coefficients")
 
 
 def test_criterion_06_zero_one_matrix_identities():

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import superchar
-from superchar import cli
+from superchar import cli, verify
 from superchar.ring import CharCombo, char_value, combo_value
 from superchar.setpart import LabeledSetPartition, PartitionIndex, count_sn, enumerate_compatible
 
@@ -288,7 +288,7 @@ class TestVerify:
         )
         assert code == 0
         reports = [json.loads(line) for line in out.splitlines()]
-        assert [r["suite"] for r in reports] == sorted(cli.SUITES)
+        assert [r["suite"] for r in reports] == sorted(verify.SUITES)
         assert all(r["ok"] for r in reports)
 
     def test_words_suite_catches_a_wrong_product(self, capsys, monkeypatch):
@@ -311,9 +311,9 @@ class TestVerify:
         "suite, module, name, scaled",
         [
             ("orthogonality", "oracle", "brute_inner_product", lambda v: v * 2),
-            ("restriction", "cli", "restrict_combo", lambda x: x.scale(2)),
-            ("tensor", "cli", "tensor", lambda x: x.scale(2)),
-            ("superinduction", "cli", "superinduce", lambda x: x.scale(2)),
+            ("restriction", "verify", "restrict_combo", lambda x: x.scale(2)),
+            ("tensor", "verify", "tensor", lambda x: x.scale(2)),
+            ("superinduction", "verify", "superinduce", lambda x: x.scale(2)),
         ],
         ids=["orthogonality", "restriction", "tensor", "superinduction"],
     )
@@ -350,11 +350,11 @@ class TestVerify:
         full = PartitionIndex.full(3)
         lam = LabeledSetPartition.from_text("n=3; 1-2:1")
         mu = LabeledSetPartition.from_text("n=3; 1-3:1")
-        right = cli.tensor
+        right = verify.tensor
         wrong = self.bumped(right(CharCombo.of(lam, full), CharCombo.of(mu, full), 2))
         at = (CharCombo.of(lam, full), CharCombo.of(mu, full))
         monkeypatch.setattr(
-            cli, "tensor", lambda x, y, p: wrong if (x, y) == at else right(x, y, p)
+            verify, "tensor", lambda x, y, p: wrong if (x, y) == at else right(x, y, p)
         )
         # the first label where the wrong product's value differs
         nu = next(
@@ -367,10 +367,10 @@ class TestVerify:
         full = PartitionIndex.full(3)
         lam = LabeledSetPartition.from_text("n=3; 1-3:1")
         K = PartitionIndex.from_text("{1,3|2}")
-        right = cli.restrict_combo
+        right = verify.restrict_combo
         wrong = self.bumped(right(CharCombo.of(lam, full), K, 2))
         monkeypatch.setattr(
-            cli,
+            verify,
             "restrict_combo",
             lambda x, L, p: wrong
             if (x, L.to_text()) == (CharCombo.of(lam, full), K.to_text())
@@ -541,6 +541,21 @@ class TestErrors:
         assert "--samples" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "all", "--q", "2", "--max-n", "5", "--budget", "1024"],
+            ["--suite", "words", "--q", "2", "--max-n", "3"],
+        ],
+        ids=["all", "words"],
+    )
+    def test_negative_sample_count_is_refused_before_any_suite_runs(self, argv, capsys):
+        start = time.perf_counter()
+        code, out, err = run(["verify"] + argv + ["--samples", "-1"], capsys)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == "error: --samples must be nonnegative\n"
+
+    @pytest.mark.parametrize(
         "suite, max_n", [("restriction", "-3"), ("charmap", "-1"), ("tensor", "-1")]
     )
     def test_negative_max_n_is_refused(self, suite, max_n, capsys):
@@ -596,10 +611,10 @@ class TestErrors:
 
     def test_an_internal_fault_is_not_a_verify_mismatch(self, capsys, monkeypatch):
         # a guard tripping inside a suite is exit 4, never exit 1
-        def stuck(args):
+        def stuck(*args):
             raise RuntimeError("straightening measure must drop")
 
-        monkeypatch.setitem(cli.SUITES, "tensor", stuck)
+        monkeypatch.setitem(verify.SUITES, "tensor", stuck)
         code, out, err = run(["verify", "--suite", "tensor", "--q", "2", "--max-n", "2"], capsys)
         assert (code, out) == (cli.EXIT_INTERNAL, "")
         assert err == "internal error: RuntimeError: straightening measure must drop\n"
@@ -608,7 +623,9 @@ class TestErrors:
         def broken(*args):
             raise AssertionError("label 0 does not start orbit 0")
 
+        # the restrict command and the restriction suite each hold the rule
         monkeypatch.setattr(cli, "restrict_combo", broken)
+        monkeypatch.setattr(verify, "restrict_combo", broken)
         argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
         code, out, err = run(argv, capsys)
         assert (code, out) == (cli.EXIT_INTERNAL, "")
@@ -669,19 +686,25 @@ def test_import_loads_only_the_modules_needed(module, needed):
     assert done.stdout.split() == ["superchar"] + ["superchar." + m for m in needed]
 
 
+def test_the_suite_choices_are_the_verify_suites():
+    # argparse lists them without importing superchar.verify
+    assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
 def test_a_request_without_the_oracle_does_not_load_it():
-    # BudgetError lives in setpart, so catching it loads no oracle
+    # BudgetError lives in setpart, so catching it loads no oracle; and only
+    # verify requests load the suites
     src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
     probe = (
         "import sys; from superchar import cli; "
         "code = cli.main(['count', '--n', '3', '--q', '2']); "
-        "print(code, 'superchar.oracle' in sys.modules)"
+        "print(code, 'superchar.oracle' in sys.modules, 'superchar.verify' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["5", "0", "False"]
+    assert done.stdout.split() == ["5", "0", "False", "False"]
 
 
 def test_the_oracle_exports_the_budget_error():

@@ -226,6 +226,8 @@ class TestValueTables:
                     k_rows = ring._value_rows(k_labels, k_labels, K, p)
                     for lam in labels:
                         x = restrict_combo(CharCombo.of(lam, full), K, p)
+                        # the suite's route and restrict's are one rule
+                        assert x == restrict(lam, K, p)
                         self.assert_coords_match(x, k_labels, p, k_rows)
 
     def test_a_coefficient_with_a_negative_power_of_q(self):
@@ -724,6 +726,14 @@ class TestKappaBasis:
         with pytest.raises(ValueError, match="zeta_2"):
             kappa_to_chi(values, 2)
 
+    def test_round_trips_on_the_groups_with_one_superclass(self):
+        # U_0 (no parts) and U_1 have one label, the empty partition
+        for n in (0, 1):
+            for p in (2, 3):
+                values = chi_to_kappa(CharCombo.one(PartitionIndex.full(n)), p)
+                assert values == {lsp(n, []): Cyclotomic.one(p)}
+                assert kappa_to_chi(values, p) == values
+
     def test_round_trips(self):
         for p, max_n in ((2, 4), (3, 3), (5, 3)):
             for n in range(2, max_n + 1):
@@ -805,9 +815,9 @@ class TestBoundary:
             superinduce(lsp(3, []), PartitionIndex(3, [[1], [2, 3]]), 2, L=L)
 
     def test_basis_conversion_off_the_full_group_is_refused(self):
-        x = CharCombo.one(PartitionIndex(3, [[1, 2], [3]]))
-        with pytest.raises(ValueError, match="full group"):
-            chi_to_kappa(x, 2)
+        for K in (PartitionIndex(3, [[1, 2], [3]]), PartitionIndex(2, [[1], [2]])):
+            with pytest.raises(ValueError, match="full group"):
+                chi_to_kappa(CharCombo.one(K), 2)
 
     def test_every_rule_result_is_a_valid_partition(self):
         def check(x):
