@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 from .qcoeff import Cyclotomic, is_prime
 from .setpart import BudgetError, PartitionIndex, enumerate_compatible
@@ -33,7 +34,9 @@ __all__ = [
     "PatternGroup",
     "SuperclassTable",
     "brute_superinduce",
+    "brute_superinduction_table",
     "brute_inner_product",
+    "brute_inner_product_table",
     "z_value",
     "DEFAULT_MAX_GROUP",
 ]
@@ -336,6 +339,42 @@ def _classes_in(G, H):
             for rep in H.superclass_table().reps]
 
 
+def _slots(p, values):
+    """One Cyclotomic per class, slot by slot: [coordinate i of each class
+    for i in 0..p-2]."""
+    if any(v.p != p for v in values):
+        raise ValueError("need values in Q(zeta_%d)" % p)
+    return [[v.coords[i] for v in values] for i in range(p - 1)]
+
+
+def _class_sums(G, H, chi_rows):
+    """S_O = sum over the H-superclasses C in O of |C| chi(C) for each
+    G-superclass O, slot by slot, for each chi in ``chi_rows``."""
+    classes_in, sizes, out = _classes_in(G, H), H.superclass_table().sizes(), []
+    for chi in chi_rows:
+        if len(chi) != len(classes_in):
+            raise ValueError("need one value per H-superclass")
+        out.append([[0] * len(G.superclass_table()) for _ in range(G.p - 1)])
+        for sums, slot in zip(out[-1], _slots(G.p, chi)):
+            for o, size, a in zip(classes_in, sizes, slot):
+                sums[o] += size * a
+    return out
+
+
+def _pairings(p, f_rows, g_rows, d):
+    """The matrix of 1/d * sum over the classes of f * conj(g) for f in
+    ``f_rows`` and g in ``g_rows``, slot by slot: slot i of f times slot j
+    of g adds into coordinate i - j mod p, as conj(zeta^j) = zeta^-j."""
+    def pairing(f, g):
+        vec = [0] * p
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                vec[(i - j) % p] += sum(map(mul, fi, gj))
+        last = vec[p - 1]
+        return Cyclotomic._make(p, [Fraction(a - last, d) if a != last else 0 for a in vec[:-1]])
+    return [[pairing(f, g) for g in g_rows] for f in f_rows]
+
+
 def brute_superinduce(G, H, chi_vals):
     """Superinduction, summed over the superclasses of H in each of G.
 
@@ -349,38 +388,30 @@ def brute_superinduce(G, H, chi_vals):
     The map (x, y) -> x(g-1)y covers the superclass O of g-1 and hits each
     of its points |G|^2/|O| times (orbit-stabilizer for G x G).  The points
     of O on H's algebra are whole H-superclasses C (``_classes_in``), so
-
-        SInd(chi)(g) = |G|/(|H||O|) * sum over C in O of |C| chi(C).
+    SInd(chi)(g) = |G|/(|H||O|) * S_O with ``_class_sums``' S_O.
     """
-    classes_in = _classes_in(G, H)
-    if len(chi_vals) != len(classes_in):
-        raise ValueError("need one value per H-superclass")
-    if any(v.p != G.p for v in chi_vals):
-        raise ValueError("need values in Q(zeta_%d)" % G.p)
+    (sums,), sizes = _class_sums(G, H, [chi_vals]), G.superclass_table().sizes()
+    return tuple(Cyclotomic._make(G.p, [Fraction(G.size * s[o], H.size * size) for s in sums])
+                 for o, size in enumerate(sizes))
 
-    vecs = [[0] * (G.p - 1) for _ in G.superclass_table().reps]
-    for o, size, chi in zip(classes_in, H.superclass_table().sizes(), chi_vals):
-        for i, a in enumerate(chi.coords):
-            vecs[o][i] += size * a
-    return tuple(
-        Cyclotomic._make(G.p, [Fraction(G.size, H.size * size) * v for v in vec])
-        for vec, size in zip(vecs, G.superclass_table().sizes())
-    )
+
+def brute_superinduction_table(G, H, chi_rows):
+    """The matrix of <SInd(chi), chi^lam> for chi in ``chi_rows`` (each as
+    in ``brute_superinduce``) and the rows chi^lam of G's character table.
+    By ``brute_superinduce``, the class sizes |O| cancel:
+    <SInd(chi), chi^lam> = 1/|H| * sum over O of S_O conj(chi^lam(O))."""
+    rows = [_slots(G.p, row["values"]) for row in G.character_table()]
+    return _pairings(G.p, _class_sums(G, H, chi_rows), rows, H.size)
+
+
+def brute_inner_product_table(group, f_rows, g_rows):
+    """The matrix of <f, g> = 1/|G| sum over the group of f * conj(g) for f
+    in ``f_rows`` and g in ``g_rows``, one Cyclotomic per superclass each."""
+    sizes = group.superclass_table().sizes()
+    weighted = [[list(map(mul, sizes, slot)) for slot in _slots(group.p, f)] for f in f_rows]
+    return _pairings(group.p, weighted, [_slots(group.p, g) for g in g_rows], group.size)
 
 
 def brute_inner_product(group, f_vals, g_vals):
-    """<f, g> = 1/|G| sum over the group of f * conj(g), via class sizes:
-    conj(zeta^j) = zeta^-j, so a_i zeta^i times conj(b_j zeta^j) adds
-    size * a_i * b_j into coordinate i - j mod p."""
-    p = group.p
-    if any(v.p != p for v in (*f_vals, *g_vals)):
-        raise ValueError("need values in Q(zeta_%d)" % p)
-    vec = [0] * p
-    for size, f, g in zip(group.superclass_table().sizes(), f_vals, g_vals):
-        for i, a in enumerate(f.coords):
-            if a:
-                for j, b in enumerate(g.coords):
-                    if b:
-                        vec[(i - j) % p] += size * a * b
-    scale = Fraction(1, group.size)
-    return Cyclotomic._from_full(p, [scale * v for v in vec])
+    """<f, g>: the one entry of ``brute_inner_product_table``."""
+    return brute_inner_product_table(group, [f_vals], [g_vals])[0][0]

@@ -45,6 +45,7 @@ __all__ = [
     "sinf",
     "inner_product",
     "superinduce",
+    "superinduction_table",
     "star_K",
     "chi_to_kappa",
     "kappa_to_chi",
@@ -645,6 +646,17 @@ def inner_product(x, y):
     return total
 
 
+def _walk_parts(K, L):
+    """L (default: the full group), once K is checked to refine it, its part
+    lookup, and each part of K's ``_ranks`` and part of L, for ``_trace``."""
+    if L is None:
+        L = PartitionIndex.full(K.n)
+    if not K.refines(L):
+        raise ValueError("superinduction needs the source index to refine the target")
+    where = L.part_lookup()
+    return L, where, [(_ranks(part, K.n), where[part[0]]) for part in K.parts]
+
+
 def superinduce(mu, K, p, L=None):
     """Superinduction from U_K up to U_L (default: the full group), computed
     through its adjointness with restriction: the coefficient of chi^nu is
@@ -660,19 +672,13 @@ def superinduce(mu, K, p, L=None):
     part keeps the entry read at each trace.  Across calls only the bracket
     table (``_bracket``) is kept, not the factors."""
     _check_n((mu,), K)
-    if L is None:
-        L = PartitionIndex.full(K.n)
-    if not K.refines(L):
-        raise ValueError("superinduction needs the source index to refine the target")
+    L, where, walk = _walk_parts(K, L)
     check_labels((mu,), p)
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
-    where = L.part_lookup()
-    parts = [
-        (_ranks(part, K.n), where[part[0]], _local(mu.arcs, _numbering(part)), {})
-        for part in K.parts
-    ]
+    parts = [(rank, block, _local(mu.arcs, _numbering(part)), {})
+             for (rank, block), part in zip(walk, K.parts)]
     memo = {(): {(): LaurentPoly.one()}}
     terms = {}
     for nu in enumerate_compatible(L, p):
@@ -688,6 +694,29 @@ def superinduce(mu, K, p, L=None):
         else:
             terms[nu] = b.shift(c_mu - nu.crossings_within(L))
     return CharCombo._make(L, terms)
+
+
+def superinduction_table(K, p, L=None):
+    """The matrix of branching coefficients: each supercharacter mu of U_K
+    -> ``superinduce(mu, K, p, L)``, from one walk over the labels nu of
+    U_L.  Each nu's restriction to U_K is its parts' factors (as in
+    ``superinduce``) superimposed, and each of its terms c chi^mu adds
+    q^(cr_K mu - cr_L nu) c chi^nu to mu's row.  One mu alone is cheaper
+    through ``superinduce``, which reads one entry of each factor."""
+    L, where, walk = _walk_parts(K, L)
+    rows = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
+    one = LaurentPoly.one()
+    memo = {(): {(): one}}
+    for nu in enumerate_compatible(L, p):
+        acc = {}
+        factors = [_memo_factor(_trace(nu.arcs, rank, block, where), p, memo).items()
+                   for rank, block in walk]
+        _superimpose(K, factors, one, acc)
+        c_nu = nu.crossings_within(L)
+        for arcs, c in acc.items():
+            mu, c_mu, row = rows[arcs]
+            row[nu] = c.shift(c_mu - c_nu)
+    return {mu: CharCombo._make(L, row) for mu, _, row in rows.values()}
 
 
 def star_K(lam, mu, K, p):

@@ -17,15 +17,16 @@ import math
 import random
 from fractions import Fraction
 
+from .qcoeff import Cyclotomic
 from .ring import (
     CharCombo,
     _char_value_std,
     _combo_coords,
     _mono_coords,
     _value_rows,
-    char_value_in,
     restrict_combo,
     superinduce,
+    superinduction_table,
     tensor,
 )
 from .setpart import (
@@ -41,17 +42,17 @@ __all__ = ["SUITES"]
 
 
 def _suite_orthogonality(q, max_n, budget, samples, seed):
-    from .oracle import PatternGroup, brute_inner_product
+    from .oracle import PatternGroup, brute_inner_product_table
 
     checks = 0
     for n in range(2, max_n + 1):
         G = PatternGroup.full(n, q, max_size=budget)
-        table = G.superclass_table()
-        rows = G.character_table()
-        for i, lam in enumerate(table.labels):
-            for j, mu in enumerate(table.labels):
-                got = brute_inner_product(G, rows[i]["values"], rows[j]["values"])
-                want = Fraction(q ** lam.num_crossings()) if i == j else Fraction(0)
+        labels = G.superclass_table().labels
+        rows = [row["values"] for row in G.character_table()]
+        table = brute_inner_product_table(G, rows, rows)
+        for lam, row in zip(labels, table):
+            for mu, got in zip(labels, row):
+                want = Fraction(q ** lam.num_crossings()) if lam == mu else Fraction(0)
                 if got.as_rational() != want:
                     return False, "inner(%s, %s) = %s at n=%d" % (
                         lam.to_text(), mu.to_text(), got, n
@@ -122,28 +123,27 @@ def _suite_tensor(q, max_n, budget, samples, seed):
 
 
 def _suite_superinduction(q, max_n, budget, samples, seed):
-    from .oracle import PatternGroup, brute_inner_product, brute_superinduce
+    from .oracle import PatternGroup, brute_superinduction_table
     from .reference import superinduce_trivial_twoblock
 
     checks = 0
     for n in range(2, max_n + 1):
         G = PatternGroup.full(n, q, max_size=budget)
-        gt = G.superclass_table()
-        rows = G.character_table()
-        row_of = {lam: r["values"] for lam, r in zip(gt.labels, rows)}
+        g_labels = G.superclass_table().labels
+        norms = [q ** lam.num_crossings() for lam in g_labels]
         for parts in set_partitions(range(1, n + 1)):
             K = PartitionIndex(n, parts)
             H = PatternGroup.parabolic(K, q, max_size=budget)
-            ht = H.superclass_table()
-            for mu in enumerate_compatible(K, q):
-                pipeline = superinduce(mu, K, q)
-                chi_vals = tuple(char_value_in(mu, lab, K, q) for lab in ht.labels)
-                vals = brute_superinduce(G, H, chi_vals)
-                for lam in gt.labels:
-                    want = brute_inner_product(G, vals, row_of[lam]).as_rational()
-                    want /= Fraction(q ** lam.num_crossings())
-                    got = pipeline.coeff(lam).eval_at(q)
-                    if got != want:
+            labels = H.superclass_table().labels
+            # chi^mu at H's superclasses, one row per mu, from K's monomial rows
+            chi_rows = [[Cyclotomic._make(q, _mono_coords(m, q)) for m in row]
+                        for row in _value_rows(labels, labels, K, q).values()]
+            table = superinduction_table(K, q)
+            for mu, wants in zip(labels, brute_superinduction_table(G, H, chi_rows)):
+                for lam, norm, want in zip(g_labels, norms, wants):
+                    # <SInd chi^mu, chi^lam> is the coefficient times q^cr(lam)
+                    want = want.as_rational()
+                    if want is None or table[mu].coeff(lam).eval_at(q) * norm != want:
                         return False, "SInd %s from %s, coefficient of %s" % (
                             mu.to_text(), K.to_text(), lam.to_text()
                         )

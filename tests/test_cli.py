@@ -310,12 +310,18 @@ class TestVerify:
     @pytest.mark.parametrize(
         "suite, module, name, scaled",
         [
-            ("orthogonality", "oracle", "brute_inner_product", lambda v: v * 2),
+            ("orthogonality", "oracle", "brute_inner_product_table",
+             lambda t: [[v * 2 for v in row] for row in t]),
             ("restriction", "verify", "restrict_combo", lambda x: x.scale(2)),
             ("tensor", "verify", "tensor", lambda x: x.scale(2)),
             ("superinduction", "verify", "superinduce", lambda x: x.scale(2)),
+            ("superinduction", "verify", "superinduction_table",
+             lambda t: {mu: x.scale(2) for mu, x in t.items()}),
+            ("superinduction", "oracle", "brute_superinduction_table",
+             lambda t: [[v * 2 for v in row] for row in t]),
         ],
-        ids=["orthogonality", "restriction", "tensor", "superinduction"],
+        ids=["orthogonality", "restriction", "tensor", "superinduction",
+             "superinduction-table", "superinduction-oracle-table"],
     )
     def test_suite_catches_a_wrong_answer(self, suite, module, name, scaled, capsys, monkeypatch):
         import importlib
@@ -381,6 +387,47 @@ class TestVerify:
             if combo_value(wrong, nu, 2) != char_value(lam, nu, 2)
         )
         self.assert_fails_at("restriction", "Res n=3; 1-3:1 to {1,3|2} at %s" % nu.to_text(), capsys)
+
+    def test_superinduction_suite_names_a_wrong_bracket(self, capsys, monkeypatch):
+        from superchar import ring
+        from superchar.qcoeff import LaurentPoly
+
+        right = ring._bracket
+
+        def without_the_one(i, l, left, right_end, p):
+            # the keep-neither empty diagram's (q-1)(l-i-1) + 1, less its 1
+            bracket = right(i, l, left, right_end, p)
+            if left or right_end:
+                return bracket
+            (empty, c), *rest = bracket
+            return ((empty, c - LaurentPoly.one()), *rest)
+
+        monkeypatch.setattr(ring, "_bracket", without_the_one)
+        self.assert_fails_at(
+            "superinduction", "SInd n=3 from {1|2|3}, coefficient of n=3; 1-3:1", capsys
+        )
+
+    def test_an_irrational_oracle_coefficient_is_a_failure(self, capsys, monkeypatch):
+        # every supercharacter of G times zeta_3: <SInd chi, chi^lam> turns
+        # irrational wherever it is not 0, and the suite must say so
+        from superchar.oracle import PatternGroup
+        from superchar.qcoeff import Cyclotomic
+
+        right = PatternGroup.character_table
+        zeta = Cyclotomic.zeta_power(3, 1)
+        monkeypatch.setattr(
+            PatternGroup,
+            "character_table",
+            lambda G: [{**row, "values": tuple(v * zeta for v in row["values"])}
+                       for row in right(G)],
+        )
+        argv = ["verify", "--suite", "superinduction", "--q", "3", "--max-n", "2"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (
+            cli.EXIT_VERIFY,
+            "superinduction: FAIL (SInd n=2 from {1|2}, coefficient of n=2)\n",
+            "",
+        )
 
     @pytest.mark.parametrize("suite", ["tensor", "restriction"])
     def test_label_walk_over_budget_is_refused_at_once(self, suite, capsys):

@@ -14,7 +14,9 @@ from superchar.oracle import (
     PatternGroup,
     _classes_in,
     brute_inner_product,
+    brute_inner_product_table,
     brute_superinduce,
+    brute_superinduction_table,
     z_value,
 )
 from superchar.reference import (
@@ -210,6 +212,21 @@ class TestBruteSuperinduce:
             with pytest.raises(ValueError, match="pattern subgroup"):
                 brute_superinduce(PatternGroup(3, [(1, 2)], 2), H, ())
 
+    def test_the_table_is_the_inner_products_of_the_rows(self):
+        # each row of brute_superinduce, paired with each supercharacter of G
+        for K, p in small_parabolics():
+            G = PatternGroup.full(K.n, p)
+            H = PatternGroup.parabolic(K, p)
+            g_rows = [row["values"] for row in G.character_table()]
+            chi_rows = [row["values"] for row in H.character_table()]
+            want = [[brute_inner_product(G, brute_superinduce(G, H, chi), g) for g in g_rows]
+                    for chi in chi_rows]
+            got = brute_superinduction_table(G, H, chi_rows)
+            assert got == want, (K.to_text(), p)
+            for row in got:
+                for v in row:
+                    assert_canonical(v)
+
     def test_values_of_another_order_are_refused(self):
         G = PatternGroup.full(3, 2)
         thirds = tuple(Cyclotomic.zeta_power(3, 1) for _ in range(len(G.superclass_table())))
@@ -217,6 +234,10 @@ class TestBruteSuperinduce:
             brute_superinduce(G, G, thirds)
         with pytest.raises(ValueError, match="zeta_2"):
             brute_inner_product(G, thirds, thirds)
+        with pytest.raises(ValueError, match="zeta_2"):
+            brute_superinduction_table(G, G, [thirds])
+        with pytest.raises(ValueError, match="one value per H-superclass"):
+            brute_superinduction_table(G, G, [thirds[1:]])
 
 
 def matrix(G, vec, unipotent=False):
@@ -377,6 +398,8 @@ class TestCoordinateRoutes:
                     got = brute_inner_product(H, f, g)
                     assert got == summed_inner_product(H, f, g)
                     assert_canonical(got)
+            table = brute_inner_product_table(H, rows, rows)
+            assert table == [[brute_inner_product(H, f, g) for g in rows] for f in rows]
 
 
 class TestOrbitsByDefinition:

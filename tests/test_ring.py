@@ -24,6 +24,7 @@ from superchar.ring import (
     sinf,
     star_K,
     superinduce,
+    superinduction_table,
     tensor,
 )
 from superchar import ring
@@ -562,11 +563,36 @@ class TestSuperinduce:
                     nus = [CharCombo.of(nu, L) for nu in enumerate_compatible(L, p)]
                     for K in refinements(L):
                         down = [restrict_combo(x_nu, K, p) for x_nu in nus]
-                        for mu in enumerate_compatible(K, p):
-                            lifted = superinduce(mu, K, p, L)
+                        for mu, lifted in superinduction_table(K, p, L).items():
                             x_mu = CharCombo.of(mu, K)
                             for x_nu, res in zip(nus, down):
                                 assert inner_product(lifted, x_nu) == inner_product(x_mu, res)
+
+    def test_the_table_is_the_per_mu_calls(self):
+        # every (K, L) with K refining L, at n <= 5 for p = 2 and n <= 4 for p = 3
+        calls = 0
+        for p, max_n in ((2, 5), (3, 4)):
+            for n in range(1, max_n + 1):
+                for parts in set_partitions(range(1, n + 1)):
+                    L = PartitionIndex(n, parts)
+                    for K in refinements(L):
+                        table = superinduction_table(K, p, L)
+                        want = {mu: superinduce(mu, K, p, L) for mu in enumerate_compatible(K, p)}
+                        assert table == want, (K.to_text(), L.to_text(), p)
+                        assert {mu: x.to_text() for mu, x in table.items()} == {
+                            mu: x.to_text() for mu, x in want.items()
+                        }
+                        calls += len(want)
+        assert calls == 1821
+
+    def test_the_table_defaults_to_the_full_group_and_checks_the_indices(self):
+        K = PartitionIndex(4, [[1, 3], [2, 4]])
+        full = PartitionIndex.full(4)
+        assert superinduction_table(K, 3) == superinduction_table(K, 3, full)
+        with pytest.raises(ValueError, match="refine"):
+            superinduction_table(full, 2, K)
+        with pytest.raises(ValueError, match="refine"):
+            superinduction_table(K, 2, PartitionIndex.full(5))
 
     def test_trivial_character_from_an_atom(self):
         got = superinduce(lsp(3, []), PartitionIndex(3, [[1], [2, 3]]), 2)
