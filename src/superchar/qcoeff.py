@@ -66,8 +66,9 @@ class LaurentPoly:
     ``coeffs`` maps exponent (any int, negative allowed) to a nonzero int.
     Supports +, -, * (with ints and other LaurentPolys), integer powers,
     exact shifts by q^k, and exact evaluation at a rational point.  The
-    public constructor (and so ``from_text`` and ``from_json``) checks every
-    exponent and coefficient and drops zeros; arithmetic builds its results
+    public constructor (and so ``const``, ``q_power``, ``from_text`` and
+    ``from_json``) checks every exponent and coefficient and drops zeros,
+    refusing a non-int with ``TypeError``; arithmetic builds its results
     with ``_make``, unchecked.  ``one`` and ``q_minus_one`` are shared
     constants.
     """
@@ -107,12 +108,12 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({0: int(c)})
+        return cls({0: c})
 
     @classmethod
     def q_power(cls, k, coeff=1):
         """coeff * q^k."""
-        return cls({int(k): int(coeff)})
+        return cls({k: coeff})
 
     @classmethod
     def q_minus_one(cls):
@@ -292,7 +293,8 @@ class LaurentPoly:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("Laurent JSON form must be an object")
-        return cls({int(e): int(c) for e, c in obj.items()})
+        # JSON keys are strings; the constructor checks the ints
+        return cls({int(e) if isinstance(e, str) else e: c for e, c in obj.items()})
 
 
 _ONE = LaurentPoly._make({0: 1})
@@ -319,6 +321,8 @@ class Cyclotomic:
     __slots__ = ("p", "coords")
 
     def __init__(self, p, coords):
+        if not isinstance(p, int):
+            raise TypeError("cyclotomic order must be an int, got %r" % (p,))
         if not is_prime(p):
             raise ValueError("cyclotomic order must be prime, got %r" % (p,))
         coords = [rational(c) for c in coords]
@@ -482,5 +486,5 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["p"]), obj["coords"])
+        return cls(obj["p"], obj["coords"])
 

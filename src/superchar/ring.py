@@ -42,6 +42,7 @@ __all__ = [
     "tensor",
     "restrict",
     "restrict_combo",
+    "restriction_table",
     "sinf",
     "inner_product",
     "superinduce",
@@ -574,28 +575,38 @@ def _extend(product, step, p):
 def _memo_factor(trace, p, memo):
     """P's factor in a restriction from U_L, from P's ``_trace``: a dict
     from arc tuples in P's numbering 1..m to coefficients, the product of
-    the trace's brackets (``_extend``).  ``memo`` holds the empty trace's
-    factor and keeps the factor of every prefix built, so a trace extends
-    the longest prefix of it already there."""
+    the trace's brackets (``_extend``).  ``memo``, the caller's dict, keeps
+    the factor of every prefix built, so a trace extends the longest prefix
+    of it already there."""
     product = memo.get(trace)
     if product is None:
-        product = memo[trace] = _extend(_memo_factor(trace[:-1], p, memo), trace[-1], p)
+        product = memo[trace] = (_extend(_memo_factor(trace[:-1], p, memo), trace[-1], p)
+                                 if trace else {(): LaurentPoly.one()})
     return product
 
 
-def _restrict(arcs, K, p, L):
+def _walk_parts(K, L):
+    """L (default: the full group, which K refines), once a given L is
+    checked, its part lookup, and each part of K's ``_ranks`` and part of
+    L, for ``_trace``."""
+    if L is None:
+        L = PartitionIndex.full(K.n)
+    elif not K.refines(L):
+        raise ValueError("the subgroup must refine the target of superinduction, "
+                         "the source of restriction")
+    where = L.part_lookup()
+    return L, where, [(_ranks(part, K.n), where[part[0]]) for part in K.parts]
+
+
+def _restrict(arcs, K, p, where, walk, memo):
     """The restriction from U_L to a refinement U_K of the character whose
     arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
-    tuples to coefficients: the parts' factors, superimposed."""
-    where = L.part_lookup()
-    one = LaurentPoly.one()
-    memo = {(): {(): one}}
-    factors = [
-        _memo_factor(_trace(arcs, _ranks(part, K.n), where[part[0]], where), p, memo).items()
-        for part in K.parts
-    ]
+    tuples to coefficients: the parts' factors, superimposed.  ``where`` and
+    ``walk`` come from ``_walk_parts``; ``memo`` is ``_memo_factor``'s."""
+    factors = [_memo_factor(_trace(arcs, rank, block, where), p, memo).items()
+               for rank, block in walk]
     acc = {}
-    _superimpose(K, factors, one, acc)
+    _superimpose(K, factors, LaurentPoly.one(), acc)
     return acc
 
 
@@ -603,21 +614,33 @@ def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
     _check_n((lam,), K)
     check_labels((lam,), p)
-    return _combo(K, _restrict(lam.arcs, K, p, PartitionIndex.full(K.n)))
+    _, where, walk = _walk_parts(K, None)
+    return _combo(K, _restrict(lam.arcs, K, p, where, walk, {}))
 
 
 def restrict_combo(x, K, p):
     """Restrict a combination on U_L to a finer parabolic U_K (every part of
-    K inside a part of L), working part of L by part of L."""
-    L = x.ambient
-    if not K.refines(L):
+    K inside a part of L); its terms share one prefix memo."""
+    if not K.refines(x.ambient):
         raise ValueError("target index must refine the ambient")
     check_labels(x.terms, p)
+    _, where, walk = _walk_parts(K, x.ambient)
+    memo = {}
     acc = {}
     for lam, c in x.terms.items():
-        for mu, b in _restrict(lam.arcs, K, p, L).items():
+        for mu, b in _restrict(lam.arcs, K, p, where, walk, memo).items():
             _add(acc, mu, c * b)
     return _combo(K, acc)
+
+
+def restriction_table(K, p, L=None):
+    """The matrix of branching coefficients by rows: each supercharacter nu
+    of U_L (default: the full group) -> ``restrict_combo(CharCombo.of(nu,
+    L), K, p)``, from one walk over the labels nu and one prefix memo."""
+    L, where, walk = _walk_parts(K, L)
+    memo = {}
+    return {nu: _combo(K, _restrict(nu.arcs, K, p, where, walk, memo))
+            for nu in enumerate_compatible(L, p)}
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +669,6 @@ def inner_product(x, y):
     return total
 
 
-def _walk_parts(K, L):
-    """L (default: the full group), once K is checked to refine it, its part
-    lookup, and each part of K's ``_ranks`` and part of L, for ``_trace``."""
-    if L is None:
-        L = PartitionIndex.full(K.n)
-    if not K.refines(L):
-        raise ValueError("superinduction needs the source index to refine the target")
-    where = L.part_lookup()
-    return L, where, [(_ranks(part, K.n), where[part[0]]) for part in K.parts]
-
-
 def superinduce(mu, K, p, L=None):
     """Superinduction from U_K up to U_L (default: the full group), computed
     through its adjointness with restriction: the coefficient of chi^nu is
@@ -679,7 +691,7 @@ def superinduce(mu, K, p, L=None):
         return CharCombo.of(mu, L)
     parts = [(rank, block, _local(mu.arcs, _numbering(part)), {})
              for (rank, block), part in zip(walk, K.parts)]
-    memo = {(): {(): LaurentPoly.one()}}
+    memo = {}
     terms = {}
     for nu in enumerate_compatible(L, p):
         b = None
@@ -697,26 +709,19 @@ def superinduce(mu, K, p, L=None):
 
 
 def superinduction_table(K, p, L=None):
-    """The matrix of branching coefficients: each supercharacter mu of U_K
-    -> ``superinduce(mu, K, p, L)``, from one walk over the labels nu of
-    U_L.  Each nu's restriction to U_K is its parts' factors (as in
-    ``superinduce``) superimposed, and each of its terms c chi^mu adds
-    q^(cr_K mu - cr_L nu) c chi^nu to mu's row.  One mu alone is cheaper
-    through ``superinduce``, which reads one entry of each factor."""
+    """The matrix by columns: each supercharacter mu of U_K ->
+    ``superinduce(mu, K, p, L)``.  It is ``restriction_table``'s walk, each
+    term c chi^mu of nu's row adding q^(cr_K mu - cr_L nu) c chi^nu to mu's
+    column; one mu alone is cheaper through ``superinduce``."""
     L, where, walk = _walk_parts(K, L)
-    rows = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
-    one = LaurentPoly.one()
-    memo = {(): {(): one}}
+    cols = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
+    memo = {}
     for nu in enumerate_compatible(L, p):
-        acc = {}
-        factors = [_memo_factor(_trace(nu.arcs, rank, block, where), p, memo).items()
-                   for rank, block in walk]
-        _superimpose(K, factors, one, acc)
         c_nu = nu.crossings_within(L)
-        for arcs, c in acc.items():
-            mu, c_mu, row = rows[arcs]
-            row[nu] = c.shift(c_mu - c_nu)
-    return {mu: CharCombo._make(L, row) for mu, _, row in rows.values()}
+        for arcs, c in _restrict(nu.arcs, K, p, where, walk, memo).items():
+            mu, c_mu, col = cols[arcs]
+            col[nu] = c.shift(c_mu - c_nu)
+    return {mu: CharCombo._make(L, col) for mu, _, col in cols.values()}
 
 
 def star_K(lam, mu, K, p):

@@ -24,7 +24,7 @@ from .ring import (
     _combo_coords,
     _mono_coords,
     _value_rows,
-    restrict_combo,
+    restriction_table,
     superinduce,
     superinduction_table,
     tensor,
@@ -65,17 +65,12 @@ def _suite_restriction(q, max_n, budget, samples, seed):
     check_walk_budget(max_n, q, budget, "the restriction suite on")
     checks = 0
     for n in range(2, max_n + 1):
-        full = PartitionIndex.full(n)
-        # each K's labels and the monomial rows of its characters, shared by every lam
-        subgroups = []
         for parts in set_partitions(range(1, n + 1)):
             K = PartitionIndex(n, parts)
+            # K's labels and the monomial rows of its characters, shared by every lam
             labels = list(enumerate_compatible(K, q))
-            subgroups.append((K, labels, _value_rows(labels, labels, K, q)))
-        for lam in enumerate_compatible(full, q):
-            x = CharCombo.of(lam, full)
-            for K, labels, rows in subgroups:
-                res = restrict_combo(x, K, q)
+            rows = _value_rows(labels, labels, K, q)
+            for lam, res in restriction_table(K, q).items():
                 for mu, got in zip(labels, _combo_coords(res, labels, q, rows)):
                     if got != _mono_coords(_char_value_std(lam.arcs, mu.arcs, q), q):
                         return False, "Res %s to %s at %s" % (

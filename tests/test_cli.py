@@ -312,7 +312,8 @@ class TestVerify:
         [
             ("orthogonality", "oracle", "brute_inner_product_table",
              lambda t: [[v * 2 for v in row] for row in t]),
-            ("restriction", "verify", "restrict_combo", lambda x: x.scale(2)),
+            ("restriction", "verify", "restriction_table",
+             lambda t: {nu: x.scale(2) for nu, x in t.items()}),
             ("tensor", "verify", "tensor", lambda x: x.scale(2)),
             ("superinduction", "verify", "superinduce", lambda x: x.scale(2)),
             ("superinduction", "verify", "superinduction_table",
@@ -370,17 +371,14 @@ class TestVerify:
         self.assert_fails_at("tensor", "n=3; 1-2:1 (x) n=3; 1-3:1 at %s" % nu.to_text(), capsys)
 
     def test_restriction_suite_names_the_one_wrong_point(self, capsys, monkeypatch):
-        full = PartitionIndex.full(3)
         lam = LabeledSetPartition.from_text("n=3; 1-3:1")
         K = PartitionIndex.from_text("{1,3|2}")
-        right = verify.restrict_combo
-        wrong = self.bumped(right(CharCombo.of(lam, full), K, 2))
+        right = verify.restriction_table
+        wrong = self.bumped(right(K, 2)[lam])
         monkeypatch.setattr(
             verify,
-            "restrict_combo",
-            lambda x, L, p: wrong
-            if (x, L.to_text()) == (CharCombo.of(lam, full), K.to_text())
-            else right(x, L, p),
+            "restriction_table",
+            lambda J, p: {**right(J, p), lam: wrong} if J.to_text() == K.to_text() else right(J, p),
         )
         nu = next(
             nu for nu in enumerate_compatible(K, 2)
@@ -672,7 +670,7 @@ class TestErrors:
 
         # the restrict command and the restriction suite each hold the rule
         monkeypatch.setattr(cli, "restrict_combo", broken)
-        monkeypatch.setattr(verify, "restrict_combo", broken)
+        monkeypatch.setattr(verify, "restriction_table", broken)
         argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
         code, out, err = run(argv, capsys)
         assert (code, out) == (cli.EXIT_INTERNAL, "")

@@ -226,6 +226,20 @@ class TestCyclotomicBoundary:
             Cyclotomic.from_json({"p": 3, "coords": ["1/2", 0.5]})
         assert Cyclotomic.from_rational(2, "1/10").coords == (Fraction(1, 10),)
         assert type(Cyclotomic(3, [Fraction(4, 2), "3/6"]).coords[0]) is int
+        # the helpers refuse what the constructors refuse, rather than truncate it
+        for make in (
+            lambda: Cyclotomic.from_json({"p": 3.7, "coords": [1, 0]}),
+            lambda: LaurentPoly.const(1.5),
+            lambda: LaurentPoly.const(Fraction(1, 2)),
+            lambda: LaurentPoly.q_power(1.9, 2.5),
+            lambda: LaurentPoly.q_power(1, 2.5),
+            lambda: LaurentPoly.from_json({"0": 1.5}),
+            lambda: LaurentPoly.from_json({1.5: 1}),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        # JSON exponent keys are strings
+        assert LaurentPoly.from_json({"-1": 2, "0": 1}) == LaurentPoly({-1: 2, 0: 1})
 
     def test_as_rational_is_a_fraction(self):
         for x in (

@@ -21,6 +21,7 @@ from superchar.ring import (
     kappa_to_chi,
     restrict,
     restrict_combo,
+    restriction_table,
     sinf,
     star_K,
     superinduce,
@@ -569,21 +570,35 @@ class TestSuperinduce:
                                 assert inner_product(lifted, x_nu) == inner_product(x_mu, res)
 
     def test_the_table_is_the_per_mu_calls(self):
-        # every (K, L) with K refining L, at n <= 5 for p = 2 and n <= 4 for p = 3
-        calls = 0
+        # every (K, L) with K refining L, at n <= 5 for p = 2 and n <= 4 for p = 3:
+        # the columns are the per-mu superinductions, the rows the per-nu
+        # restrictions, and a combination of every nu restricts as their sum
+        calls = [0, 0]
         for p, max_n in ((2, 5), (3, 4)):
             for n in range(1, max_n + 1):
                 for parts in set_partitions(range(1, n + 1)):
                     L = PartitionIndex(n, parts)
+                    nus = list(enumerate_compatible(L, p))
+                    coeffs = [LaurentPoly.q_power(t % 3 - 1, t + 1) for t in range(len(nus))]
+                    x = CharCombo(L, zip(nus, coeffs))
                     for K in refinements(L):
-                        table = superinduction_table(K, p, L)
-                        want = {mu: superinduce(mu, K, p, L) for mu in enumerate_compatible(K, p)}
-                        assert table == want, (K.to_text(), L.to_text(), p)
-                        assert {mu: x.to_text() for mu, x in table.items()} == {
-                            mu: x.to_text() for mu, x in want.items()
-                        }
-                        calls += len(want)
-        assert calls == 1821
+                        cols = {mu: superinduce(mu, K, p, L) for mu in enumerate_compatible(K, p)}
+                        rows = {nu: restrict_combo(CharCombo.of(nu, L), K, p) for nu in nus}
+                        for table, want in (
+                            (superinduction_table(K, p, L), cols),
+                            (restriction_table(K, p, L), rows),
+                        ):
+                            assert table == want, (K.to_text(), L.to_text(), p)
+                            assert {key: y.to_text() for key, y in table.items()} == {
+                                key: y.to_text() for key, y in want.items()
+                            }
+                        calls[0] += len(cols)
+                        calls[1] += len(rows)
+                        total = CharCombo.zero(K)
+                        for nu, c in zip(nus, coeffs):
+                            total = total + rows[nu].scale(c)
+                        assert restrict_combo(x, K, p) == total, (K.to_text(), L.to_text(), p)
+        assert calls == [1821, 6984]
 
     def test_the_table_defaults_to_the_full_group_and_checks_the_indices(self):
         K = PartitionIndex(4, [[1, 3], [2, 4]])
@@ -593,6 +608,10 @@ class TestSuperinduce:
             superinduction_table(full, 2, K)
         with pytest.raises(ValueError, match="refine"):
             superinduction_table(K, 2, PartitionIndex.full(5))
+        assert restriction_table(K, 3) == restriction_table(K, 3, full)
+        for bad in ((full, 2, K), (K, 2, PartitionIndex.full(5))):
+            with pytest.raises(ValueError, match="the source of restriction"):
+                restriction_table(*bad)
 
     def test_trivial_character_from_an_atom(self):
         got = superinduce(lsp(3, []), PartitionIndex(3, [[1], [2, 3]]), 2)
@@ -823,6 +842,19 @@ class TestBoundary:
             ],
         )
         assert x.terms == {lsp(3, [(1, 3, 1)]): LaurentPoly.const(2)}
+
+    def test_a_coefficient_that_is_not_an_int_is_refused(self):
+        # rather than truncated: 1/2 would drop the term, 1.5 and 2.7 lose a part
+        lam = lsp(3, [(1, 3, 1)])
+        for make in (
+            lambda: CharCombo.of(lam, coeff=Fraction(1, 2)),
+            lambda: CharCombo.of(lam, coeff=1.5),
+            lambda: CharCombo.of(lam).scale(2.7),
+            lambda: CharCombo(PartitionIndex.full(3), [(lam, Fraction(3, 2))]),
+        ):
+            with pytest.raises(TypeError):
+                make()
+        assert CharCombo.of(lam, coeff=-2).scale(3).coeff(lam) == -6
 
     def test_unparseable_combination_text_is_refused(self):
         full = PartitionIndex.full(3)
