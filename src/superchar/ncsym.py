@@ -17,11 +17,13 @@ sum in ints over their input's least common denominator.  Shuffle products
 are computed in the m-basis by the Rosas-Sagan rule (a p-basis factor is
 first rewritten in the m-basis), and basis changes walk the coarsenings of
 each index once.  The independent references live in
-:mod:`superchar.reference`: the word expansions (an element of degree n is
-faithful over an alphabet of n letters) with the product computed word by
-word, the Mobius function of the partition lattice, and the bridge to the
-group side -- scaled superclass indicators multiply the same way under
-superinduction at p = 2, checked against the brute-force oracle.
+:mod:`superchar.reference`: the product read one set partition of its
+degree at a time (one class of words, whose m-coefficient is the factors'
+coefficients at its two standardized traces), the Mobius function of the
+partition lattice, and the bridge to the group side -- scaled superclass
+indicators multiply the same way under superinduction at p = 2, checked
+against the brute-force oracle.  The tests check the class route against
+the word expansions multiplied word by word.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ def star_K_product(x, y, K):
     m_A *_K m_B is the sum of m_C over the partitions C whose traces on the
     two blocks of K are the pushed A and B, i.e. one C per partial matching
     between the blocks of A and those of B.  The result is in the m-basis;
-    ``superchar.reference`` computes the same product on word expansions.
+    ``superchar.reference`` computes the same product class by class.
     """
     m, n = x.degree, y.degree
     _validate_shuffle_index(K, m, n)

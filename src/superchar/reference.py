@@ -3,29 +3,29 @@
 Each operation has one public implementation in ``ring``, ``oracle`` or
 ``ncsym``.  The functions here recompute answers, or identities behind
 them, by independent routes: superinduction by a permutation-character
-factorization and by a closed form, product identities, word expansions,
-the partition lattice, and the characteristic map checked against the
-brute-force oracle.  Only the tests and the verify suites import them.
+factorization and by a closed form, product identities, NCSym shuffle
+products read one set partition (one class of words) at a time, the
+partition lattice, and the characteristic map checked against the
+brute-force oracle.  Only the tests and the verify suites import them; the
+word-by-word shuffle product, which checks the class route, lives with the
+tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 from .ncsym import (
     NCSymElem,
     _coarsenings_with_mobius,
-    _validate_shuffle_index,
     canonical_index,
-    m_from_p,
     p_from_m,
     star_K_product,
 )
 from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
-from .qcoeff import Cyclotomic, LaurentPoly, rational
+from .qcoeff import Cyclotomic, LaurentPoly
 from .ring import (
     CharCombo,
     _combo_coords,
@@ -300,174 +300,38 @@ def permchar_hypothesis_check(G, H, mu_coords):
 
 
 # ---------------------------------------------------------------------------
-# NCSym word expansions and the word-by-word shuffle product
+# NCSym shuffle products read one class at a time
 # ---------------------------------------------------------------------------
 
-def _parts_of_word(word):
-    """Equal-positions partition of a word: 1-based positions grouped by
-    letter, parts sorted by minimum."""
-    where = {}
-    for pos, letter in enumerate(word, start=1):
-        where.setdefault(letter, []).append(pos)
-    return tuple(sorted((tuple(v) for v in where.values()), key=lambda t: t[0]))
+def _trace(C, rank):
+    """Canonical parts of the set partition C restricted to the keys of
+    ``rank`` and standardized by it (``rank`` numbers a block of K from 1
+    in increasing order)."""
+    blocks = (tuple(rank[v] for v in block if v in rank) for block in C)
+    return tuple(sorted(b for b in blocks if b))
 
 
-class WordExpansion:
-    """Exact expansion of a degree-n element over a finite alphabet.
+def _shuffle_traces(K, partitions):
+    """Each of ``partitions``, the set partitions C of {1..K.n} as
+    canonical parts, with its standardized traces on the two blocks of K."""
+    ranks = [{v: i for i, v in enumerate(block, 1)} for block in K.parts]
+    return [(C, _trace(C, ranks[0]), _trace(C, ranks[1])) for C in partitions]
 
-    Words are length-n tuples of letters 1..alphabet with exact rational
-    coefficients, stored as ``NCSymElem`` stores them: an int when integral,
-    else a Fraction, and no zero.  Construction asserts the defining
-    symmetry: the coefficient only depends on the equal-positions partition
-    of the word, and a class is either absent or fully present.
+
+def _class_product(x, y, traces):
+    """The m-coefficients of a shuffle product, read class by class: the
+    coefficient at C is x's at C's first trace times y's at its second.
+
+    ``x`` and ``y`` map canonical parts to the factors' nonzero m-basis
+    coefficients, and ``traces`` is :func:`_shuffle_traces` of the index.
+    Every C is read, so the route is independent of the partial matchings
+    that :func:`superchar.ncsym.star_K_product` enumerates.
     """
-
-    __slots__ = ("alphabet", "degree", "coeffs", "_classes")
-
-    def __init__(self, alphabet, degree, coeffs):
-        alphabet = int(alphabet)
-        degree = int(degree)
-        if alphabet < 0 or degree < 0:
-            raise ValueError("alphabet and degree must be nonnegative")
-        clean = {}
-        for word, c in coeffs.items():
-            word = tuple(int(v) for v in word)
-            if len(word) != degree:
-                raise ValueError("word %r is not of degree %d" % (word, degree))
-            if any(v < 1 or v > alphabet for v in word):
-                raise ValueError("word %r leaves the alphabet 1..%d" % (word, alphabet))
-            c = rational(c)
-            if c:
-                clean[word] = c
-        # symmetry: constant and complete on every equal-positions class
-        by_class = {}
-        for word, c in clean.items():
-            by_class.setdefault(_parts_of_word(word), []).append(c)
-        for parts, values in by_class.items():
-            if any(c != values[0] for c in values[1:]):
-                raise ValueError(
-                    "expansion is not symmetric on the class of %s" % (parts,)
-                )
-            expected = math.perm(alphabet, len(parts))
-            if len(values) != expected:
-                raise ValueError(
-                    "class of %s holds %d of its %d words"
-                    % (parts, len(values), expected)
-                )
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_classes", {parts: v[0] for parts, v in by_class.items()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WordExpansion is immutable")
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WordExpansion)
-            and self.alphabet == other.alphabet
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        if (self.alphabet, self.degree) != (other.alphabet, other.degree):
-            raise ValueError("expansions live on different word sets")
-        coeffs = dict(self.coeffs)
-        for word, c in other.coeffs.items():
-            coeffs[word] = coeffs.get(word, 0) + c
-        return WordExpansion(self.alphabet, self.degree, coeffs)
-
-    def scale(self, c):
-        c = rational(c)
-        return WordExpansion(
-            self.alphabet, self.degree, {w: c * v for w, v in self.coeffs.items()}
-        )
-
-    def class_coefficients(self):
-        """Map equal-positions partition -> the common coefficient, as the
-        constructor found it."""
-        return dict(self._classes)
-
-
-def _monomial_words(K, N):
-    """The words over 1..N whose equal-positions partition is K: one word
-    per injective assignment of letters to blocks."""
-    blocks = K.grouping()
-    if N < len(blocks):
-        warnings.warn(
-            "alphabet of %d letters cannot separate %d blocks; expansion is empty"
-            % (N, len(blocks)),
-            stacklevel=3,
-        )
-        return []
-    words = []
-    for letters in itertools.permutations(range(1, N + 1), len(blocks)):
-        word = [0] * K.n
-        for block, letter in zip(blocks, letters):
-            for pos in block:
-                word[pos - 1] = letter
-        words.append(tuple(word))
-    return words
-
-
-def m_expand(K, N):
-    """Word expansion of the monomial m_K over the alphabet 1..N.
-
-    Coefficient 1 sits exactly on the words whose equal-positions partition
-    is K.
-    """
-    N = int(N)
-    return WordExpansion(N, K.n, dict.fromkeys(_monomial_words(K, N), 1))
-
-
-def expand(x, N=None):
-    """Word expansion of an NCSym element over 1..N (default: one letter
-    per position)."""
-    N = x.degree if N is None else int(N)
-    m = x if x.basis == "m" else m_from_p(x)
-    # distinct monomials own disjoint word sets
-    coeffs = {}
-    for K, c in m.coeffs.items():
-        for word in _monomial_words(K, N):
-            coeffs[word] = c
-    return WordExpansion(N, x.degree, coeffs)
-
-
-def _star_K_product_words(x, y, K):
-    """The shuffle product computed on words: the reference for
-    :func:`superchar.ncsym.star_K_product`.
-
-    Both factors are expanded over m+n letters, which is faithful for
-    degree m+n, and multiplied word by word; the resulting expansion is
-    recognized back into the m-basis.
-    """
-    m, n = x.degree, y.degree
-    _validate_shuffle_index(K, m, n)
-    N = max(m + n, 1)
-    xe = expand(x, N)
-    ye = expand(y, N)
-    pos1, pos2 = K.parts
-    coeffs = {}
-    for u, cu in xe.coeffs.items():
-        for v, cv in ye.coeffs.items():
-            word = [0] * (m + n)
-            for pos, letter in zip(pos1, u):
-                word[pos - 1] = letter
-            for pos, letter in zip(pos2, v):
-                word[pos - 1] = letter
-            word = tuple(word)
-            coeffs[word] = coeffs.get(word, 0) + cu * cv
-    product = WordExpansion(N, m + n, coeffs)
-    # recognition: symmetry was asserted on construction, so the class
-    # coefficients are the m-basis coefficients
     out = {}
-    for parts, c in product.class_coefficients().items():
-        out[PartitionIndex(m + n, parts)] = c
-    return NCSymElem("m", m + n, out)
+    for C, a, b in traces:
+        if a in x and b in y:
+            out[C] = x[a] * y[b]
+    return out
 
 
 # ---------------------------------------------------------------------------

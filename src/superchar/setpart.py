@@ -412,8 +412,9 @@ def count_sn(n, q):
 
 def check_walk_budget(n, q, budget, walk="superinduction to"):
     """Superinduction to U_n, and the restriction and tensor verify suites
-    up to U_n, walk every label of U_n(q); refuse the walk when they
-    outnumber a budget that is not None."""
+    up to U_n, walk every label of U_n(q) (the words suite every label of
+    U_n(2)); refuse the walk when they outnumber a budget that is not
+    None."""
     if budget is None:
         return
     labels = count_sn(n, q)

@@ -155,8 +155,21 @@ def _suite_superinduction(q, max_n, budget, samples, seed):
 
 def _suite_words(q, max_n, budget, samples, seed):
     from . import ncsym as nc
-    from .reference import _labeled_of_parts, _star_K_product_words
+    from .reference import _class_product, _labeled_of_parts, _shuffle_traces
 
+    # the class route reads every set partition of {1..max_n}: the labels
+    # of U_max_n(2)
+    check_walk_budget(max_n, 2, budget, "the words suite on")
+    partitions = {d: list(set_partitions(range(1, d + 1))) for d in range(1, max_n + 1)}
+    # per degree: each p-basis single with its labeled partition and its
+    # m-coefficients keyed by parts, built once for every product
+    singles = {}
+    for d in range(1, max_n):
+        singles[d] = []
+        for parts in partitions[d]:
+            x = nc.NCSymElem.single("p", PartitionIndex(d, parts))
+            coeffs = {P.parts: c for P, c in nc.m_from_p(x).coeffs.items()}
+            singles[d].append((x, _labeled_of_parts(parts, d), coeffs))
     checks = 0
     for total in range(2, max_n + 1):
         for m in range(1, total):
@@ -164,35 +177,28 @@ def _suite_words(q, max_n, budget, samples, seed):
             for block1 in itertools.combinations(range(1, total + 1), m):
                 block2 = tuple(v for v in range(1, total + 1) if v not in block1)
                 K = PartitionIndex(total, [block1, block2])
-                for mp in set_partitions(range(1, m + 1)):
-                    for np_ in set_partitions(range(1, n + 1)):
-                        glued = union_K(
-                            _labeled_of_parts(mp, m), _labeled_of_parts(np_, n), K
-                        )
-                        x = nc.NCSymElem.single(
-                            "p", nc.canonical_index(PartitionIndex(m, mp))
-                        )
-                        y = nc.NCSymElem.single(
-                            "p", nc.canonical_index(PartitionIndex(n, np_))
-                        )
+                traces = _shuffle_traces(K, partitions[total])
+                for x, mu, xm in singles[m]:
+                    for y, nu, ym in singles[n]:
                         product = nc.star_K_product(x, y, K)
-                        where = "p_%s *_%s p_%s" % (
-                            PartitionIndex(m, mp).to_text(),
-                            K.to_text(),
-                            PartitionIndex(n, np_).to_text(),
-                        )
-                        # the word-by-word product keeps the check independent
-                        # of the m-basis rule
-                        if product != _star_K_product_words(x, y, K):
+                        # the class route keeps the check independent of
+                        # the m-basis rule
+                        got = {P.parts: c for P, c in product.coeffs.items()}
+                        if got != _class_product(xm, ym, traces):
+                            where = _where(x, K, y)
                             return False, where + " differs from the word product"
-                        rhs = nc.NCSymElem.single(
-                            "p",
-                            nc.canonical_index(PartitionIndex(total, glued.parts())),
-                        )
+                        glued = union_K(mu, nu, K)
+                        rhs = nc.NCSymElem.single("p", PartitionIndex(total, glued.parts()))
                         if nc.p_from_m(product) != rhs:
-                            return False, where
+                            return False, _where(x, K, y)
                         checks += 1
     return True, "%d products" % checks
+
+
+def _where(x, K, y):
+    """Name the product p_A *_K p_B of two p-basis singles."""
+    (A,), (B,) = x.coeffs, y.coeffs
+    return "p_%s *_%s p_%s" % (A.to_text(), K.to_text(), B.to_text())
 
 
 def _suite_charmap(q, max_n, budget, samples, seed):

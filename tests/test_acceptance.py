@@ -4,7 +4,7 @@ Each test states a complete mathematical claim and verifies it exactly
 (integer, rational, or cyclotomic arithmetic throughout -- no floats).
 The slow group-theoretic sweeps run from this file, not from the
 per-module tests, so `pytest tests/test_acceptance.py -v` reads as the
-engine's checklist; three of them are verify suites (`superchar.verify`),
+engine's checklist; four of them call verify suites (`superchar.verify`),
 asserted with their exact check counts.
 """
 
@@ -12,7 +12,6 @@ import itertools
 import time
 from fractions import Fraction
 
-from superchar.ncsym import NCSymElem, canonical_index, p_from_m, star_K_product
 from superchar.oracle import PatternGroup
 from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.reference import (
@@ -29,11 +28,8 @@ from superchar.setpart import (
     Arc,
     LabeledSetPartition,
     PartitionIndex,
-    arcs_of_parts,
     count_sn,
     enumerate_compatible,
-    set_partitions,
-    union_K,
 )
 from superchar.verify import SUITES
 
@@ -172,39 +168,11 @@ def test_criterion_07_characteristic_map_is_multiplicative():
     of the glued superclass.  NCSym side (degrees m+n <= 6): the
     coarsening-sum basis satisfies p_mu *_K p_nu = p_{mu union_K nu} for
     every two-block shuffle, with the product computed by the m-basis
-    (Rosas-Sagan) rule; tests/test_ncsym.py checks that rule against the
-    word-by-word product."""
+    (Rosas-Sagan) rule; the words verify suite makes this check, and first
+    checks each product against the class route, which tests/test_ncsym.py
+    checks against the word-by-word product."""
     assert characteristic_map_check(4) is True
-
-    for total in range(2, 7):
-        for m in range(1, total):
-            n = total - m
-            for block1 in itertools.combinations(range(1, total + 1), m):
-                block2 = tuple(v for v in range(1, total + 1) if v not in block1)
-                K = PartitionIndex(total, [block1, block2])
-                for mp in set_partitions(range(1, m + 1)):
-                    pm = NCSymElem.single("p", canonical_index(PartitionIndex(m, mp)))
-                    for np_ in set_partitions(range(1, n + 1)):
-                        pn = NCSymElem.single(
-                            "p", canonical_index(PartitionIndex(n, np_))
-                        )
-                        mu = LabeledSetPartition(
-                            range(1, m + 1), [(u, v, 1) for u, v in arcs_of_parts(mp)]
-                        )
-                        nu = LabeledSetPartition(
-                            range(1, n + 1), [(u, v, 1) for u, v in arcs_of_parts(np_)]
-                        )
-                        glued = union_K(mu, nu, K)
-                        lhs = p_from_m(star_K_product(pm, pn, K))
-                        rhs = NCSymElem.single(
-                            "p",
-                            canonical_index(PartitionIndex(total, glued.parts())),
-                        )
-                        assert lhs == rhs, (
-                            PartitionIndex(m, mp).to_text(),
-                            K.to_text(),
-                            PartitionIndex(n, np_).to_text(),
-                        )
+    assert suite("words", 2, 6) == (True, "2452 products")
 
 
 def test_criterion_08_labeled_partition_counting():

@@ -307,6 +307,23 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY
         assert json.loads(out)["ok"] is False
 
+    def test_words_suite_catches_a_wrong_class_route(self, capsys, monkeypatch):
+        from superchar import reference
+
+        def first_ranks_twice(K, partitions):
+            # standardizes K's second block with the first block's ranks
+            rank = {v: i for i, v in enumerate(K.parts[0], 1)}
+            return [(C, reference._trace(C, rank), reference._trace(C, rank))
+                    for C in partitions]
+
+        argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "3"]
+        assert run(argv, capsys)[:2] == (0, "words: ok (14 products)\n")
+        monkeypatch.setattr(reference, "_shuffle_traces", first_ranks_twice)
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_VERIFY
+        assert out.startswith("words: FAIL (")
+        assert "differs from the word product" in out
+
     @pytest.mark.parametrize(
         "suite, module, name, scaled",
         [
@@ -427,7 +444,7 @@ class TestVerify:
             "",
         )
 
-    @pytest.mark.parametrize("suite", ["tensor", "restriction"])
+    @pytest.mark.parametrize("suite", ["tensor", "restriction", "words"])
     def test_label_walk_over_budget_is_refused_at_once(self, suite, capsys):
         argv = ["verify", "--suite", suite, "--q", "2", "--max-n", "11", "--budget", "10"]
         start = time.perf_counter()

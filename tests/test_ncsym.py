@@ -18,16 +18,20 @@ from superchar.ncsym import (
     star_K_product,
 )
 from superchar.reference import (
-    WordExpansion,
-    _star_K_product_words,
     characteristic_map_check,
     coarsenings,
-    expand,
-    m_expand,
     mobius_partition,
     mobius_telescope_check,
 )
 from superchar.setpart import PartitionIndex, set_partitions
+
+from routes import (
+    WordExpansion,
+    _star_K_product_words,
+    expand,
+    m_expand,
+    star_K_product_classes,
+)
 
 BELL = (1, 1, 2, 5, 15, 52, 203)
 
@@ -190,25 +194,27 @@ class TestShuffleProducts:
         assert concat_product(x, y) == star_K_product(x, y, pidx(4, [[1, 2], [3, 4]]))
 
     def test_matches_the_word_product(self):
-        # every single-factor pair along every two-block index: all four
-        # basis pairings up to total degree 4, m times m at degree 5
+        # every single-factor pair along every two-block index, in all four
+        # basis pairings: the class route, the word route and the m-basis
+        # rule agree up to total degree 4, the class route and the rule at 5
         for total in range(2, 6):
-            pairings = ["mm"] if total == 5 else ["mm", "mp", "pm", "pp"]
             for m in range(1, total):
                 for block1 in itertools.combinations(range(1, total + 1), m):
                     block2 = [v for v in range(1, total + 1) if v not in block1]
                     K = pidx(total, [block1, block2])
                     for (bx, by), pa, pb in itertools.product(
-                        pairings,
+                        ["mm", "mp", "pm", "pp"],
                         set_partitions(range(1, m + 1)),
                         set_partitions(range(1, total - m + 1)),
                     ):
                         x = NCSymElem.single(bx, pidx(m, pa))
                         y = NCSymElem.single(by, pidx(total - m, pb))
                         got = star_K_product(x, y, K)
-                        want = _star_K_product_words(x, y, K)
+                        want = star_K_product_classes(x, y, K)
                         assert got == want, (x.to_text(), y.to_text(), K)
                         assert got.to_text() == want.to_text()
+                        if total <= 4:
+                            assert _star_K_product_words(x, y, K) == want
 
     def test_mixed_basis_factors(self):
         x = m_single(2, [[1], [2]], 3) + m_single(2, [[1, 2]], Fraction(1, 2))
@@ -217,8 +223,9 @@ class TestShuffleProducts:
         out = star_K_product(x, y, K)
         assert out.basis == "m"
         assert out == star_K_product(x, m_from_p(y), K)
-        assert out == _star_K_product_words(x, y, K)
+        assert out == _star_K_product_words(x, y, K) == star_K_product_classes(x, y, K)
         assert star_K_product(y, x, K) == _star_K_product_words(y, x, K)
+        assert star_K_product(y, x, K) == star_K_product_classes(y, x, K)
 
     def test_leaves_no_cyclic_garbage(self):
         x = m_single(3, [[1, 3], [2]])
@@ -324,6 +331,8 @@ class TestCoefficients:
             p_from_m(m_from_p(y)),
             _star_K_product_words(x, y, K),
             _star_K_product_words(x.scale(2), y.scale(3), K),
+            star_K_product_classes(x, y, K),
+            star_K_product_classes(x.scale(2), y.scale(3), K),
         ]
         for out in results:
             assert_stored_exactly(out.coeffs)
