@@ -21,7 +21,7 @@ from .ncsym import (
     NCSymElem,
     _coarsenings_with_mobius,
     canonical_index,
-    p_from_m,
+    m_from_p,
     star_K_product,
 )
 from .oracle import PatternGroup, _classes_in, brute_superinduce, z_value
@@ -411,9 +411,11 @@ def characteristic_map_check(max_total=4, budget=None):
                 for mu_parts in set_partitions(range(1, m + 1)):
                     mu = _labeled_of_parts(mu_parts, m)
                     z_mu = z_value(Gm, mu)
+                    p_mu = NCSymElem.single("p", PartitionIndex(m, mu_parts))
                     for nu_parts in set_partitions(range(1, n + 1)):
                         nu = _labeled_of_parts(nu_parts, n)
                         z_nu = z_value(Gn, nu)
+                        p_nu = NCSymElem.single("p", PartitionIndex(n, nu_parts))
                         glued = union_K(mu, nu, K)
                         z_glued = z_value(G, glued)
                         scale = Fraction(z_mu * z_nu)
@@ -426,17 +428,8 @@ def characteristic_map_check(max_total=4, budget=None):
                             want = Fraction(z_glued) if lab == glued else Fraction(0)
                             if got.as_rational() != want:
                                 return False
-                        # NCSym side of the same product
-                        lhs = p_from_m(
-                            star_K_product(
-                                NCSymElem.single("p", canonical_index(PartitionIndex(m, mu_parts))),
-                                NCSymElem.single("p", canonical_index(PartitionIndex(n, nu_parts))),
-                                K,
-                            )
-                        )
-                        rhs = NCSymElem.single(
-                            "p", canonical_index(PartitionIndex(total, glued.parts()))
-                        )
-                        if lhs != rhs:
+                        # NCSym side of the same product, compared in the m-basis
+                        rhs = NCSymElem.single("p", PartitionIndex(total, glued.parts()))
+                        if star_K_product(p_mu, p_nu, K) != m_from_p(rhs):
                             return False
     return True

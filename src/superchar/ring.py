@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .qcoeff import Cyclotomic, LaurentPoly
@@ -371,8 +370,8 @@ def combo_value(x, mu, p):
 def _combo(K, acc):
     """The combination on U_K of a dict from sorted straight arc tuples on
     {1..n}, each inside a part of K, to nonzero coefficients."""
-    valid = LabeledSetPartition._valid
-    return CharCombo._make(K, {valid(K.n, tuple(map(Arc._make, a))): c for a, c in acc.items()})
+    valid, arc = LabeledSetPartition._valid, functools.partial(tuple.__new__, Arc)
+    return CharCombo._make(K, {valid(K.n, tuple(map(arc, a))): c for a, c in acc.items()})
 
 
 def _numbering(part):
@@ -394,15 +393,18 @@ def _superimpose(K, factors, coeff, acc):
     gives each part's factor, in ``K.parts`` order, as (arcs, LaurentPoly)
     pairs with the arcs in the part's numbering 1..m.  The arcs are carried
     back onto the part, and each choice of one term per part adds its
-    superimposed arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).
+    superimposed arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).  A
+    running coefficient that is the shared ``one`` is skipped, not multiplied.
     """
+    one = LaurentPoly.one()
     partial = [((), coeff)]
     for part, factor in zip(K.parts, factors):
         terms = [
             (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
             for arcs, c in factor
         ]
-        partial = [(base + arcs, bc * c) for base, bc in partial for arcs, c in terms]
+        partial = [(base + arcs, c if bc is one else bc * c)
+                   for base, bc in partial for arcs, c in terms]
     for arcs, c in partial:
         _add(acc, tuple(sorted(arcs)), c)
 
@@ -519,7 +521,10 @@ def tensor(x, y, p):
 def _ranks(part, n):
     """Every vertex's rank against the sorted part P, indexed by v in
     0..n+1: 2k-1 on P's k-th vertex, 2k in the gap after it."""
-    return [bisect_left(part, v) + bisect_right(part, v) for v in range(n + 2)]
+    rank = []
+    for k, v in enumerate(part):
+        rank += [2 * k] * (v - len(rank)) + [2 * k + 1]
+    return rank + [2 * len(part)] * (n + 2 - len(rank))
 
 
 def _trace(arcs, rank, block, where):
@@ -539,23 +544,28 @@ def _trace(arcs, rank, block, where):
     return tuple(trace)
 
 
-def _extend(product, step, p):
-    """One arc ``step`` of a ``_trace`` times the factor ``product`` (a dict
-    from straight arc tuples in P's numbering 1..m to coefficients): the
-    arc's bracket of the subset restriction rule for the vertex set P (the
-    arc itself if P keeps both ends, else ``_bracket``), multiplied in by
-    straightening.  A bracket arc sharing no end with a key's arcs is
-    inserted in order instead: that multiset is straight already."""
+def _step_bracket(step, p):
+    """One arc ``step`` of a ``_trace`` as (arc tuple, LaurentPoly) pairs in
+    P's numbering 1..m: the arc's bracket of the subset restriction rule for
+    the vertex set P, the arc itself if P keeps both ends, else ``_bracket``."""
     ri, rl, a = step
     # i is P's last vertex at or left of the arc's left end (0 if none),
     # l its first vertex at or right of the right end (m+1 if none);
     # P's vertices strictly under the arc lie between them
     i, l = (ri + 1) // 2, rl // 2 + 1
-    one = LaurentPoly.one()
     if ri & rl & 1:
-        bracket = ((((i, l, a),), one),)
-    else:
-        bracket = _bracket(i, l, bool(ri & 1), bool(rl & 1), p)
+        return ((((i, l, a),), LaurentPoly.one()),)
+    return _bracket(i, l, bool(ri & 1), bool(rl & 1), p)
+
+
+def _extend(product, step, p):
+    """One arc ``step`` of a ``_trace`` times the factor ``product`` (a dict
+    from straight arc tuples in P's numbering 1..m to coefficients): the
+    step's ``_step_bracket``, multiplied in by straightening.  A bracket arc
+    sharing no end with a key's arcs is inserted in order instead: that
+    multiset is straight already."""
+    one = LaurentPoly.one()
+    bracket = _step_bracket(step, p)
     nxt = {}
     for arcs1, c1 in product.items():
         lefts, rights = {x[0] for x in arcs1}, {x[1] for x in arcs1}
@@ -575,13 +585,15 @@ def _extend(product, step, p):
 def _memo_factor(trace, p, memo):
     """P's factor in a restriction from U_L, from P's ``_trace``: a dict
     from arc tuples in P's numbering 1..m to coefficients, the product of
-    the trace's brackets (``_extend``).  ``memo``, the caller's dict, keeps
-    the factor of every prefix built, so a trace extends the longest prefix
-    of it already there."""
+    the trace's brackets (``_extend``); a one-step trace's factor is its
+    ``_step_bracket``.  ``memo``, the caller's dict, keeps the factor of
+    every prefix built, so a trace extends the longest prefix of it already
+    there."""
     product = memo.get(trace)
     if product is None:
-        product = memo[trace] = (_extend(_memo_factor(trace[:-1], p, memo), trace[-1], p)
-                                 if trace else {(): LaurentPoly.one()})
+        product = memo[trace] = (
+            _extend(_memo_factor(trace[:-1], p, memo), trace[-1], p) if len(trace) > 1
+            else dict(_step_bracket(trace[0], p)) if trace else {(): LaurentPoly.one()})
     return product
 
 

@@ -232,8 +232,15 @@ class PartitionIndex:
 
     @classmethod
     def full(cls, n):
-        """The one-part index of U_n; at n = 0, the empty index."""
-        return cls(n, [range(1, n + 1)] if n else [])
+        """The one-part index of U_n; at n = 0, the empty index.  Only ``n``
+        is checked (an int, at least 0): the part is valid by construction."""
+        part = tuple(range(1, n + 1))
+        if n < 0:
+            raise ValueError("n must be nonnegative, not %d" % n)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", len(part))
+        object.__setattr__(self, "parts", (part,) if part else ())
+        return self
 
     @classmethod
     def from_subset(cls, subset, n):

@@ -90,8 +90,9 @@ def _suite_tensor(q, max_n, budget, samples, seed):
         amb = PartitionIndex.full(n)
         labels = list(enumerate_compatible(amb, q))
         rows = _value_rows(labels, labels, amb, q)
+        combos = {lam: CharCombo.of(lam, amb) for lam in labels}
         for lam, mu in itertools.product(labels, repeat=2):
-            t = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), q)
+            t = tensor(combos[lam], combos[mu], q)
             got = _combo_coords(t, labels, q, rows)
             for nu, value, m1, m2 in zip(labels, got, rows[lam], rows[mu]):
                 want = m1 and m2 and (m1[0] + m2[0], (m1[1] + m2[1]) % q)
@@ -109,9 +110,8 @@ def _suite_tensor(q, max_n, budget, samples, seed):
         # pair number t is (i, j) with t = j(j-1)/2 + i and i < j
         j = (1 + math.isqrt(1 + 8 * t)) // 2
         lam, mu = labels[t - j * (j - 1) // 2], labels[j]
-        a = tensor(CharCombo.of(lam, amb), CharCombo.of(mu, amb), q)
-        b = tensor(CharCombo.of(mu, amb), CharCombo.of(lam, amb), q)
-        if a != b:
+        x, y = CharCombo.of(lam, amb), CharCombo.of(mu, amb)
+        if tensor(x, y, q) != tensor(y, x, q):
             return False, "commutativity %s (x) %s" % (lam.to_text(), mu.to_text())
         checks += 1
     return True, "%d checks" % checks
@@ -185,11 +185,11 @@ def _suite_words(q, max_n, budget, samples, seed):
                         # the m-basis rule
                         got = {P.parts: c for P, c in product.coeffs.items()}
                         if got != _class_product(xm, ym, traces):
-                            where = _where(x, K, y)
-                            return False, where + " differs from the word product"
+                            return False, _where(x, K, y) + " differs from the class route"
+                        # p_A *_K p_B = p_glued, compared in the m-basis
                         glued = union_K(mu, nu, K)
                         rhs = nc.NCSymElem.single("p", PartitionIndex(total, glued.parts()))
-                        if nc.p_from_m(product) != rhs:
+                        if product != nc.m_from_p(rhs):
                             return False, _where(x, K, y)
                         checks += 1
     return True, "%d products" % checks

@@ -302,7 +302,7 @@ class TestVerify:
         code, out, _ = run(argv, capsys)
         assert code == cli.EXIT_VERIFY
         assert out.startswith("words: FAIL (")
-        assert "differs from the word product" in out
+        assert "differs from the class route" in out
         code, out, _ = run(argv + ["--format", "json"], capsys)
         assert code == cli.EXIT_VERIFY
         assert json.loads(out)["ok"] is False
@@ -322,7 +322,18 @@ class TestVerify:
         code, out, _ = run(argv, capsys)
         assert code == cli.EXIT_VERIFY
         assert out.startswith("words: FAIL (")
-        assert "differs from the word product" in out
+        assert "differs from the class route" in out
+
+    def test_words_suite_catches_a_wrong_glued_partition(self, capsys, monkeypatch):
+        # drops the glued partition's arcs, so p_glued is p of all singletons
+        monkeypatch.setattr(
+            verify, "union_K", lambda lam, mu, K: LabeledSetPartition(range(1, K.n + 1))
+        )
+        argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "3"]
+        code, out, _ = run(argv, capsys)
+        assert code == cli.EXIT_VERIFY
+        assert out.startswith("words: FAIL (p_")
+        assert "class route" not in out
 
     @pytest.mark.parametrize(
         "suite, module, name, scaled",

@@ -3,6 +3,7 @@ counting."""
 
 import itertools
 import random
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -271,6 +272,20 @@ class TestPartitionIndex:
         # U_0 is the trivial group: its index has no parts
         assert PartitionIndex.full(0).parts == ()
         assert PartitionIndex.full(0).grouping() == PartitionIndex.from_text("{}").grouping()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_full_index_matches_the_checked_constructor(self, n):
+        full, checked = PartitionIndex.full(n), PartitionIndex(n, [range(1, n + 1)] if n else [])
+        assert full == checked and hash(full) == hash(checked)
+        assert (type(full.n), full.parts, full.to_text()) == (int, checked.parts, checked.to_text())
+
+    @pytest.mark.parametrize("n, error", [
+        (-1, ValueError), (-7, ValueError),
+        (3.0, TypeError), ("3", TypeError), (None, TypeError), (Fraction(3), TypeError),
+    ])
+    def test_full_index_refuses_a_negative_or_non_int_n(self, n, error):
+        with pytest.raises(error):
+            PartitionIndex.full(n)
 
     def test_interval_shorthand(self):
         K = PartitionIndex.from_text("[2,5]", 7)
