@@ -7,7 +7,7 @@ Subpackages:
 * ring     -- supercharacter combinations and the branching operations
 * oracle   -- brute-force finite-group verification at desk scale
 * ncsym    -- symmetric functions in noncommuting variables
-* reference -- second routes to the same answers, kept as test oracles
+* verify   -- the verification suites and the second routes they run
 * cli      -- the command-line front end
 """
 

@@ -16,14 +16,14 @@ and products of integral coefficients run on plain ints, and basis changes
 sum in ints over their input's least common denominator.  Shuffle products
 are computed in the m-basis by the Rosas-Sagan rule (a p-basis factor is
 first rewritten in the m-basis), and basis changes walk the coarsenings of
-each index once.  The independent references live in
-:mod:`superchar.reference`: the product read one set partition of its
-degree at a time (one class of words, whose m-coefficient is the factors'
-coefficients at its two standardized traces), the Mobius function of the
-partition lattice, and the bridge to the group side -- scaled superclass
-indicators multiply the same way under superinduction at p = 2, checked
-against the brute-force oracle.  The tests check the class route against
-the word expansions multiplied word by word.
+each index once.  The independent checks live in :mod:`superchar.verify`:
+the ``words`` suite reads the product one set partition of its degree at a
+time (one class of words, whose m-coefficient is the factors' coefficients
+at its two standardized traces), and the ``charmap`` suite checks the
+bridge to the group side -- scaled superclass indicators multiply the same
+way under superinduction at p = 2, checked against the brute-force oracle.
+The tests check the class route against the word expansions multiplied
+word by word, and the Mobius function against the partition lattice.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .qcoeff import rational
+from .qcoeff import json_fields, rational
 from .setpart import PartitionIndex, set_partitions
 
 __all__ = [
@@ -96,6 +96,12 @@ def _coarsenings_with_mobius(K):
 # elements in the m and p bases
 
 
+def _check_degree(degree):
+    """Refuse a non-int degree (a bool too) rather than truncate it."""
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise TypeError("degree must be an int, got %r" % (degree,))
+
+
 class NCSymElem:
     """A homogeneous element in the m- or p-basis.
 
@@ -108,7 +114,7 @@ class NCSymElem:
     def __init__(self, basis, degree, coeffs):
         if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p', not %r" % (basis,))
-        degree = int(degree)
+        _check_degree(degree)
         clean = {}
         for K, c in coeffs.items():
             if not isinstance(K, PartitionIndex):
@@ -202,12 +208,18 @@ class NCSymElem:
 
     @classmethod
     def from_json(cls, data):
-        degree = int(data["degree"])
+        """The element of ``to_json``'s form; the coefficients of repeated
+        partitions are summed."""
+        basis, degree, terms = json_fields(data, "NCSym", "basis", "degree", "terms")
+        _check_degree(degree)
+        if not isinstance(terms, list):
+            raise ValueError("NCSym JSON terms must be a list")
         coeffs = {}
-        for term in data["terms"]:
-            K = PartitionIndex.from_text(term["partition"], n=degree)
-            coeffs[canonical_index(K)] = term["coeff"]
-        return cls(data["basis"], degree, coeffs)
+        for term in terms:
+            text, c = json_fields(term, "NCSym term", "partition", "coeff")
+            K = canonical_index(PartitionIndex.from_text(text, n=degree))
+            coeffs[K] = coeffs.get(K, 0) + rational(c)
+        return cls(basis, degree, coeffs)
 
 
 def _from_parts(basis, degree, coeffs, denominator=1):
@@ -306,7 +318,8 @@ def star_K_product(x, y, K):
     m_A *_K m_B is the sum of m_C over the partitions C whose traces on the
     two blocks of K are the pushed A and B, i.e. one C per partial matching
     between the blocks of A and those of B.  The result is in the m-basis;
-    ``superchar.reference`` computes the same product class by class.
+    the ``words`` suite of ``superchar.verify`` computes the same product
+    class by class.
     """
     m, n = x.degree, y.degree
     _validate_shuffle_index(K, m, n)

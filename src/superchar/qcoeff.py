@@ -56,6 +56,17 @@ def rational(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def json_fields(obj, form, *fields):
+    """The values of ``fields`` in the JSON object ``obj``; a non-object or
+    a missing field is refused with ``ValueError`` naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError("%s JSON form must be an object" % form)
+    for field in fields:
+        if field not in obj:
+            raise ValueError("%s JSON form has no %r field" % (form, field))
+    return [obj[field] for field in fields]
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 # ---------------------------------------------------------------------------
@@ -291,8 +302,7 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValueError("Laurent JSON form must be an object")
+        json_fields(obj, "Laurent")
         # JSON keys are strings; the constructor checks the ints
         return cls({int(e) if isinstance(e, str) else e: c for e, c in obj.items()})
 
@@ -486,5 +496,5 @@ class Cyclotomic:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["p"], obj["coords"])
+        return cls(*json_fields(obj, "cyclotomic", "p", "coords"))
 

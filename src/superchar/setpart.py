@@ -142,15 +142,6 @@ class LabeledSetPartition:
                 total += 1
         return total
 
-    # -- transformations ----------------------------------------------------
-
-    def reflect(self):
-        """Mirror through the vertical axis of {1..n}: arc i-j:a goes to
-        (n+1-j)-(n+1-i):a."""
-        n = self.n
-        arcs = [(n + 1 - a.right, n + 1 - a.left, a.label) for a in self.arcs]
-        return LabeledSetPartition(range(1, n + 1), arcs)
-
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -257,10 +248,6 @@ class PartitionIndex:
                 out[v] = i
         return out
 
-    def same_part(self, i, j):
-        lk = self.part_lookup()
-        return lk[i] == lk[j]
-
     def grouping(self):
         """Order-insensitive canonical form (parts sorted by minimum)."""
         return tuple(sorted(self.parts, key=lambda part: part[0]))
@@ -271,12 +258,6 @@ class PartitionIndex:
             return False
         lk = other.part_lookup()
         return all(len({lk[v] for v in part}) == 1 for part in self.parts)
-
-    def reflect(self):
-        """Mirror i -> n+1-i, reversing the part order."""
-        return PartitionIndex(
-            self.n, [tuple(sorted(self.n + 1 - v for v in part)) for part in reversed(self.parts)]
-        )
 
     def __eq__(self, other):
         return (

@@ -6,8 +6,9 @@ samples, seed) that returns (ok, detail): ``ok`` is False at the first
 mismatch, which ``detail`` names, and otherwise ``detail`` counts the checks
 made.  Only the tensor suite reads ``samples`` and ``seed``; a budget of
 None admits any walk and leaves the oracle at its default group bound.
-The oracle, the reference routes and NCSym are imported by the suites that
-use them.
+The oracle and NCSym are imported by the suites that use them.  The second
+routes the suites run live here; the tests keep the routes that only they
+run in ``tests/routes.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .qcoeff import Cyclotomic
+from .qcoeff import Cyclotomic, LaurentPoly
 from .ring import (
     CharCombo,
     _char_value_std,
@@ -32,6 +33,7 @@ from .ring import (
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
+    arcs_of_parts,
     check_walk_budget,
     enumerate_compatible,
     set_partitions,
@@ -39,6 +41,51 @@ from .setpart import (
 )
 
 __all__ = ["SUITES"]
+
+
+def superinduce_trivial_twoblock(k, n, p):
+    """Closed form for superinducing the trivial character from the parabolic
+    with parts {1..k} and {k+1..n}: one term per partition whose arcs all
+    straddle the cut, weighted by an inverse q-power of its crossings."""
+    full = PartitionIndex.full(n)
+    return CharCombo(full, [
+        (lam, LaurentPoly.q_power(-lam.num_crossings()))
+        for lam in enumerate_compatible(full, p)
+        if all(a.left <= k < a.right for a in lam.arcs)
+    ])
+
+
+def _trace(C, rank):
+    """Canonical parts of the set partition C restricted to the keys of
+    ``rank`` and standardized by it (``rank`` numbers a block of K from 1
+    in increasing order)."""
+    blocks = (tuple(rank[v] for v in block if v in rank) for block in C)
+    return tuple(sorted(b for b in blocks if b))
+
+
+def _shuffle_traces(K, partitions):
+    """Each of ``partitions``, the set partitions C of {1..K.n} as
+    canonical parts, with its standardized traces on the two blocks of K."""
+    ranks = [{v: i for i, v in enumerate(block, 1)} for block in K.parts]
+    return [(C, _trace(C, ranks[0]), _trace(C, ranks[1])) for C in partitions]
+
+
+def _class_product(x, y, traces):
+    """The m-coefficients of a shuffle product, read class by class: the
+    coefficient at C is x's at C's first trace times y's at its second.
+
+    ``x`` and ``y`` map canonical parts to the factors' nonzero m-basis
+    coefficients, and ``traces`` is :func:`_shuffle_traces` of the index.
+    Every C is read, so the route is independent of the partial matchings
+    that :func:`superchar.ncsym.star_K_product` enumerates.
+    """
+    return {C: x[a] * y[b] for C, a, b in traces if a in x and b in y}
+
+
+def _labeled_of_parts(parts, n):
+    """The labeled partition with the arc skeleton of an unlabeled one; all
+    labels 1, which is the only choice at p = 2."""
+    return LabeledSetPartition(range(1, n + 1), [(u, v, 1) for u, v in arcs_of_parts(parts)])
 
 
 def _suite_orthogonality(q, max_n, budget, samples, seed):
@@ -119,7 +166,6 @@ def _suite_tensor(q, max_n, budget, samples, seed):
 
 def _suite_superinduction(q, max_n, budget, samples, seed):
     from .oracle import PatternGroup, brute_superinduction_table
-    from .reference import superinduce_trivial_twoblock
 
     checks = 0
     for n in range(2, max_n + 1):
@@ -155,7 +201,6 @@ def _suite_superinduction(q, max_n, budget, samples, seed):
 
 def _suite_words(q, max_n, budget, samples, seed):
     from . import ncsym as nc
-    from .reference import _class_product, _labeled_of_parts, _shuffle_traces
 
     # the class route reads every set partition of {1..max_n}: the labels
     # of U_max_n(2)
@@ -202,12 +247,55 @@ def _where(x, K, y):
 
 
 def _suite_charmap(q, max_n, budget, samples, seed):
-    from .reference import characteristic_map_check
+    """Products match across the bridge at q = 2, for all degrees m + n up
+    to ``max_n`` and all two-block shuffles.  Group side: superinducing
+    (z_mu kappa_mu) x (z_nu kappa_nu) from the K-parabolic lands on z kappa
+    of the glued partition, by the oracle, with every group it builds
+    bounded by ``budget``.  NCSym side: p_mu *_K p_nu = p of the glued
+    partition, with the product computed by the m-basis rule."""
+    from . import ncsym as nc
+    from .oracle import PatternGroup, brute_superinduce, z_value
 
     if q != 2:
         raise ValueError("the characteristic map lives at q = 2")
-    ok = characteristic_map_check(max_n, budget=budget)
-    return ok, "degrees up to %d" % max_n
+    detail = "degrees up to %d" % max_n
+    for total in range(2, max_n + 1):
+        G = PatternGroup.full(total, q, max_size=budget)
+        gt = G.superclass_table()
+        for m in range(1, total):
+            n = total - m
+            Gm = PatternGroup.full(m, q, max_size=budget)
+            Gn = PatternGroup.full(n, q, max_size=budget)
+            for block1 in itertools.combinations(range(1, total + 1), m):
+                block2 = tuple(v for v in range(1, total + 1) if v not in block1)
+                K = PartitionIndex(total, [block1, block2])
+                H = PatternGroup.parabolic(K, q, max_size=budget)
+                ht = H.superclass_table()
+                for mu_parts in set_partitions(range(1, m + 1)):
+                    mu = _labeled_of_parts(mu_parts, m)
+                    z_mu = z_value(Gm, mu)
+                    p_mu = nc.NCSymElem.single("p", PartitionIndex(m, mu_parts))
+                    for nu_parts in set_partitions(range(1, n + 1)):
+                        nu = _labeled_of_parts(nu_parts, n)
+                        z_nu = z_value(Gn, nu)
+                        p_nu = nc.NCSymElem.single("p", PartitionIndex(n, nu_parts))
+                        glued = union_K(mu, nu, K)
+                        z_glued = z_value(G, glued)
+                        scale = Fraction(z_mu * z_nu)
+                        chi_vals = tuple(
+                            Cyclotomic.from_rational(q, scale if lab == glued else 0)
+                            for lab in ht.labels
+                        )
+                        vals = brute_superinduce(G, H, chi_vals)
+                        for lab, got in zip(gt.labels, vals):
+                            want = Fraction(z_glued) if lab == glued else Fraction(0)
+                            if got.as_rational() != want:
+                                return False, detail
+                        # NCSym side of the same product, compared in the m-basis
+                        rhs = nc.NCSymElem.single("p", PartitionIndex(total, glued.parts()))
+                        if nc.star_K_product(p_mu, p_nu, K) != nc.m_from_p(rhs):
+                            return False, detail
+    return True, detail
 
 
 SUITES = {

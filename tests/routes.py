@@ -1,12 +1,12 @@
 """Second routes that only the tests call.
 
-The NCSym word expansions and the word-by-word shuffle product: an element
-of degree n is faithful over an alphabet of n letters, so a product of
-degree m+n can be multiplied word by word over m+n letters and recognized
-back into the m-basis.  It checks the class route of
-``superchar.reference``, which the ``words`` verify suite reads, so the
-chain of independent checks down to ``superchar.ncsym.star_K_product``
-stays unbroken.
+Each operation has one implementation in ``superchar``; these recompute
+answers, or identities behind them, by independent routes.  The word-by-word
+shuffle product (an element of degree n is faithful over n letters, so a
+product of degree m+n can be multiplied word by word over m+n letters and
+recognized back into the m-basis) checks the class route that the ``words``
+suite of ``superchar.verify`` reads, so the chain of independent checks down
+to ``superchar.ncsym.star_K_product`` stays unbroken.
 """
 
 from __future__ import annotations
@@ -15,10 +15,262 @@ import itertools
 import math
 import warnings
 
-from superchar.ncsym import NCSymElem, _validate_shuffle_index, m_from_p
-from superchar.qcoeff import rational
-from superchar.reference import _class_product, _shuffle_traces
-from superchar.setpart import PartitionIndex, set_partitions
+from superchar.ncsym import (
+    NCSymElem,
+    _coarsenings_with_mobius,
+    _validate_shuffle_index,
+    canonical_index,
+    m_from_p,
+)
+from superchar.oracle import _classes_in, brute_superinduce
+from superchar.qcoeff import Cyclotomic, LaurentPoly, rational
+from superchar.ring import (
+    CharCombo,
+    chi_to_kappa,
+    degree_in,
+    restrict,
+    sinf,
+    superinduce,
+    tensor,
+)
+from superchar.setpart import LabeledSetPartition, PartitionIndex, set_partitions
+from superchar.verify import _class_product, _shuffle_traces
+
+
+def _parts_are_intervals_within(K, L):
+    """True when every part of K occupies consecutive positions of its
+    enclosing L-part."""
+    lookup = L.part_lookup()
+    for part in K.parts:
+        ambient = sorted(L.parts[lookup[part[0]]])
+        first = ambient.index(part[0])
+        if list(part) != ambient[first : first + len(part)]:
+            return False
+    return True
+
+
+def superinduce_via_permchar(mu, K, p, L=None):
+    """Superinduction through the permutation-character factorization: the
+    degree ratio (a q-power) times the inflated character tensored with the
+    superinduced trivial character.
+
+    The factorization is an identity only when every part of K is an
+    interval inside its L-part.  With a gap in a part, positions of U_L
+    sitting under one of its arcs belong to other parts, and the inflated
+    character is no longer proportional to the original on U_K (the
+    enumeration oracle exhibits failures at n = 4: K = {1,4|2,3} with a
+    1-4 arc).  Such indices are refused; ``superinduce`` handles them.
+    """
+    n = K.n
+    if L is None:
+        L = PartitionIndex.full(n)
+    if not _parts_are_intervals_within(K, L):
+        raise ValueError(
+            "the factorization needs each part of %s to be an interval "
+            "inside its part of %s; use superinduce for general indices"
+            % (K.to_text(), L.to_text())
+        )
+    # both degrees are monic q-powers
+    (ek, ck), = degree_in(mu, K).coeffs.items()
+    (el, cl), = degree_in(sinf(mu, K, L), L).coeffs.items()
+    if ck != 1 or cl != 1:
+        raise RuntimeError("degrees must be monic q-powers")
+    sind_triv = superinduce(LabeledSetPartition(range(1, n + 1)), K, p, L)
+    lifted = CharCombo.of(mu, L)
+    return tensor(lifted, sind_triv, p).scale(LaurentPoly.q_power(ek - el))
+
+
+def permchar_hypothesis_check(G, H, mu_coords):
+    """Check, by enumeration, the proportionality hypothesis and the
+    factorization conclusion for a supercharacter of H inside G.
+
+    mu_coords: functional on the H-mask as {(i,j): value}.
+
+    hypothesis: chi(1) * Sinf(chi)(h) == Sinf(chi)(1) * chi(h) for all h in H,
+    where Sinf(chi) is the G-supercharacter of the functional extended by 0.
+
+    conclusion: SInd(chi) == (chi(1)/Sinf(chi)(1)) * Sinf(chi) * SInd(triv),
+    compared on every G-superclass.
+
+    Returns (hypothesis_holds, conclusion_holds, ratio).
+    """
+    p = G.p
+    g_table = G.superclass_table()
+    h_table = H.superclass_table()
+
+    chi_h = H.char_values_of_functional(mu_coords)
+    sinf_g = G.char_values_of_functional(mu_coords)
+
+    # the identity sits in the class of the zero algebra element
+    chi_deg = chi_h[h_table.class_of[0]]
+    sinf_deg = sinf_g[g_table.class_of[0]]
+
+    # both sides are constant on an H-superclass: check one point of each
+    hypothesis = all(
+        chi_deg * sinf_g[g_cid] == sinf_deg * chi_h[h_cid]
+        for h_cid, g_cid in enumerate(_classes_in(G, H))
+    )
+
+    triv = tuple(Cyclotomic.one(p) for _ in range(len(h_table)))
+    sind_triv = brute_superinduce(G, H, triv)
+    sind_chi = brute_superinduce(G, H, chi_h)
+
+    ratio = chi_deg.as_rational() / sinf_deg.as_rational()
+    conclusion = all(
+        sind_chi[c] == ratio * sinf_g[c] * sind_triv[c]
+        for c in range(len(g_table))
+    )
+    return hypothesis, conclusion, ratio
+
+
+def sinfres_identities_check(i, j, k, l, a, b, n, p):
+    """Check the four restriction-inflation product identities for the
+    quadruple i<j<k<l by exhaustive pointwise evaluation."""
+    if not (1 <= i < j < k < l <= n):
+        raise ValueError("need 1 <= i < j < k < l <= n")
+    full = PartitionIndex.full(n)
+
+    def single(arc):
+        return LabeledSetPartition(range(1, n + 1), [arc])
+
+    def chi(arc):
+        return CharCombo.of(single(arc), full)
+
+    def res(arc, lo, hi):
+        # restricted to the interval subgroup on [lo,hi] and read back in the
+        # full group (inflation keeps the arcs)
+        sub = restrict(single(arc), PartitionIndex.from_subset(range(lo, hi + 1), n), p)
+        return CharCombo(full, sub.terms)
+
+    def values(x, y):
+        # tensor values are plain pointwise products, with no straightening
+        vx, vy = chi_to_kappa(x, p), chi_to_kappa(y, p)
+        return tuple(vx[mu] * vy[mu] for mu in vx)
+
+    neg_a, ab = (-a) % p, (a + b) % p
+    checks = [
+        ((chi((i, k, a)), chi((i, l, b))), (res((i, k, a), i + 1, l), chi((i, l, b)))),
+        ((chi((i, l, a)), chi((j, l, b))), (chi((i, l, a)), res((j, l, b), i, l - 1))),
+        (
+            (chi((i, l, a)), chi((i, l, neg_a))),
+            (res((i, l, a), i + 1, l), res((i, l, neg_a), i, l - 1)),
+        ),
+    ]
+    if ab:
+        checks.append(
+            ((chi((i, l, a)), chi((i, l, b))), (chi((i, l, ab)), res((i, l, ab), i + 1, l - 1)))
+        )
+    return all(values(*lhs) == values(*rhs) for lhs, rhs in checks)
+
+
+def reflect_partition(lam):
+    """Mirror through the vertical axis of {1..n}: arc i-j:a goes to
+    (n+1-j)-(n+1-i):a."""
+    n = lam.n
+    return LabeledSetPartition(
+        range(1, n + 1), [(n + 1 - a.right, n + 1 - a.left, a.label) for a in lam.arcs]
+    )
+
+
+def reflect_index(K):
+    """Mirror i -> n+1-i, reversing the part order."""
+    return PartitionIndex(K.n, [[K.n + 1 - v for v in part] for part in reversed(K.parts)])
+
+
+def reflect_combo(x):
+    """Conjugate a combination by the order-reversing symmetry."""
+    return CharCombo(
+        reflect_index(x.ambient),
+        [(reflect_partition(lam), c) for lam, c in x.terms.items()],
+    )
+
+
+def sg_matrices(m, n):
+    """All m x n 0-1 matrices with at most one 1 per row and per column,
+    as tuples of row-tuples, deterministically ordered."""
+    out = []
+    for k in range(min(m, n) + 1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.permutations(range(n), k):
+                w = [[0] * n for _ in range(m)]
+                for r, c in zip(rows, cols):
+                    w[r][c] = 1
+                out.append(tuple(tuple(r) for r in w))
+    out.sort()
+    return out
+
+
+def sg_ones(w):
+    return sum(sum(row) for row in w)
+
+
+def sg_sow(w):
+    """Zeros of w lying below a 1 in their column or left of a 1 in their row."""
+    m, n = len(w), len(w[0]) if w else 0
+    count = 0
+    for j in range(m):
+        for k in range(n):
+            if w[j][k]:
+                continue
+            if any(w[i][k] for i in range(j)) or any(w[j][l] for l in range(k + 1, n)):
+                count += 1
+    return count
+
+
+def sg_identity_a(m, n):
+    """sum over w of (q-1)^ones(w) q^sow(w), as a Laurent polynomial.
+    Equals q^(mn)."""
+    qm1 = LaurentPoly.q_minus_one()
+    return sum((qm1 ** sg_ones(w)).shift(sg_sow(w)) for w in sg_matrices(m, n))
+
+
+def sg_identity_b(m, n):
+    """The signed sum over w of (-1)^(w_1n) (q-1)^(ones(w) - w_1n) q^sow(w).
+
+    Shapes whose top-right corner carries a 1 enter with one fewer label
+    factor (the corner label is summed against theta, contributing -1), so
+    the signed sum vanishes identically in q.
+    """
+    qm1 = LaurentPoly.q_minus_one()
+    return sum(
+        (-1) ** w[0][n - 1] * (qm1 ** (sg_ones(w) - w[0][n - 1])).shift(sg_sow(w))
+        for w in sg_matrices(m, n)
+    )
+
+
+def coarsenings(K):
+    """All partitions obtained by merging blocks of K (K itself included)."""
+    return [PartitionIndex(K.n, parts) for parts, _ in _coarsenings_with_mobius(K)]
+
+
+def mobius_partition(A, B):
+    """Mobius function of the interval [A, B] in the partition lattice.
+
+    A must refine B; the interval is a product of full partition lattices,
+    one per block of B, giving the product of (-1)^(k-1) (k-1)! over the
+    number k of A-blocks inside each B-block.
+    """
+    if not A.refines(B):
+        raise ValueError("Mobius function needs A refining B")
+    lk = A.part_lookup()
+    value = 1
+    for block in B.parts:
+        k = len({lk[v] for v in block})
+        value *= (-1) ** (k - 1) * math.factorial(k - 1)
+    return value
+
+
+def mobius_telescope_check(n):
+    """Sum of mobius(M, B) over A <= M <= B is the delta on A == B; checked
+    for every refinement pair of partitions of {1..n}."""
+    idx = [canonical_index(PartitionIndex(n, pp)) for pp in set_partitions(range(1, n + 1))]
+    for B in idx:
+        below = [A for A in idx if A.refines(B)]
+        for A in below:
+            total = sum(mobius_partition(M, B) for M in below if A.refines(M))
+            if total != (1 if A == B else 0):
+                return False
+    return True
 
 
 def _parts_of_word(word):
@@ -189,8 +441,8 @@ def _star_K_product_words(x, y, K):
 
 
 def star_K_product_classes(x, y, K):
-    """The shuffle product by the class route of ``superchar.reference``,
-    as an m-basis element."""
+    """The shuffle product by the class route of ``superchar.verify``, as an
+    m-basis element."""
     m, n = x.degree, y.degree
     _validate_shuffle_index(K, m, n)
     x, y = (e if e.basis == "m" else m_from_p(e) for e in (x, y))

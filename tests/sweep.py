@@ -10,9 +10,12 @@ line count and hash.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 
+from superchar import cli
 from superchar.ring import (
     CharCombo,
     restrict,
@@ -52,7 +55,23 @@ def branching_lines():
                 yield "p=%d tensor %s (x) %s: %s" % (p, lam.to_text(), mu.to_text(), t)
 
 
-SWEEPS = {"branching": branching_lines}
+# the settings of the verify sweep, each after ``verify --suite all``
+VERIFY_SETTINGS = ("--q 2 --max-n 4", "--q 3 --max-n 3", "--q 5 --max-n 3 --budget 200")
+
+
+def verify_lines():
+    """The text report of ``verify --suite all``, one line per suite, at
+    each of ``VERIFY_SETTINGS``."""
+    for setting in VERIFY_SETTINGS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--suite", "all"] + setting.split())
+        if code != 0:
+            raise RuntimeError("verify %s exited %d" % (setting, code))
+        yield from out.getvalue().splitlines()
+
+
+SWEEPS = {"branching": branching_lines, "verify": verify_lines}
 
 
 def digest(lines):

@@ -14,15 +14,6 @@ from fractions import Fraction
 
 from superchar.oracle import PatternGroup
 from superchar.qcoeff import Cyclotomic, LaurentPoly
-from superchar.reference import (
-    characteristic_map_check,
-    permchar_hypothesis_check,
-    sg_identity_a,
-    sg_identity_b,
-    sg_ones,
-    sg_sow,
-    sinfres_identities_check,
-)
 from superchar.ring import CharCombo, char_value, restrict, tensor
 from superchar.setpart import (
     Arc,
@@ -32,6 +23,15 @@ from superchar.setpart import (
     enumerate_compatible,
 )
 from superchar.verify import SUITES
+
+from routes import (
+    permchar_hypothesis_check,
+    sg_identity_a,
+    sg_identity_b,
+    sg_ones,
+    sg_sow,
+    sinfres_identities_check,
+)
 
 
 def lsp(n, arcs):
@@ -171,7 +171,7 @@ def test_criterion_07_characteristic_map_is_multiplicative():
     (Rosas-Sagan) rule; the words verify suite makes this check, and first
     checks each product against the class route, which tests/test_ncsym.py
     checks against the word-by-word product."""
-    assert characteristic_map_check(4) is True
+    assert suite("charmap", 2, 4) == (True, "degrees up to 4")
     assert suite("words", 2, 6) == (True, "2452 products")
 
 

@@ -154,6 +154,15 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "float" in err
 
+    def test_ncsym_refuses_a_non_int_degree(self, capsys):
+        # a degree of 2.7 was truncated to 2 and the request answered
+        element = {"basis": "m", "degree": 2.7, "terms": [{"partition": "{1,2}", "coeff": 1}]}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "degree must be an int, got 2.7" in err
+
     def test_ncsym_conversions_round_trip(self, capsys):
         from superchar import ncsym as nc
 
@@ -308,17 +317,15 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
     def test_words_suite_catches_a_wrong_class_route(self, capsys, monkeypatch):
-        from superchar import reference
-
         def first_ranks_twice(K, partitions):
             # standardizes K's second block with the first block's ranks
             rank = {v: i for i, v in enumerate(K.parts[0], 1)}
-            return [(C, reference._trace(C, rank), reference._trace(C, rank))
+            return [(C, verify._trace(C, rank), verify._trace(C, rank))
                     for C in partitions]
 
         argv = ["verify", "--suite", "words", "--q", "2", "--max-n", "3"]
         assert run(argv, capsys)[:2] == (0, "words: ok (14 products)\n")
-        monkeypatch.setattr(reference, "_shuffle_traces", first_ranks_twice)
+        monkeypatch.setattr(verify, "_shuffle_traces", first_ranks_twice)
         code, out, _ = run(argv, capsys)
         assert code == cli.EXIT_VERIFY
         assert out.startswith("words: FAIL (")
@@ -739,24 +746,30 @@ class TestErrors:
         assert exc.value.code == 0
 
 
+def run_in_a_fresh_process(probe):
+    """The words that ``python -c probe`` prints, with the package on the
+    path and nothing imported yet."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.split()
+
+
 @pytest.mark.parametrize(
     "module, needed",
     [("cli", ["cli", "qcoeff", "ring", "setpart"]), ("ncsym", ["ncsym", "qcoeff", "setpart"])],
 )
 def test_import_loads_only_the_modules_needed(module, needed):
-    # the verify suites import oracle, ncsym and reference when they run;
+    # the verify suites import oracle and ncsym when they run;
     # a process that only loads the CLI, or NCSym, must not pay for them
-    src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
     probe = (
         "import sys, superchar.%s; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'superchar')))"
         % module
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.split() == ["superchar"] + ["superchar." + m for m in needed]
+    assert run_in_a_fresh_process(probe) == ["superchar"] + ["superchar." + m for m in needed]
 
 
 def test_the_suite_choices_are_the_verify_suites():
@@ -767,17 +780,23 @@ def test_the_suite_choices_are_the_verify_suites():
 def test_a_request_without_the_oracle_does_not_load_it():
     # BudgetError lives in setpart, so catching it loads no oracle; and only
     # verify requests load the suites
-    src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
     probe = (
         "import sys; from superchar import cli; "
         "code = cli.main(['count', '--n', '3', '--q', '2']); "
         "print(code, 'superchar.oracle' in sys.modules, 'superchar.verify' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    assert run_in_a_fresh_process(probe) == ["5", "0", "False", "False"]
+
+
+def test_a_words_only_verify_does_not_load_the_oracle():
+    # the words suite's class route lives in verify, which loads the oracle
+    # only inside the suites that build groups
+    probe = (
+        "import sys; from superchar import cli; "
+        "code = cli.main(['verify', '--suite', 'words', '--q', '2', '--max-n', '3']); "
+        "print(code, 'superchar.oracle' in sys.modules)"
     )
-    assert done.stdout.split() == ["5", "0", "False", "False"]
+    assert run_in_a_fresh_process(probe) == ["words:", "ok", "(14", "products)", "0", "False"]
 
 
 def test_the_oracle_exports_the_budget_error():

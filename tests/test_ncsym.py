@@ -17,19 +17,17 @@ from superchar.ncsym import (
     p_from_m,
     star_K_product,
 )
-from superchar.reference import (
-    characteristic_map_check,
-    coarsenings,
-    mobius_partition,
-    mobius_telescope_check,
-)
 from superchar.setpart import PartitionIndex, set_partitions
+from superchar.verify import SUITES
 
 from routes import (
     WordExpansion,
     _star_K_product_words,
+    coarsenings,
     expand,
     m_expand,
+    mobius_partition,
+    mobius_telescope_check,
     star_K_product_classes,
 )
 
@@ -272,10 +270,45 @@ class TestSerialization:
         x = m_single(2, [[1], [2]], Fraction(1, 2))
         assert x.to_text() == "(1/2)*m[{1|2}]"
 
+    @pytest.mark.parametrize("degree", [2.7, 2.0, "2", True])
+    def test_a_non_int_degree_is_refused(self, degree):
+        blob = {"basis": "m", "degree": degree, "terms": [{"partition": "{1,2}", "coeff": 1}]}
+        with pytest.raises(TypeError, match="degree must be an int"):
+            NCSymElem.from_json(blob)
+        with pytest.raises(TypeError, match="degree must be an int"):
+            NCSymElem("m", degree, {})
+
+    def test_repeated_terms_are_summed(self):
+        terms = [
+            {"partition": "{1,2}", "coeff": 1},
+            {"partition": "{1|2}", "coeff": "1/2"},
+            {"partition": "{1,2}", "coeff": 2},
+            {"partition": "{2|1}", "coeff": "-1/2"},
+        ]
+        x = NCSymElem.from_json({"basis": "m", "degree": 2, "terms": terms})
+        assert x == m_single(2, [[1, 2]], 3)
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ([], "NCSym JSON form must be an object"),
+            ({}, "no 'basis' field"),
+            ({"basis": "m", "terms": []}, "no 'degree' field"),
+            ({"basis": "m", "degree": 2}, "no 'terms' field"),
+            ({"basis": "m", "degree": 2, "terms": {}}, "terms must be a list"),
+            ({"basis": "m", "degree": 2, "terms": [[]]}, "term JSON form must be an object"),
+            ({"basis": "m", "degree": 2, "terms": [{"coeff": 1}]}, "no 'partition' field"),
+            ({"basis": "m", "degree": 2, "terms": [{"partition": "{1,2}"}]}, "no 'coeff' field"),
+        ],
+    )
+    def test_json_that_is_not_a_full_object_is_refused(self, blob, message):
+        with pytest.raises(ValueError, match=message):
+            NCSymElem.from_json(blob)
+
 
 class TestBridge:
     def test_products_match_across_the_bridge(self):
-        assert characteristic_map_check(3)
+        assert SUITES["charmap"](2, 3, None, 0, 0) == (True, "degrees up to 3")
 
 
 class TestCoefficients:

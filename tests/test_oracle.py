@@ -19,14 +19,6 @@ from superchar.oracle import (
     brute_superinduction_table,
     z_value,
 )
-from superchar.reference import (
-    permchar_hypothesis_check,
-    sg_identity_a,
-    sg_identity_b,
-    sg_matrices,
-    sg_ones,
-    sg_sow,
-)
 from superchar.setpart import (
     Arc,
     LabeledSetPartition,
@@ -34,6 +26,15 @@ from superchar.setpart import (
     count_sn,
     enumerate_compatible,
     set_partitions,
+)
+
+from routes import (
+    permchar_hypothesis_check,
+    sg_identity_a,
+    sg_identity_b,
+    sg_matrices,
+    sg_ones,
+    sg_sow,
 )
 
 

@@ -189,6 +189,14 @@ class TestCyclotomic:
         x = Cyclotomic.zeta_power(5, 2) + Cyclotomic.from_rational(5, Fraction(1, 2))
         assert Cyclotomic.from_json(x.to_json()) == x
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [([1], "must be an object"), ({}, "no 'p' field"), ({"p": 3}, "no 'coords' field")],
+    )
+    def test_json_that_is_not_a_full_object_is_refused(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            Cyclotomic.from_json(obj)
+
 
 class TestCyclotomicBoundary:
     """The public constructors validate; arithmetic stores an integral

@@ -29,12 +29,6 @@ from superchar.ring import (
     tensor,
 )
 from superchar import ring
-from superchar.reference import (
-    _parts_are_intervals_within,
-    reflect_combo,
-    superinduce_trivial_twoblock,
-    superinduce_via_permchar,
-)
 from superchar.setpart import (
     Arc,
     LabeledSetPartition,
@@ -42,6 +36,15 @@ from superchar.setpart import (
     enumerate_compatible,
     set_partitions,
     union_K,
+)
+from superchar.verify import superinduce_trivial_twoblock
+
+from routes import (
+    _parts_are_intervals_within,
+    reflect_combo,
+    reflect_index,
+    reflect_partition,
+    superinduce_via_permchar,
 )
 
 
@@ -357,7 +360,7 @@ class TestRestrict:
             for lam in enumerate_compatible(PartitionIndex.full(n), 2):
                 for parts in set_partitions(range(1, n + 1)):
                     K = PartitionIndex(n, parts)
-                    mirrored = restrict(lam.reflect(), K.reflect(), 2)
+                    mirrored = restrict(reflect_partition(lam), reflect_index(K), 2)
                     assert mirrored == reflect_combo(restrict(lam, K, 2))
 
     def test_restriction_is_transitive(self):
