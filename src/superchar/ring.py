@@ -20,11 +20,12 @@ import itertools
 import re
 from fractions import Fraction
 
-from .qcoeff import Cyclotomic, LaurentPoly
+from .qcoeff import Cyclotomic, LaurentPoly, json_fields
 from .setpart import (
     Arc,
     LabeledSetPartition,
     PartitionIndex,
+    _crossings,
     enumerate_compatible,
     union_K,
 )
@@ -209,12 +210,14 @@ class CharCombo:
 
     @classmethod
     def from_json(cls, obj):
-        ambient = PartitionIndex.from_text(obj["ambient"])
-        terms = [
-            (LabeledSetPartition.from_text(t["partition"]), LaurentPoly.from_json(t["coeff"]))
-            for t in obj["terms"]
-        ]
-        return cls(ambient, terms)
+        """The combination of ``to_json``'s form; a non-object, a missing
+        field or ``terms`` that is not a list is refused with ValueError."""
+        ambient, terms = json_fields(obj, "combination", "ambient", "terms")
+        if not isinstance(terms, list):
+            raise ValueError("combination JSON terms must be a list")
+        pairs = [json_fields(t, "combination term", "partition", "coeff") for t in terms]
+        return cls(PartitionIndex.from_text(ambient), [
+            (LabeledSetPartition.from_text(text), LaurentPoly.from_json(c)) for text, c in pairs])
 
     _TERM_RE = re.compile(r"\(([^()]*)\)\*chi\[([^\]]*)\]")
 
@@ -610,6 +613,15 @@ def _walk_parts(K, L):
     return L, where, [(_ranks(part, K.n), where[part[0]]) for part in K.parts]
 
 
+def _step_tables(L, p, where, walk):
+    """For each part of K, every arc (i, l, a) inside a part of L -> its
+    ``_trace`` there: ``enumerate_compatible``'s step tables for carrying
+    each label's traces (``where`` and ``walk`` from ``_walk_parts``)."""
+    arcs = [(i, l, a) for part in L.parts for i, l in itertools.combinations(part, 2)
+            for a in range(1, p)]
+    return [{arc: _trace((arc,), rank, block, where) for arc in arcs} for rank, block in walk]
+
+
 def _restrict(arcs, K, p, where, walk, memo):
     """The restriction from U_L to a refinement U_K of the character whose
     arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
@@ -693,22 +705,22 @@ def superinduce(mu, K, p, L=None):
     factor is a function of nu's ``_trace`` on P and a product over the
     trace's arcs, so each call memoizes the factor of every trace prefix
     (``_memo_factor``): traces sharing a prefix share its work, and each
-    part keeps the entry read at each trace.  Across calls only the bracket
-    table (``_bracket``) is kept, not the factors."""
+    part keeps the entry read at each trace.  The label walk carries the
+    traces (``_step_tables``): a label costs a read per part until one is
+    0, and only a kept label is built.  Across calls only the bracket table
+    (``_bracket``) is kept, not the factors."""
     _check_n((mu,), K)
     L, where, walk = _walk_parts(K, L)
     check_labels((mu,), p)
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
-    parts = [(rank, block, _local(mu.arcs, _numbering(part)), {})
-             for (rank, block), part in zip(walk, K.parts)]
+    reads = [(_local(mu.arcs, _numbering(part)), {}) for part in K.parts]
     memo = {}
     terms = {}
-    for nu in enumerate_compatible(L, p):
+    for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):
         b = None
-        for rank, block, loc, read in parts:
-            trace = _trace(nu.arcs, rank, block, where)
+        for (loc, read), trace in zip(reads, traces):
             if trace not in read:
                 read[trace] = _memo_factor(trace, p, memo).get(loc)
             c = read[trace]
@@ -716,7 +728,7 @@ def superinduce(mu, K, p, L=None):
                 break
             b = c if b is None else b * c
         else:
-            terms[nu] = b.shift(c_mu - nu.crossings_within(L))
+            terms[LabeledSetPartition._valid(L.n, arcs)] = b.shift(c_mu - _crossings(arcs, where))
     return CharCombo._make(L, terms)
 
 
@@ -729,7 +741,7 @@ def superinduction_table(K, p, L=None):
     cols = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
     memo = {}
     for nu in enumerate_compatible(L, p):
-        c_nu = nu.crossings_within(L)
+        c_nu = _crossings(nu.arcs, where)
         for arcs, c in _restrict(nu.arcs, K, p, where, walk, memo).items():
             mu, c_mu, col = cols[arcs]
             col[nu] = c.shift(c_mu - c_nu)

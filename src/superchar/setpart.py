@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from operator import add
 from typing import NamedTuple
 
 __all__ = [
@@ -136,11 +137,7 @@ class LabeledSetPartition:
                 raise ValueError(
                     "arc %d-%d straddles the parts of %s" % (a.left, a.right, index.to_text())
                 )
-        total = 0
-        for a, b in self.crossing_pairs():
-            if part_of[a.left] == part_of[b.left]:
-                total += 1
-        return total
+        return _crossings(self.arcs, part_of)
 
     # -- dunder -------------------------------------------------------------
 
@@ -186,6 +183,16 @@ class LabeledSetPartition:
                     raise ValueError("bad arc %r" % chunk)
                 arcs.append((int(am.group(1)), int(am.group(2)), int(am.group(3))))
         return cls(range(1, n + 1), arcs)
+
+
+def _crossings(arcs, part_of):
+    """Number of crossings i < j < k < l of arcs i-k, j-l among sorted
+    ``arcs`` with i and j in one part (``part_of``: vertex -> part)."""
+    total = 0
+    for x, y in itertools.combinations(arcs, 2):
+        if y[0] < x[1] < y[1] and part_of[x[0]] == part_of[y[0]]:
+            total += 1
+    return total
 
 
 class PartitionIndex:
@@ -332,37 +339,57 @@ def arcs_of_parts(parts):
     return tuple(arcs)
 
 
-def enumerate_compatible(index, p):
+def enumerate_compatible(index, p, steps=None):
     """All F_p-labeled partitions of {1..n} whose arcs stay inside the
     parts of ``index`` -- the supercharacter/superclass labels of U_index.
 
     A depth-first walk over the vertices in increasing order: each vertex
     starts no arc, or an arc, with each label in 1..p-1, to a later vertex
     of its own part that ends no arc yet.  The empty partition comes first,
-    and every label's arcs come out sorted."""
+    and every label's arcs come out sorted.  The walk fills one list per
+    call, then yields from it.  Given ``steps``, tables each mapping every
+    arc (i, l, a) inside a part to the steps it appends to one trace, it
+    yields per label its arc tuple and its traces, one per table: an arc's
+    steps are appended at the vertex choosing it, shared by all below."""
+    tables = () if steps is None else steps
     # the arcs each vertex may start, by right end, for the vertices in order
     starts = {}
     for part in index.parts:
         for k, v in enumerate(part[:-1]):
-            starts[v] = [(w, [Arc(v, w, a) for a in range(1, p)]) for w in part[k + 1:]]
-    n = index.n
-    yield from _walk(n, [starts[v] for v in sorted(starts)], 0, [False] * (n + 1), [])
-
-
-def _walk(n, starts, k, ended, arcs):
-    """enumerate_compatible's recursion: extend ``arcs`` by the choices of
-    the vertices ``starts[k:]`` (a module-level function, so no call leaves
-    a self-referencing closure to the cyclic collector)."""
-    if k == len(starts):
-        yield LabeledSetPartition._valid(n, tuple(arcs))
+            starts[v] = [(w, [_choice(Arc(v, w, a), tables) for a in range(1, p)])
+                         for w in part[k + 1:]]
+    n, out = index.n, []
+    _walk([starts[v] for v in sorted(starts)], 0, [False] * (n + 1), [], ((),) * len(tables), out)
+    if steps is not None:
+        yield from out
         return
-    yield from _walk(n, starts, k + 1, ended, arcs)
+    valid = LabeledSetPartition._valid
+    for arcs, _ in out:
+        yield valid(n, arcs)
+
+
+def _choice(arc, tables):
+    """``arc`` and what it appends to each trace of ``tables`` (None for
+    nothing to any)."""
+    appends = tuple([table[arc] for table in tables])
+    return arc, appends if any(appends) else None
+
+
+def _walk(starts, k, ended, arcs, traces, out):
+    """enumerate_compatible's recursion: append to ``out`` each extension
+    of ``arcs`` and its ``traces`` by the choices of the vertices
+    ``starts[k:]`` (module-level, so it leaves no closure to collect)."""
+    if k == len(starts):
+        out.append((tuple(arcs), traces))
+        return
+    _walk(starts, k + 1, ended, arcs, traces, out)
     for w, labeled in starts[k]:
         if not ended[w]:
             ended[w] = True
-            for arc in labeled:
+            for arc, appends in labeled:
                 arcs.append(arc)
-                yield from _walk(n, starts, k + 1, ended, arcs)
+                _walk(starts, k + 1, ended, arcs,
+                      traces if appends is None else tuple(map(add, traces, appends)), out)
                 arcs.pop()
             ended[w] = False
 

@@ -603,6 +603,31 @@ class TestSuperinduce:
                         assert restrict_combo(x, K, p) == total, (K.to_text(), L.to_text(), p)
         assert calls == [1821, 6984]
 
+    def test_past_n_five_it_is_the_adjoint_of_the_per_nu_restriction(self):
+        # n = 6, p = 2, a seeded sample of three-block and of non-contiguous
+        # K, each mu with arcs: the coefficient of chi^nu is q^(cr_K mu - cr nu)
+        # times that of chi^mu in restrict(nu, K, 2), a route that carries
+        # no traces through the label walk
+        rng = random.Random(6)
+        full = PartitionIndex.full(6)
+        nus = list(enumerate_compatible(full, 2))
+        indices = [PartitionIndex(6, parts) for parts in set_partitions(range(1, 7))]
+        three = [K for K in indices if len(K.parts) == 3]
+        gapped = [K for K in indices if any(part[-1] - part[0] >= len(part) for part in K.parts)]
+        checked = 0
+        for K in rng.sample(three, 6) + rng.sample(gapped, 6):
+            rows = {nu: restrict(nu, K, 2) for nu in nus}
+            with_arcs = [mu for mu in enumerate_compatible(K, 2) if mu.arcs]
+            for mu in rng.sample(with_arcs, min(4, len(with_arcs))):
+                c_mu = mu.crossings_within(K)
+                want = CharCombo(full, [
+                    (nu, row.coeff(mu).shift(c_mu - nu.num_crossings())) for nu, row in rows.items()])
+                got = superinduce(mu, K, 2)
+                assert got == want, (mu.to_text(), K.to_text())
+                assert got.to_text() == want.to_text()
+                checked += bool(got)
+        assert checked >= 40
+
     def test_the_table_defaults_to_the_full_group_and_checks_the_indices(self):
         K = PartitionIndex(4, [[1, 3], [2, 4]])
         full = PartitionIndex.full(4)
@@ -912,6 +937,22 @@ class TestSerialization:
         blob = x.to_json()
         assert blob["ambient"] == K.to_text()
         assert all(set(t) == {"partition", "coeff"} for t in blob["terms"])
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ([], "JSON form must be an object"),
+            ({}, "no 'ambient' field"),
+            ({"ambient": "{1,2}"}, "no 'terms' field"),
+            ({"ambient": "{1,2}", "terms": {}}, "terms must be a list"),
+            ({"ambient": "{1,2}", "terms": [[]]}, "term JSON form must be an object"),
+            ({"ambient": "{1,2}", "terms": [{"coeff": {"0": 1}}]}, "no 'partition' field"),
+            ({"ambient": "{1,2}", "terms": [{"partition": "n=2"}]}, "no 'coeff' field"),
+        ],
+    )
+    def test_json_that_is_not_a_full_object_is_refused(self, blob, message):
+        with pytest.raises(ValueError, match=message):
+            CharCombo.from_json(blob)
 
     def test_text_round_trip(self):
         full = PartitionIndex.full(4)

@@ -8,6 +8,7 @@ from functools import reduce
 
 import pytest
 
+from superchar import ring
 from superchar.qcoeff import LaurentPoly
 from superchar.setpart import (
     Arc,
@@ -226,16 +227,11 @@ class TestEnumerationAndCounting:
                     assert lookup[arc.left] == lookup[arc.right]
 
     def test_compatible_labels_match_the_validating_constructor(self):
-        # every index of {1..n}, n <= 5, in both part orders, and the
-        # non-contiguous {1,4|2,5,6|3}: the walk yields each set of labeled
-        # arcs inside the parts with the degree condition exactly once,
-        # arcs sorted, and (skipping validation) each label is the
-        # partition the public constructor builds from its arcs
-        indices = [PartitionIndex(6, [[1, 4], [2, 5, 6], [3]])]
-        for n in range(0, 6):
-            for parts in set_partitions(range(1, n + 1)):
-                indices += [PartitionIndex(n, parts), PartitionIndex(n, parts[::-1])]
-        for K in indices:
+        # the walk yields each set of labeled arcs inside the parts with the
+        # degree condition exactly once, arcs sorted, and (skipping
+        # validation) each label is the partition the public constructor
+        # builds from its arcs
+        for K in covered_indices():
             for p in (2, 3):
                 got = list(enumerate_compatible(K, p))
                 assert len(got) == len(set(got))
@@ -246,6 +242,50 @@ class TestEnumerationAndCounting:
                     checked = LabeledSetPartition(range(1, K.n + 1), label.arcs)
                     assert label == checked
                     assert hash(label) == hash(checked)
+
+    def test_the_walk_order_is_pinned(self):
+        # vertex by vertex: no arc first, then arcs by right end, then by
+        # label, so the empty partition comes first
+        for K in covered_indices():
+            for p in (2, 3):
+                got = [label.arcs for label in enumerate_compatible(K, p)]
+                assert got == sorted(brute_force_labels(K, p), key=lambda arcs: walk_key(arcs, K.n))
+                assert got[0] == ()
+
+    def test_carried_traces_are_the_traces_of_each_label(self):
+        # with superinduce's step tables, each label comes with its _trace
+        # on every part of K: K a covered index inside U_n, and the
+        # refinement of a covered index L splitting each part by parity
+        # of position inside L
+        for X in covered_indices():
+            split = [part[side::2] for part in X.parts for side in (0, 1) if part[side::2]]
+            for K, L in ((X, None), (PartitionIndex(X.n, split), X)):
+                L, where, walk = ring._walk_parts(K, L)
+                for p in (2, 3):
+                    tables = ring._step_tables(L, p, where, walk)
+                    items = list(enumerate_compatible(L, p, tables))
+                    assert [arcs for arcs, _ in items] == [
+                        label.arcs for label in enumerate_compatible(L, p)]
+                    for arcs, traces in items:
+                        assert traces == tuple(ring._trace(arcs, rank, block, where)
+                                               for rank, block in walk)
+
+
+def covered_indices():
+    """Every index of {1..n}, n <= 5, in both part orders, and the
+    non-contiguous {1,4|2,5,6|3}."""
+    indices = [PartitionIndex(6, [[1, 4], [2, 5, 6], [3]])]
+    for n in range(0, 6):
+        for parts in set_partitions(range(1, n + 1)):
+            indices += [PartitionIndex(n, parts), PartitionIndex(n, parts[::-1])]
+    return indices
+
+
+def walk_key(arcs, n):
+    """The walk's choices at the vertices 1..n in turn: (right end, label)
+    of the arc the vertex starts, (0, 0) -- before any arc -- if none."""
+    starts = {i: (l, a) for i, l, a in arcs}
+    return [starts.get(v, (0, 0)) for v in range(1, n + 1)]
 
 
 def brute_force_labels(K, p):
