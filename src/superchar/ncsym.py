@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .qcoeff import json_fields, rational
-from .setpart import PartitionIndex, set_partitions
+from .setpart import PartitionIndex, _check_ints, set_partitions
 
 __all__ = [
     "NCSymElem",
@@ -96,12 +96,6 @@ def _coarsenings_with_mobius(K):
 # elements in the m and p bases
 
 
-def _check_degree(degree):
-    """Refuse a non-int degree (a bool too) rather than truncate it."""
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise TypeError("degree must be an int, got %r" % (degree,))
-
-
 class NCSymElem:
     """A homogeneous element in the m- or p-basis.
 
@@ -114,7 +108,7 @@ class NCSymElem:
     def __init__(self, basis, degree, coeffs):
         if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p', not %r" % (basis,))
-        _check_degree(degree)
+        _check_ints((degree,), "degree")
         clean = {}
         for K, c in coeffs.items():
             if not isinstance(K, PartitionIndex):
@@ -211,7 +205,7 @@ class NCSymElem:
         """The element of ``to_json``'s form; the coefficients of repeated
         partitions are summed."""
         basis, degree, terms = json_fields(data, "NCSym", "basis", "degree", "terms")
-        _check_degree(degree)
+        _check_ints((degree,), "degree")
         if not isinstance(terms, list):
             raise ValueError("NCSym JSON terms must be a list")
         coeffs = {}

@@ -585,19 +585,21 @@ def _extend(product, step, p):
     return nxt
 
 
-def _memo_factor(trace, p, memo):
+# bounded, for the memory it keeps: the n = 9 superinductions from {1|2..9}
+# and {1..8|9} build 17007 factors, and dropping the least recently used
+# makes them rebuild none (as many misses as with no bound)
+@functools.lru_cache(maxsize=1 << 14)
+def _factor(trace, p):
     """P's factor in a restriction from U_L, from P's ``_trace``: a dict
     from arc tuples in P's numbering 1..m to coefficients, the product of
-    the trace's brackets (``_extend``); a one-step trace's factor is its
-    ``_step_bracket``.  ``memo``, the caller's dict, keeps the factor of
-    every prefix built, so a trace extends the longest prefix of it already
-    there."""
-    product = memo.get(trace)
-    if product is None:
-        product = memo[trace] = (
-            _extend(_memo_factor(trace[:-1], p, memo), trace[-1], p) if len(trace) > 1
-            else dict(_step_bracket(trace[0], p)) if trace else {(): LaurentPoly.one()})
-    return product
+    the trace's brackets, each multiplied into the factor of the trace
+    without it (``_extend``); a one-step trace's factor is its
+    ``_step_bracket``.  A table shared by every rule and every call, so a
+    trace extends its prefix's entry, built once; its callers only read
+    the dicts."""
+    if len(trace) > 1:
+        return _extend(_factor(trace[:-1], p), trace[-1], p)
+    return dict(_step_bracket(trace[0], p)) if trace else {(): LaurentPoly.one()}
 
 
 def _walk_parts(K, L):
@@ -622,15 +624,12 @@ def _step_tables(L, p, where, walk):
     return [{arc: _trace((arc,), rank, block, where) for arc in arcs} for rank, block in walk]
 
 
-def _restrict(arcs, K, p, where, walk, memo):
+def _row(K, traces, p):
     """The restriction from U_L to a refinement U_K of the character whose
-    arcs (each inside a part of L) are ``arcs``, as a dict from sorted arc
-    tuples to coefficients: the parts' factors, superimposed.  ``where`` and
-    ``walk`` come from ``_walk_parts``; ``memo`` is ``_memo_factor``'s."""
-    factors = [_memo_factor(_trace(arcs, rank, block, where), p, memo).items()
-               for rank, block in walk]
+    parts' ``_trace``s are ``traces`` (in ``K.parts`` order), as a dict from
+    sorted arc tuples to coefficients: the parts' factors, superimposed."""
     acc = {}
-    _superimpose(K, factors, LaurentPoly.one(), acc)
+    _superimpose(K, [_factor(trace, p).items() for trace in traces], LaurentPoly.one(), acc)
     return acc
 
 
@@ -639,20 +638,21 @@ def restrict(lam, K, p):
     _check_n((lam,), K)
     check_labels((lam,), p)
     _, where, walk = _walk_parts(K, None)
-    return _combo(K, _restrict(lam.arcs, K, p, where, walk, {}))
+    return _combo(K, _row(K, [_trace(lam.arcs, rank, block, where) for rank, block in walk], p))
 
 
 def restrict_combo(x, K, p):
     """Restrict a combination on U_L to a finer parabolic U_K (every part of
-    K inside a part of L); its terms share one prefix memo."""
+    K inside a part of L): each term's row (``_row``) of its parts'
+    ``_trace``s, scaled and summed."""
     if not K.refines(x.ambient):
         raise ValueError("target index must refine the ambient")
     check_labels(x.terms, p)
     _, where, walk = _walk_parts(K, x.ambient)
-    memo = {}
     acc = {}
     for lam, c in x.terms.items():
-        for mu, b in _restrict(lam.arcs, K, p, where, walk, memo).items():
+        traces = [_trace(lam.arcs, rank, block, where) for rank, block in walk]
+        for mu, b in _row(K, traces, p).items():
             _add(acc, mu, c * b)
     return _combo(K, acc)
 
@@ -660,11 +660,12 @@ def restrict_combo(x, K, p):
 def restriction_table(K, p, L=None):
     """The matrix of branching coefficients by rows: each supercharacter nu
     of U_L (default: the full group) -> ``restrict_combo(CharCombo.of(nu,
-    L), K, p)``, from one walk over the labels nu and one prefix memo."""
+    L), K, p)``, from one walk over the labels nu that carries each nu's
+    traces (``_step_tables``) to ``_row``."""
     L, where, walk = _walk_parts(K, L)
-    memo = {}
-    return {nu: _combo(K, _restrict(nu.arcs, K, p, where, walk, memo))
-            for nu in enumerate_compatible(L, p)}
+    valid = LabeledSetPartition._valid
+    return {valid(L.n, arcs): _combo(K, _row(K, traces, p))
+            for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk))}
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +703,11 @@ def superinduce(mu, K, p, L=None):
 
     The parts of K are disjoint, so that coefficient is the product over
     the parts P of P's restriction factor read at mu's arcs on P.  The
-    factor is a function of nu's ``_trace`` on P and a product over the
-    trace's arcs, so each call memoizes the factor of every trace prefix
-    (``_memo_factor``): traces sharing a prefix share its work, and each
+    factor is a function of nu's ``_trace`` on P alone, read from the
+    factor table (``_factor``) that every call and rule shares, and each
     part keeps the entry read at each trace.  The label walk carries the
     traces (``_step_tables``): a label costs a read per part until one is
-    0, and only a kept label is built.  Across calls only the bracket table
-    (``_bracket``) is kept, not the factors."""
+    0, and only a kept label is built."""
     _check_n((mu,), K)
     L, where, walk = _walk_parts(K, L)
     check_labels((mu,), p)
@@ -716,13 +715,12 @@ def superinduce(mu, K, p, L=None):
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
     reads = [(_local(mu.arcs, _numbering(part)), {}) for part in K.parts]
-    memo = {}
     terms = {}
     for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):
         b = None
         for (loc, read), trace in zip(reads, traces):
             if trace not in read:
-                read[trace] = _memo_factor(trace, p, memo).get(loc)
+                read[trace] = _factor(trace, p).get(loc)
             c = read[trace]
             if c is None:
                 break
@@ -734,16 +732,16 @@ def superinduce(mu, K, p, L=None):
 
 def superinduction_table(K, p, L=None):
     """The matrix by columns: each supercharacter mu of U_K ->
-    ``superinduce(mu, K, p, L)``.  It is ``restriction_table``'s walk, each
-    term c chi^mu of nu's row adding q^(cr_K mu - cr_L nu) c chi^nu to mu's
-    column; one mu alone is cheaper through ``superinduce``."""
+    ``superinduce(mu, K, p, L)``.  It is ``restriction_table``'s walk, with
+    its carried traces, each term c chi^mu of nu's row adding
+    q^(cr_K mu - cr_L nu) c chi^nu to mu's column; one mu alone is cheaper
+    through ``superinduce``."""
     L, where, walk = _walk_parts(K, L)
     cols = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
-    memo = {}
-    for nu in enumerate_compatible(L, p):
-        c_nu = _crossings(nu.arcs, where)
-        for arcs, c in _restrict(nu.arcs, K, p, where, walk, memo).items():
-            mu, c_mu, col = cols[arcs]
+    for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):
+        nu, c_nu = LabeledSetPartition._valid(L.n, arcs), _crossings(arcs, where)
+        for key, c in _row(K, traces, p).items():
+            mu, c_mu, col = cols[key]
             col[nu] = c.shift(c_mu - c_nu)
     return {mu: CharCombo._make(L, col) for mu, _, col in cols.values()}
 

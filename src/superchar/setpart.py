@@ -47,24 +47,35 @@ class Arc(NamedTuple):
     label: int
 
 
+def _check_ints(values, what):
+    """Refuse, with TypeError, a value of ``values`` that is not an int (a
+    bool too), rather than truncate it."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError("%s must be an int, got %r" % (what, v))
+
+
 class LabeledSetPartition:
     """An F_q-labeled set partition of {1..n}: the size n plus labeled arcs.
 
-    The constructor takes the vertex set, which must be {1..n}.  Immutable
+    The constructor takes the vertex set, which must be {1..n}, and refuses
+    a vertex, arc end or label that is not an int with TypeError.  Immutable
     and hashable; arcs are kept sorted by (left, right).
     """
 
     __slots__ = ("n", "arcs")
 
     def __init__(self, support, arcs=()):
-        vertices = sorted(int(v) for v in support)
+        vertices = sorted(support)
+        _check_ints(vertices, "a vertex")
         n = len(vertices)
         if vertices != list(range(1, n + 1)):
             raise ValueError("partition vertices %s are not 1..%d" % (vertices, n))
         clean = []
         lefts, rights = set(), set()
         for arc in arcs:
-            a = Arc(int(arc[0]), int(arc[1]), int(arc[2]))
+            a = Arc(arc[0], arc[1], arc[2])
+            _check_ints(a, "an arc end or label")
             if not 1 <= a.left < a.right <= n:
                 raise ValueError("arc %d-%d is not an increasing arc on 1..%d"
                                  % (a.left, a.right, n))
@@ -200,17 +211,19 @@ class PartitionIndex:
 
     Parts are kept in the order given (the glue and product operations read
     the first/second block off that order); semantic comparisons that should
-    ignore order go through :meth:`grouping`.
+    ignore order go through :meth:`grouping`.  The constructor refuses an n
+    or a part element that is not an int with TypeError.
     """
 
     __slots__ = ("n", "parts")
 
     def __init__(self, n, parts):
-        n = int(n)
+        _check_ints((n,), "n")
         clean = []
         seen = set()
         for part in parts:
-            tup = tuple(sorted(int(v) for v in part))
+            tup = tuple(sorted(part))
+            _check_ints(tup, "a part element")
             if not tup:
                 raise ValueError("empty part")
             for v in tup:
@@ -243,7 +256,7 @@ class PartitionIndex:
     @classmethod
     def from_subset(cls, subset, n):
         """The index with one part ``subset`` and singletons elsewhere."""
-        subset = tuple(sorted(set(int(v) for v in subset)))
+        subset = tuple(sorted(set(subset)))
         rest = [[v] for v in range(1, n + 1) if v not in subset]
         return cls(n, [subset] + rest)
 

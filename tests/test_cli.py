@@ -421,7 +421,8 @@ class TestVerify:
         )
         self.assert_fails_at("restriction", "Res n=3; 1-3:1 to {1,3|2} at %s" % nu.to_text(), capsys)
 
-    def test_superinduction_suite_names_a_wrong_bracket(self, capsys, monkeypatch):
+    def test_superinduction_suite_names_a_wrong_bracket(
+            self, capsys, monkeypatch, fresh_factor_table):
         from superchar import ring
         from superchar.qcoeff import LaurentPoly
 

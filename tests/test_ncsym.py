@@ -308,7 +308,9 @@ class TestSerialization:
 
 class TestBridge:
     def test_products_match_across_the_bridge(self):
+        # the group side is charmap's, the NCSym side words' glue check
         assert SUITES["charmap"](2, 3, None, 0, 0) == (True, "degrees up to 3")
+        assert SUITES["words"](2, 3, None, 0, 0) == (True, "14 products")
 
 
 class TestCoefficients:

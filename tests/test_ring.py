@@ -538,14 +538,15 @@ class TestRestrictionFactor:
                             got = ring._straighten(arcs + ((i, l, a),), p)
                             assert got == {tuple(sorted(arcs + ((i, l, a),))): 1}
 
-    def test_the_fast_paths_change_no_factor(self, monkeypatch):
-        # every factor that the superinductions of n <= 5 at p = 2 build
-        fast, steps = ring._extend, []
+    def test_the_fast_paths_change_no_factor(self, monkeypatch, fresh_factor_table):
+        # every factor that the superinductions of n <= 5 at p = 2 build,
+        # each once in the emptied table: 122 distinct (factor, step) products
+        fast, products = ring._extend, set()
 
         def checked(product, step, p):
             got = fast(product, step, p)
             assert got == straightened_extend(product, step, p), (product, step)
-            steps.append(step)
+            products.add((frozenset(product.items()), step))
             return got
 
         monkeypatch.setattr(ring, "_extend", checked)
@@ -553,7 +554,40 @@ class TestRestrictionFactor:
             for K in refinements(PartitionIndex.full(n)):
                 for mu in enumerate_compatible(K, 2):
                     superinduce(mu, K, 2)
-        assert len(steps) > 1000
+        assert len(products) == 122
+
+    def test_no_reader_mutates_a_cached_factor(self, fresh_factor_table):
+        # the table hands its dicts to every reader: after every rule has
+        # read them on every parabolic of U_n(2), n <= 5, the factors of all
+        # labels' traces are the same objects, equal to copies taken before
+        def snapshot(factor):
+            return {arcs: dict(c.coeffs) for arcs, c in factor.items()}
+
+        held = {}
+        for n in range(1, 6):
+            labels = list(enumerate_compatible(PartitionIndex.full(n), 2))
+            for K in refinements(PartitionIndex.full(n)):
+                _, where, walk = ring._walk_parts(K, None)
+                for nu in labels:
+                    for rank, block in walk:
+                        trace = ring._trace(nu.arcs, rank, block, where)
+                        held[trace] = ring._factor(trace, 2)
+        copies = {trace: snapshot(factor) for trace, factor in held.items()}
+        for n in range(1, 6):
+            full = PartitionIndex.full(n)
+            labels = list(enumerate_compatible(full, 2))
+            x = CharCombo(full, [(nu, t + 1) for t, nu in enumerate(labels)])
+            for K in refinements(full):
+                restriction_table(K, 2)
+                superinduction_table(K, 2)
+                restrict_combo(x, K, 2)
+                for nu in labels:
+                    restrict(nu, K, 2)
+                for mu in enumerate_compatible(K, 2):
+                    superinduce(mu, K, 2)
+        assert len(held) > 100
+        assert all(ring._factor(trace, 2) is factor for trace, factor in held.items())
+        assert {trace: snapshot(factor) for trace, factor in held.items()} == copies
 
 
 class TestSuperinduce:

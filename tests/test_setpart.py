@@ -66,6 +66,20 @@ class TestValidation:
         lam = LabeledSetPartition((3, 1, 2), [Arc(1, 3, 1)])
         assert lam.n == 3 and lam == LabeledSetPartition(range(1, 4), [Arc(1, 3, 1)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: PartitionIndex(2.7, [[1.9, 2.2]]),
+        lambda: PartitionIndex(True, [[True]]),
+        lambda: PartitionIndex(2, [[1, 2.0]]),
+        lambda: PartitionIndex.from_subset([1.5], 2),
+        lambda: LabeledSetPartition(range(1, 4), [(1.5, 3, 1)]),
+        lambda: LabeledSetPartition(range(1, 4), [(1, 3, True)]),
+        lambda: LabeledSetPartition([1.0, 2, 3]),
+    ], ids=["index-floats", "index-bools", "index-float-element", "subset-float",
+            "arc-float-end", "arc-bool-label", "float-vertex"])
+    def test_a_non_int_is_refused_not_truncated(self, build):
+        with pytest.raises(TypeError, match="must be an int"):
+            build()
+
     def test_each_vertex_carries_at_most_one_arc_end(self):
         with pytest.raises(ValueError):
             LabeledSetPartition(range(1, 5), [Arc(1, 3, 1), Arc(1, 4, 1)])
