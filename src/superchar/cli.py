@@ -408,7 +408,7 @@ def main(argv=None):
     except BudgetError as exc:
         print("budget refused: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:

@@ -15,8 +15,10 @@ elements (U_4(3)); no table or sum here passes over more than one group's
 algebra or dual, so the group bound bounds all of the oracle's work.
 
 A group built with a partition index K must have K's parabolic positions.
-Both orbit searches then start at K's labels, so superclass i and
-supercharacter row i belong to label i.
+Both orbit searches share one set-up (``PatternGroup._search``) and start
+at K's labels, so superclass i and supercharacter row i belong to label i.
+A superclass is a list of coordinate vectors, and a supercharacter row is
+a tuple of values, one per superclass.
 """
 
 from __future__ import annotations
@@ -58,10 +60,9 @@ class PatternGroup:
     transitively closed set of strictly-upper positions.
 
     An element 1 + A (or the algebra element A) is the coordinate vector of
-    A's entries at the sorted position list, and is indexed 0..size-1 by
-    reading the vector as base-p digits; index 0 is the identity (resp. the
-    zero algebra element).  No matrix is built: every product is read off
-    the products of positions (``_products``).
+    A's entries at the sorted position list, and a functional on the
+    algebra is the vector of its values there.  No matrix is built: every
+    product is read off the products of positions (``_products``).
     """
 
     def __init__(self, n, positions, p, max_size=None, index=None):
@@ -90,7 +91,6 @@ class PatternGroup:
         self.pos_at = {pos: k for k, pos in enumerate(positions)}
         self.size = size
         self.index = index  # PartitionIndex when built as a parabolic
-        self._starts = None
         self._class_table = None
         self._dual = None
         self._char_rows = None
@@ -107,21 +107,7 @@ class PatternGroup:
         """U_K for a partition index K: positions are the pairs inside parts."""
         return cls(index.n, _parabolic_positions(index), p, max_size=max_size, index=index)
 
-    # -- element encoding ----------------------------------------------------
-
-    def vec_of_index(self, idx):
-        p = self.p
-        vec = []
-        for _ in self.positions:
-            vec.append(idx % p)
-            idx //= p
-        return tuple(vec)
-
-    def index_of_vec(self, vec):
-        idx = 0
-        for v in reversed(vec):
-            idx = idx * self.p + v
-        return idx
+    # -- orbit searches -----------------------------------------------------
 
     def _products(self):
         """Every product of positions (k,i)*(i,j) -> (k,j) of the pattern, as
@@ -131,7 +117,7 @@ class PatternGroup:
                 for s, (k, i) in enumerate(self.positions)
                 for h, j in self.positions if h == i]
 
-    def _moves(self, dual=False):
+    def _moves(self, dual):
         """(left, right): per position g, the (destination, source) pairs of
         A -> e*A and of A -> A*e for e = 1 + a*E_g, which add a*A[source]
         into A[destination].  g*t -> u moves A[t] into A[u] on the left, and
@@ -147,17 +133,8 @@ class PatternGroup:
             right[t].append((s, u) if dual else (u, s))
         return [m for m in left if m], [m for m in right if m]
 
-    # -- superclasses --------------------------------------------------------
-
-    def _label_starts(self):
-        """(labels, vecs): the index's labels in enumeration order and the
-        vectors of their u_lam - 1, where both searches start (none without)."""
-        if self._starts is None:
-            labels = [] if self.index is None else list(enumerate_compatible(self.index, self.p))
-            self._starts = (labels, [self._label_vec(lam) for lam in labels])
-        return self._starts
-
     def _label_vec(self, lam):
+        """The coordinate vector of u_lam - 1."""
         vec = [0] * len(self.positions)
         for arc in lam.arcs:
             k = self.pos_at.get((arc.left, arc.right))
@@ -168,35 +145,37 @@ class PatternGroup:
                 raise ValueError("arc label vanishes mod p")
         return tuple(vec)
 
-    def superclass_table(self):
-        """Orbits of the algebra under two-sided multiplication by the group,
-        closed by BFS over the one-sided moves of the generators (``_moves``).
+    def _search(self, dual):
+        """(labels, orbits, orbit_of): the orbits of the algebra (of the dual
+        space when ``dual``) under the two-sided moves of ``_moves``, closed
+        by ``_orbits``.  The search starts at the index's labels (none
+        without one), at the vectors of their u_lam - 1, and goes on from
+        every vector in lexicographic order; label i must start orbit i."""
+        labels = [] if self.index is None else list(enumerate_compatible(self.index, self.p))
+        starts = [self._label_vec(lam) for lam in labels]
+        vecs = itertools.product(range(self.p), repeat=len(self.positions))
+        left, right = self._moves(dual)
+        orbits, orbit_of = _orbits(itertools.chain(starts, vecs), left + right, self.p)
+        if starts and [orbit_of[vec] for vec in starts] != list(range(len(orbits))):
+            raise AssertionError("the labels do not index the orbits one to one")
+        return labels, orbits, orbit_of
 
-        Searched from the labels, class i is label i's and is represented by
-        its u_lam - 1; without an index, the search runs in index order, so
-        classes come by, and are represented by, their least index.
+    # -- superclasses --------------------------------------------------------
+
+    def superclass_table(self):
+        """Orbits of the algebra under two-sided multiplication by the group
+        (``_search``).  Class i is label i's and is represented by its
+        u_lam - 1; without an index, classes come by, and are represented
+        by, their least vector in lexicographic order.
         """
         if self._class_table is None:
-            labels, starts = self._label_starts()
-            vecs = [self.vec_of_index(i) for i in range(self.size)]
-            left, right = self._moves()
-            found, orbit_of = _orbits(starts + vecs, left + right, self.p)
-            _check_starts(starts, found, orbit_of)
-            self._class_table = SuperclassTable(
-                [self.index_of_vec(members[0]) for members in found],
-                [sorted(map(self.index_of_vec, members)) for members in found],
-                [orbit_of[vec] for vec in vecs],
-                labels or [None] * len(found),
-            )
+            labels, orbits, orbit_of = self._search(dual=False)
+            self._class_table = SuperclassTable(orbits, orbit_of, labels or [None] * len(orbits))
         return self._class_table
-
-    def index_of_superclass_label(self, lam):
-        """Algebra index of u_mu - 1 for a labeled partition mu."""
-        return self.index_of_vec(self._label_vec(lam))
 
     def class_of_label(self, lam):
         """Class id of the superclass of u_lam."""
-        return self.superclass_table().class_of[self.index_of_superclass_label(lam)]
+        return self.superclass_table().class_of[self._label_vec(lam)]
 
     # -- supercharacters (two-sided dual orbits) ------------------------------
 
@@ -206,15 +185,12 @@ class PatternGroup:
         positions; returns (orbits, orbit_of, right_sizes), where
         right_sizes[i] is the size of the right orbit of orbits[i][0].
 
-        The search starts at the labels (lam's functional is the vector of
-        u_lam - 1), so orbit i is label i's; the other functionals follow in
-        increasing order, so without an index orbits come by least functional."""
+        Searched from the labels (``_search``; lam's functional is the
+        vector of u_lam - 1), orbit i is label i's; without an index, orbits
+        come by least functional."""
         if self._dual is None:
-            starts = self._label_starts()[1]
-            vecs = itertools.product(range(self.p), repeat=len(self.positions))
-            left, right = self._moves(dual=True)
-            orbits, orbit_of = _orbits(itertools.chain(starts, vecs), left + right, self.p)
-            _check_starts(starts, orbits, orbit_of)
+            _, orbits, orbit_of = self._search(dual=True)
+            right = self._moves(dual=True)[1]
             right_sizes = [len(_orbits([members[0]], right, self.p)[0][0])
                            for members in orbits]
             self._dual = (orbits, orbit_of, right_sizes)
@@ -224,14 +200,14 @@ class PatternGroup:
         """The supercharacters as value rows over the superclass table.
 
         chi_lam = (|lam.G| / |G.lam.G|) * sum over the orbit of theta o mu,
-        evaluated at the class representatives.  Returns a list of rows
-        ``{"functional": vec, "values": tuple[Cyclotomic]}``, row i from dual
-        orbit i: with an index, row i is the supercharacter of label i, else
-        rows are ordered by their least functional, ``functional``.
+        evaluated at the class representatives.  Returns a list of rows, each
+        a tuple of Cyclotomics, one per superclass; row i is dual orbit i's:
+        with an index, the supercharacter of label i, else rows come by
+        least functional.
         """
         if self._char_rows is None:
             p = self.p
-            reps = [self.vec_of_index(rep) for rep in self.superclass_table().reps]
+            reps = self.superclass_table().reps
             orbits, _, right_sizes = self._dual_orbits()
             rows = []
             for members, rsize in zip(orbits, right_sizes):
@@ -240,7 +216,7 @@ class PatternGroup:
                 for X in reps:
                     counts = Counter(sum(a * x for a, x in zip(mu, X)) % p for mu in members)
                     values.append(Cyclotomic._from_full(p, [scale * counts[r] for r in range(p)]))
-                rows.append({"functional": min(members), "values": tuple(values)})
+                rows.append(tuple(values))
             self._char_rows = rows
         return self._char_rows
 
@@ -250,18 +226,12 @@ class PatternGroup:
         vec = [0] * len(self.positions)
         for pos, v in coords.items():
             vec[self.pos_at[pos]] = v % self.p
-        return self.character_table()[self._dual_orbits()[1][tuple(vec)]]["values"]
+        return self.character_table()[self._dual_orbits()[1][tuple(vec)]]
 
 
 def _parabolic_positions(index):
     """The sorted positions of U_K: the pairs i < j inside a part of K."""
     return tuple(sorted((i, j) for part in index.parts for i in part for j in part if i < j))
-
-
-def _check_starts(starts, orbits, orbit_of):
-    """A search from the labels: label i starts orbit i, and none is left."""
-    if starts and [orbit_of[vec] for vec in starts] != list(range(len(orbits))):
-        raise AssertionError("the labels do not index the orbits one to one")
 
 
 def _orbits(vecs, moves, p):
@@ -299,16 +269,17 @@ def _orbits(vecs, moves, p):
 class SuperclassTable:
     """Superclasses of a pattern group.
 
-    ``reps`` are algebra indices (u_mu - 1 when labels exist), ``members``
-    the full orbits, ``class_of`` maps every algebra index to its class id,
-    ``labels`` the labeled set partitions (or Nones).
+    ``members`` are the orbits, each a list of the algebra's coordinate
+    vectors in the order the search found them; ``reps`` are their first
+    vectors (u_mu - 1 when labels exist); ``class_of`` maps every vector to
+    its class id; ``labels`` are the labeled set partitions (or Nones).
     """
 
-    def __init__(self, reps, members, class_of, labels):
-        self.reps = list(reps)
-        self.members = [list(m) for m in members]
-        self.class_of = list(class_of)
-        self.labels = list(labels)
+    def __init__(self, members, class_of, labels):
+        self.members = members
+        self.reps = [m[0] for m in members]
+        self.class_of = class_of
+        self.labels = labels
 
     def __len__(self):
         return len(self.reps)
@@ -328,15 +299,19 @@ def z_value(group, lam):
 
 
 def _classes_in(G, H):
-    """The G-superclass of every H-superclass, read at its representative:
-    the H-coordinate at G's k-th position is the G-index digit of weight
-    p^k.  H lies in G, so each H-superclass lies in one G-superclass."""
+    """The G-superclass of every H-superclass, read at its representative
+    carried onto G's positions.  H lies in G, so each H-superclass lies in
+    one G-superclass."""
     if (G.n, G.p) != (H.n, H.p) or not set(H.positions) <= set(G.positions):
         raise ValueError("H must be a pattern subgroup of G")
-    weight = [G.p ** G.pos_at[pos] for pos in H.positions]
-    class_of = G.superclass_table().class_of
-    return [class_of[sum(c * w for c, w in zip(H.vec_of_index(rep), weight))]
-            for rep in H.superclass_table().reps]
+    at = [G.pos_at[pos] for pos in H.positions]
+    class_of, out = G.superclass_table().class_of, []
+    for rep in H.superclass_table().reps:
+        vec = [0] * len(G.positions)
+        for k, c in zip(at, rep):
+            vec[k] = c
+        out.append(class_of[tuple(vec)])
+    return out
 
 
 def _slots(p, values):
@@ -400,7 +375,7 @@ def brute_superinduction_table(G, H, chi_rows):
     in ``brute_superinduce``) and the rows chi^lam of G's character table.
     By ``brute_superinduce``, the class sizes |O| cancel:
     <SInd(chi), chi^lam> = 1/|H| * sum over O of S_O conj(chi^lam(O))."""
-    rows = [_slots(G.p, row["values"]) for row in G.character_table()]
+    rows = [_slots(G.p, row) for row in G.character_table()]
     return _pairings(G.p, _class_sums(G, H, chi_rows), rows, H.size)
 
 

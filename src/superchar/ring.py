@@ -211,7 +211,8 @@ class CharCombo:
     @classmethod
     def from_json(cls, obj):
         """The combination of ``to_json``'s form; a non-object, a missing
-        field or ``terms`` that is not a list is refused with ValueError."""
+        field or ``terms`` that is not a list is refused with ValueError, and
+        a partition that is not a str with TypeError."""
         ambient, terms = json_fields(obj, "combination", "ambient", "terms")
         if not isinstance(terms, list):
             raise ValueError("combination JSON terms must be a list")

@@ -55,6 +55,14 @@ def _check_ints(values, what):
             raise TypeError("%s must be an int, got %r" % (what, v))
 
 
+def _stripped(text):
+    """``text`` without its surrounding whitespace; refuse, with TypeError,
+    a partition text that is not a str."""
+    if not isinstance(text, str):
+        raise TypeError("partition text must be a str, got %r" % (text,))
+    return text.strip()
+
+
 class LabeledSetPartition:
     """An F_q-labeled set partition of {1..n}: the size n plus labeled arcs.
 
@@ -175,8 +183,8 @@ class LabeledSetPartition:
     @classmethod
     def from_text(cls, s, n=None):
         """Parse ``"n=9; 1-5:1, 5-7:2"``; the ``n=`` prefix may be omitted
-        when ``n`` is supplied."""
-        s = s.strip()
+        when ``n`` is supplied.  A non-str is refused with TypeError."""
+        s = _stripped(s)
         m = re.match(r"^n\s*=\s*(\d+)\s*(?:;\s*(.*))?$", s)
         if m:
             n = int(m.group(1))
@@ -297,12 +305,13 @@ class PartitionIndex:
 
     @classmethod
     def from_text(cls, s, n=None):
-        """Parse ``"{1,5,7|2,3|4|6,8,9}"``; n defaults to the cover size.
+        """Parse ``"{1,5,7|2,3|4|6,8,9}"``; n defaults to the cover size.  A
+        non-str is refused with TypeError.
 
         The interval shorthand ``"[j,k]"`` gives the index with the single
         nontrivial part {j..k} (n must be supplied for that form).
         """
-        s = s.strip()
+        s = _stripped(s)
         m = re.match(r"^\[\s*(\d+)\s*,\s*(\d+)\s*\]$", s)
         if m:
             if n is None:
@@ -335,8 +344,10 @@ def set_partitions(elements):
     """All set partitions of ``elements`` as tuples of sorted tuples, parts
     ordered by minimum: the parts of the labels of U_n at q = 2, in the
     order of :func:`enumerate_compatible`, carried onto the sorted
-    elements."""
-    elems = sorted(set(int(v) for v in elements))
+    elements, which must be ints (TypeError otherwise)."""
+    elements = list(elements)
+    _check_ints(elements, "element")
+    elems = sorted(set(elements))
     for lam in enumerate_compatible(PartitionIndex.full(len(elems)), 2):
         yield tuple(tuple(elems[v - 1] for v in part) for part in lam.parts())
 

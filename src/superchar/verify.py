@@ -95,7 +95,7 @@ def _suite_orthogonality(q, max_n, budget, samples, seed):
     for n in range(2, max_n + 1):
         G = PatternGroup.full(n, q, max_size=budget)
         labels = G.superclass_table().labels
-        rows = [row["values"] for row in G.character_table()]
+        rows = G.character_table()
         table = brute_inner_product_table(G, rows, rows)
         for lam, row in zip(labels, table):
             for mu, got in zip(labels, row):

@@ -102,8 +102,8 @@ def permchar_hypothesis_check(G, H, mu_coords):
     sinf_g = G.char_values_of_functional(mu_coords)
 
     # the identity sits in the class of the zero algebra element
-    chi_deg = chi_h[h_table.class_of[0]]
-    sinf_deg = sinf_g[g_table.class_of[0]]
+    chi_deg = chi_h[h_table.class_of[(0,) * len(H.positions)]]
+    sinf_deg = sinf_g[g_table.class_of[(0,) * len(G.positions)]]
 
     # both sides are constant on an H-superclass: check one point of each
     hypothesis = all(

@@ -16,6 +16,7 @@ import io
 import itertools
 
 from superchar import cli
+from superchar.oracle import PatternGroup, _classes_in, brute_superinduction_table
 from superchar.ring import (
     CharCombo,
     restrict,
@@ -71,7 +72,38 @@ def verify_lines():
         yield from out.getvalue().splitlines()
 
 
-SWEEPS = {"branching": branching_lines, "verify": verify_lines}
+# (p, largest n) of the oracle sweep, and its group bound: U_5(2) has 2^10
+# elements
+ORACLE_GROUPS = ((2, 5), (3, 4), (5, 3))
+ORACLE_MAX_SIZE = 2 ** 10
+
+
+def _values(row):
+    return "[%s]" % ", ".join(map(str, row))
+
+
+def oracle_lines():
+    """For every parabolic U_K of U_n(p), up to ``ORACLE_GROUPS``: each
+    label's superclass size and character-table row, the superclass of U_n
+    that ``_classes_in`` gives each superclass of U_K, and every row of
+    ``brute_superinduction_table`` from U_K to U_n of U_K's rows."""
+    for p, max_n in ORACLE_GROUPS:
+        for n in range(1, max_n + 1):
+            G = PatternGroup.full(n, p, max_size=ORACLE_MAX_SIZE)
+            for parts in set_partitions(range(1, n + 1)):
+                K = PartitionIndex(n, parts)
+                H = PatternGroup.parabolic(K, p, max_size=ORACLE_MAX_SIZE)
+                table = H.superclass_table()
+                rows = H.character_table()
+                at = "p=%d %s" % (p, K.to_text())
+                for lam, size, row in zip(table.labels, table.sizes(), rows):
+                    yield "%s %s: size %d, row %s" % (at, lam.to_text(), size, _values(row))
+                yield "%s classes in U_%d: %s" % (at, n, _classes_in(G, H))
+                for lam, row in zip(table.labels, brute_superinduction_table(G, H, rows)):
+                    yield "%s sind %s: %s" % (at, lam.to_text(), _values(row))
+
+
+SWEEPS = {"branching": branching_lines, "oracle": oracle_lines, "verify": verify_lines}
 
 
 def digest(lines):

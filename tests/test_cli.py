@@ -154,6 +154,14 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "float" in err
 
+    def test_ncsym_refuses_a_partition_that_is_not_text(self, capsys):
+        # an int partition was an internal error (AttributeError), exit 4
+        element = {"basis": "m", "degree": 2, "terms": [{"partition": 5, "coeff": "1"}]}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: partition text must be a str, got 5\n")
+
     def test_ncsym_refuses_a_non_int_degree(self, capsys):
         # a degree of 2.7 was truncated to 2 and the request answered
         element = {"basis": "m", "degree": 2.7, "terms": [{"partition": "{1,2}", "coeff": 1}]}
@@ -452,8 +460,7 @@ class TestVerify:
         monkeypatch.setattr(
             PatternGroup,
             "character_table",
-            lambda G: [{**row, "values": tuple(v * zeta for v in row["values"])}
-                       for row in right(G)],
+            lambda G: [tuple(v * zeta for v in row) for row in right(G)],
         )
         argv = ["verify", "--suite", "superinduction", "--q", "3", "--max-n", "2"]
         code, out, err = run(argv, capsys)
@@ -701,18 +708,22 @@ class TestErrors:
         assert err == "internal error: RuntimeError: straightening measure must drop\n"
 
     def test_an_internal_fault_in_a_rule_is_exit_four(self, capsys, monkeypatch):
-        def broken(*args):
-            raise AssertionError("label 0 does not start orbit 0")
+        # a KeyError is a lookup bug, not bad input
+        for fault in (AssertionError("label 0 does not start orbit 0"), KeyError("label 0")):
+            def broken(*args):
+                raise fault
 
-        # the restrict command and the restriction suite each hold the rule
-        monkeypatch.setattr(cli, "restrict_combo", broken)
-        monkeypatch.setattr(verify, "restriction_table", broken)
-        argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (cli.EXIT_INTERNAL, "")
-        assert err.startswith("internal error: AssertionError: label 0")
-        code, out, _ = run(["verify", "--suite", "restriction", "--q", "2", "--max-n", "2"], capsys)
-        assert (code, out) == (cli.EXIT_INTERNAL, "")
+            # the restrict command and the restriction suite each hold the rule
+            monkeypatch.setattr(cli, "restrict_combo", broken)
+            monkeypatch.setattr(verify, "restriction_table", broken)
+            argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (cli.EXIT_INTERNAL, "")
+            assert err.startswith("internal error: %s: " % type(fault).__name__)
+            assert "label 0" in err
+            code, out, _ = run(["verify", "--suite", "restriction", "--q", "2", "--max-n", "2"],
+                               capsys)
+            assert (code, out) == (cli.EXIT_INTERNAL, "")
 
     def test_argparse_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -113,10 +113,10 @@ class TestSuperclasses:
             G = PatternGroup.full(3, p)
             table = G.superclass_table()
             assert sum(table.sizes()) == G.size
-            seen = sorted(i for m in table.members for i in m)
-            assert seen == list(range(G.size))
+            seen = sorted(vec for m in table.members for vec in m)
+            assert seen == list(itertools.product(range(p), repeat=3))
             # the identity (zero algebra element) sits alone
-            assert table.members[table.class_of[0]] == [0]
+            assert table.members[table.class_of[(0, 0, 0)]] == [(0, 0, 0)]
 
     def test_labels_enumerate_every_character_index(self):
         for p in (2, 3):
@@ -144,7 +144,7 @@ class TestCharacterTable:
             table = G.superclass_table()
             rows = G.character_table()
             for lam, row in zip(table.labels, rows):
-                for mu, got in zip(table.labels, row["values"]):
+                for mu, got in zip(table.labels, row):
                     assert got == char_value_in(lam, mu, K, p), (lam.to_text(), mu.to_text())
                     assert_canonical(got)
 
@@ -155,7 +155,7 @@ class TestCharacterTable:
         labels = G.superclass_table().labels
         for i, ri in enumerate(rows):
             for j, rj in enumerate(rows):
-                got = brute_inner_product(G, ri["values"], rj["values"])
+                got = brute_inner_product(G, ri, rj)
                 if i == j:
                     want = Cyclotomic.from_rational(2, 2 ** labels[i].num_crossings())
                 else:
@@ -176,7 +176,7 @@ class TestBruteSuperinduce:
     def test_inducing_from_the_whole_group_changes_nothing(self):
         G = PatternGroup.full(3, 2)
         for row in G.character_table():
-            assert brute_superinduce(G, G, row["values"]) == row["values"]
+            assert brute_superinduce(G, G, row) == row
 
     def test_agrees_with_the_symbolic_route(self):
         for K, p in small_parabolics():
@@ -186,7 +186,7 @@ class TestBruteSuperinduce:
             h_table = H.superclass_table()
             for mu, chi_vals in zip(h_table.labels, H.character_table()):
                 lifted = superinduce(mu, K, p)
-                got = brute_superinduce(G, H, chi_vals["values"])
+                got = brute_superinduce(G, H, chi_vals)
                 for lam, val in zip(g_labels, got):
                     want = combo_value(lifted, lam, p)
                     assert val == want, (K.to_text(), mu.to_text(), lam.to_text())
@@ -200,7 +200,7 @@ class TestBruteSuperinduce:
         g_labels = G.superclass_table().labels
         for mu, row in zip(H.superclass_table().labels, H.character_table()):
             lifted = superinduce(mu, K, 3)
-            got = brute_superinduce(G, H, row["values"])
+            got = brute_superinduce(G, H, row)
             assert list(got) == [combo_value(lifted, lam, 3) for lam in g_labels], mu.to_text()
 
     def test_subgroup_validation(self):
@@ -218,8 +218,8 @@ class TestBruteSuperinduce:
         for K, p in small_parabolics():
             G = PatternGroup.full(K.n, p)
             H = PatternGroup.parabolic(K, p)
-            g_rows = [row["values"] for row in G.character_table()]
-            chi_rows = [row["values"] for row in H.character_table()]
+            g_rows = G.character_table()
+            chi_rows = H.character_table()
             want = [[brute_inner_product(G, brute_superinduce(G, H, chi), g) for g in g_rows]
                     for chi in chi_rows]
             got = brute_superinduction_table(G, H, chi_rows)
@@ -269,19 +269,17 @@ def vec_of_matrix(G, M):
 
 
 def matrix_action_tables(G):
-    """(L, R): L[g][a] = algebra index of g*A and R[a][g] = index of A*g,
-    for g a group index and a an algebra index, every product by
-    ``matmul`` and read back with ``vec_of_matrix``."""
-    vecs = [G.vec_of_index(a) for a in range(G.size)]
+    """(vecs, L, R): G's coordinate vectors in lexicographic order, and
+    L[g][a] = the index in ``vecs`` of g*A and R[a][g] = that of A*g, for
+    g = 1 + vecs[g] and A = vecs[a], every product by ``matmul`` and read
+    back with ``vec_of_matrix``."""
+    vecs = list(itertools.product(range(G.p), repeat=len(G.positions)))
+    index = {vec: a for a, vec in enumerate(vecs)}
     mats = [matrix(G, vec, unipotent=True) for vec in vecs]
     algs = [matrix(G, vec) for vec in vecs]
-
-    def index(M):
-        return G.index_of_vec(vec_of_matrix(G, M))
-
-    L = [[index(matmul(gm, am, G.p)) for am in algs] for gm in mats]
-    R = [[index(matmul(am, gm, G.p)) for gm in mats] for am in algs]
-    return L, R
+    L = [[index[vec_of_matrix(G, matmul(gm, am, G.p))] for am in algs] for gm in mats]
+    R = [[index[vec_of_matrix(G, matmul(am, gm, G.p))] for gm in mats] for am in algs]
+    return vecs, L, R
 
 
 def literal_superinduce(G, H, chi_rows, tables):
@@ -289,19 +287,20 @@ def literal_superinduce(G, H, chi_rows, tables):
     every x and every y in G, for each class function of H in ``chi_rows``;
     ``tables`` are G's ``matrix_action_tables``.  G-algebra elements are
     read into H through their matrices."""
+    vecs, L, R = tables
     h_table = H.superclass_table()
     h_class = []
-    for a in range(G.size):
-        h = vec_of_matrix(H, matrix(G, G.vec_of_index(a)))
-        h_class.append(None if h is None else h_table.class_of[H.index_of_vec(h)])
-    L, R = tables
+    for vec in vecs:
+        h = vec_of_matrix(H, matrix(G, vec))
+        h_class.append(None if h is None else h_table.class_of[h])
     scale = Fraction(1, G.size * H.size)
     outs = [[] for _ in chi_rows]
     for rep in G.superclass_table().reps:
+        a = vecs.index(rep)
         counts = [0] * len(h_table)
         for x in range(G.size):
             for y in range(G.size):
-                c = h_class[R[L[x][rep]][y]]
+                c = h_class[R[L[x][a]][y]]
                 if c is not None:
                     counts[c] += 1
         for out, chi in zip(outs, chi_rows):
@@ -327,7 +326,7 @@ class TestOrbitCountedSuperinduction:
     evenly; it must equal that double sum taken term by term."""
 
     def check(self, G, H, tables):
-        rows = [row["values"] for row in H.character_table()]
+        rows = H.character_table()
         want = literal_superinduce(G, H, rows, tables)
         assert [brute_superinduce(G, H, chi) for chi in rows] == want
 
@@ -353,17 +352,16 @@ class TestOrbitCountedSuperinduction:
 
 class TestClassesIn:
     """``_classes_in`` reads each H-superclass at its representative: every
-    member must lie in the G-superclass it gives, carried into G's indices
-    coordinate by coordinate."""
+    member must lie in the G-superclass it gives, carried onto G's
+    positions coordinate by coordinate."""
 
     def check(self, G, H):
         classes_in = _classes_in(G, H)
         class_of = G.superclass_table().class_of
         for c, members in enumerate(H.superclass_table().members):
-            for idx in members:
-                coords = dict(zip(H.positions, H.vec_of_index(idx)))
-                vec = [coords.get(pos, 0) for pos in G.positions]
-                assert class_of[G.index_of_vec(vec)] == classes_in[c]
+            for h in members:
+                coords = dict(zip(H.positions, h))
+                assert class_of[tuple(coords.get(pos, 0) for pos in G.positions)] == classes_in[c]
 
     def test_every_pattern_subgroup_to_n_3(self):
         for p in (2, 3):
@@ -393,7 +391,7 @@ class TestCoordinateRoutes:
     def test_inner_products_match_the_cyclotomic_sums(self):
         for K, p in small_parabolics():
             H = PatternGroup.parabolic(K, p)
-            rows = [row["values"] for row in H.character_table()]
+            rows = H.character_table()
             for f in rows:
                 for g in rows:
                     got = brute_inner_product(H, f, g)
@@ -411,7 +409,7 @@ class TestOrbitsByDefinition:
 
     def check(self, G):
         p, m = G.p, len(G.positions)
-        vecs = [G.vec_of_index(i) for i in range(G.size)]
+        vecs = list(itertools.product(range(p), repeat=m))
         group = [matrix(G, vec, unipotent=True) for vec in vecs]
         basis = [matrix(G, [int(k == t) for t in range(m)]) for k in range(m)]
         # images[x][y][k]: the coordinates of x*E_k*y; the maps are linear
@@ -424,12 +422,15 @@ class TestOrbitsByDefinition:
         def pulled(lam, img):
             return tuple(sum(lam[t] * img[k][t] for t in range(m)) % p for k in range(m))
 
+        # built without an index, classes come by their least vector
         table = G.superclass_table()
-        assert sorted(i for members in table.members for i in members) == list(range(G.size))
+        assert sorted(table.class_of) == vecs
+        assert sorted(vec for members in table.members for vec in members) == vecs
+        assert table.reps == sorted(table.reps)
         for cid, (rep, members) in enumerate(zip(table.reps, table.members)):
-            assert all(table.class_of[i] == cid for i in members)
-            orbit = {G.index_of_vec(moved(vecs[rep], img)) for row in images for img in row}
-            assert orbit == set(members)
+            assert rep == members[0] == min(members)
+            assert all(table.class_of[vec] == cid for vec in members)
+            assert {moved(rep, img) for row in images for img in row} == set(members)
 
         orbits, orbit_of, right_sizes = G._dual_orbits()
         assert sorted(orbit_of) == sorted(vecs)
@@ -455,8 +456,8 @@ class TestGarbage:
             G = PatternGroup.full(3, 3)
             H = PatternGroup.parabolic(PartitionIndex(3, [[1, 2], [3]]), 3)
             rows = G.character_table()
-            brute_superinduce(G, H, H.character_table()[1]["values"])
-            brute_inner_product(G, rows[1]["values"], rows[2]["values"])
+            brute_superinduce(G, H, H.character_table()[1])
+            brute_inner_product(G, rows[1], rows[2])
             del G, H, rows
             assert gc.collect() == 0
         finally:

@@ -988,6 +988,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             CharCombo.from_json(blob)
 
+    @pytest.mark.parametrize("blob", [
+        {"ambient": 12, "terms": []},
+        {"ambient": "{1,2}", "terms": [{"partition": 2, "coeff": {"0": 1}}]},
+    ], ids=["ambient", "partition"])
+    def test_json_partition_that_is_not_a_str_is_refused(self, blob):
+        with pytest.raises(TypeError, match="partition text must be a str"):
+            CharCombo.from_json(blob)
+
     def test_text_round_trip(self):
         full = PartitionIndex.full(4)
         x = CharCombo(

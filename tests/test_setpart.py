@@ -74,11 +74,21 @@ class TestValidation:
         lambda: LabeledSetPartition(range(1, 4), [(1.5, 3, 1)]),
         lambda: LabeledSetPartition(range(1, 4), [(1, 3, True)]),
         lambda: LabeledSetPartition([1.0, 2, 3]),
+        lambda: list(set_partitions([1.5, 2.7])),
+        lambda: list(set_partitions([1, True])),
     ], ids=["index-floats", "index-bools", "index-float-element", "subset-float",
-            "arc-float-end", "arc-bool-label", "float-vertex"])
+            "arc-float-end", "arc-bool-label", "float-vertex", "set-partitions-floats",
+            "set-partitions-bool"])
     def test_a_non_int_is_refused_not_truncated(self, build):
         with pytest.raises(TypeError, match="must be an int"):
             build()
+
+    @pytest.mark.parametrize("parse", [PartitionIndex.from_text, LabeledSetPartition.from_text])
+    @pytest.mark.parametrize("text", [5, None, ["{1,2}"]])
+    def test_a_partition_text_that_is_not_a_str_is_refused(self, parse, text):
+        # an int from JSON raised AttributeError on .strip(), an internal fault
+        with pytest.raises(TypeError, match="partition text must be a str"):
+            parse(text, n=2)
 
     def test_each_vertex_carries_at_most_one_arc_end(self):
         with pytest.raises(ValueError):
