@@ -109,6 +109,8 @@ class NCSymElem:
         if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p', not %r" % (basis,))
         _check_ints((degree,), "degree")
+        if degree < 0:
+            raise ValueError("degree must be nonnegative, not %d" % degree)
         clean = {}
         for K, c in coeffs.items():
             if not isinstance(K, PartitionIndex):

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from .qcoeff import Cyclotomic, is_prime
+from .qcoeff import Cyclotomic, is_prime, reduce_full
 from .setpart import BudgetError, PartitionIndex, enumerate_compatible
 
 __all__ = [
@@ -345,8 +345,7 @@ def _pairings(p, f_rows, g_rows, d):
         for i, fi in enumerate(f):
             for j, gj in enumerate(g):
                 vec[(i - j) % p] += sum(map(mul, fi, gj))
-        last = vec[p - 1]
-        return Cyclotomic._make(p, [Fraction(a - last, d) if a != last else 0 for a in vec[:-1]])
+        return Cyclotomic._make(p, [Fraction(a, d) if a else 0 for a in reduce_full(vec)])
     return [[pairing(f, g) for g in g_rows] for f in f_rows]
 
 

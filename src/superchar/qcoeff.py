@@ -46,14 +46,26 @@ def is_prime(p):
 def rational(c):
     """``c`` as an exact rational: an int when integral, else a Fraction in
     lowest terms.  Anything ``Fraction`` accepts except a float, which is
-    refused with ``TypeError`` (a float is a binary approximation)."""
+    refused with ``TypeError`` (a float is a binary approximation), and a
+    zero denominator, refused with ``ValueError``."""
     if type(c) is int:
         return c
     if isinstance(c, float):
         raise TypeError("exact coefficients only, not the float %r" % (c,))
     if type(c) is not Fraction:
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError("the rational %r has a zero denominator" % (c,)) from None
     return c.numerator if c.denominator == 1 else c
+
+
+def reduce_full(vec):
+    """The coordinates on 1, zeta, ..., zeta^(p-2) of the length-p vector
+    ``vec`` on 1, zeta, ..., zeta^(p-1), by 1 + zeta + ... + zeta^(p-1) = 0:
+    slot i minus slot p-1."""
+    last = vec[-1]
+    return tuple([a - last for a in vec[:-1]])
 
 
 def json_fields(obj, form, *fields):
@@ -362,9 +374,8 @@ class Cyclotomic:
 
     @classmethod
     def _from_full(cls, p, vec):
-        """Reduce a length-p coordinate vector using 1+zeta+...+zeta^(p-1)=0."""
-        last = vec[p - 1]
-        return cls._make(p, [vec[i] - last for i in range(p - 1)])
+        """The element of the length-p coordinate vector ``vec`` (``reduce_full``)."""
+        return cls._make(p, reduce_full(vec))
 
     @classmethod
     def zero(cls, p):

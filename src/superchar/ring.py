@@ -20,7 +20,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .qcoeff import Cyclotomic, LaurentPoly, json_fields
+from .qcoeff import Cyclotomic, LaurentPoly, json_fields, reduce_full
 from .setpart import (
     Arc,
     LabeledSetPartition,
@@ -34,9 +34,7 @@ __all__ = [
     "CharCombo",
     "check_labels",
     "degree",
-    "degree_in",
     "char_value",
-    "char_value_in",
     "combo_value",
     "straighten",
     "tensor",
@@ -243,21 +241,16 @@ class CharCombo:
 # Degrees and character values
 # ---------------------------------------------------------------------------
 
-def degree(lam):
-    """chi^lam(1) = q to the number of vertices strictly under arcs: the
-    product over arcs i-l of q^(l-i-1)."""
-    return LaurentPoly.q_power(sum(arc.right - arc.left - 1 for arc in lam.arcs))
-
-
-def degree_in(lam, index):
-    """Degree of chi^lam inside U_K: between-counts only see the arc's own
-    part."""
-    lookup = index.part_lookup()
-    e = 0
-    for arc in lam.arcs:
-        part = index.parts[lookup[arc.left]]
-        e += sum(1 for m in part if arc.left < m < arc.right)
-    return LaurentPoly.q_power(e)
+def degree(lam, index=None):
+    """chi^lam(1) inside U_K (default: the full group, where it is the
+    product over arcs i-l of q^(l-i-1)): q to the number of vertices
+    strictly under an arc and in its part of K, each part's arcs read in
+    the part's own numbering as ``char_value`` reads them."""
+    if index is None:
+        index = PartitionIndex.full(lam.n)
+    _check_n((lam,), index)
+    return LaurentPoly.q_power(sum(l - i - 1 for part in index.parts
+                                   for i, l, _ in _local(lam.arcs, _numbering(part))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,19 +288,11 @@ def _mono_coords(mono, p):
     vec = [0] * p
     if mono is not None:
         vec[mono[1]] = p ** mono[0]
-    return tuple([a - vec[p - 1] for a in vec[:-1]])
+    return reduce_full(vec)
 
 
-def char_value(lam, mu, p):
-    """chi^lam(u_mu), exact in Q(zeta_p); both partitions live on {1..n}."""
-    if lam.n != mu.n:
-        raise ValueError("character and superclass have different n")
-    check_labels((lam, mu), p)
-    return Cyclotomic._make(p, _mono_coords(_char_value_std(lam.arcs, mu.arcs, p), p))
-
-
-def _char_value_in(lam, mu, index, p):
-    """char_value_in's core: the monomial (or None) of chi^lam(u_mu) inside
+def _char_value(lam, mu, index, p):
+    """char_value's core: the monomial (or None) of chi^lam(u_mu) inside
     U_K, the per-part monomials multiplied."""
     e = k = 0
     for part in index.parts:
@@ -319,24 +304,27 @@ def _char_value_in(lam, mu, index, p):
     return e, k % p
 
 
-def char_value_in(lam, mu, index, p):
-    """chi^lam(u_mu) inside U_K: the product of per-part values.
+def char_value(lam, mu, p, index=None):
+    """chi^lam(u_mu), exact in Q(zeta_p), inside U_K (default: the full
+    group): the product of per-part values.
 
     Each factor lives on the part alone, so the arcs are renumbered by the
     part's own vertices -- gap positions of a non-contiguous part do not
     exist inside U_K and must not enter the exponent counts.  Arcs that
     leave the part do not enter its factor.
     """
+    if index is None:
+        index = PartitionIndex.full(lam.n)
     _check_n((lam, mu), index)
     check_labels((lam, mu), p)
-    return Cyclotomic._make(p, _mono_coords(_char_value_in(lam, mu, index, p), p))
+    return Cyclotomic._make(p, _mono_coords(_char_value(lam, mu, index, p), p))
 
 
 def _value_rows(terms, labels, K, p):
     """Each partition of ``terms`` -> its monomials inside U_K
-    (``_char_value_in``) at ``labels``, in order: a table read once per
+    (``_char_value``) at ``labels``, in order: a table read once per
     pair."""
-    return {lam: [_char_value_in(lam, mu, K, p) for mu in labels] for lam in terms}
+    return {lam: [_char_value(lam, mu, K, p) for mu in labels] for lam in terms}
 
 
 def _combo_coords(x, labels, p, rows=None):
@@ -352,7 +340,7 @@ def _combo_coords(x, labels, p, rows=None):
         for vec, mono in zip(vecs, row):
             if mono is not None:
                 vec[mono[1]] += c * p ** mono[0]
-    return [tuple([vec[i] - vec[p - 1] for i in range(p - 1)]) for vec in vecs]
+    return [reduce_full(vec) for vec in vecs]
 
 
 def combo_value(x, mu, p):

@@ -132,17 +132,10 @@ class LabeledSetPartition:
             out.append(tuple(chain))
         return tuple(out)
 
-    def crossing_pairs(self):
-        """All pairs of arcs (i-k, j-l) with i < j < k < l."""
-        out = []
-        for a, b in itertools.combinations(self.arcs, 2):
-            first, second = (a, b) if a.left < b.left else (b, a)
-            if first.left < second.left < first.right < second.right:
-                out.append((first, second))
-        return out
-
     def num_crossings(self):
-        return len(self.crossing_pairs())
+        """Number of crossings i < j < k < l of arcs i-k, j-l: ``_crossings``
+        with the full group's part lookup, every vertex in part 0."""
+        return _crossings(self.arcs, dict.fromkeys(range(1, self.n + 1), 0))
 
     def crossings_within(self, index):
         """Number of crossings computed inside the parts of a PartitionIndex.

@@ -27,7 +27,7 @@ from superchar.qcoeff import Cyclotomic, LaurentPoly, rational
 from superchar.ring import (
     CharCombo,
     chi_to_kappa,
-    degree_in,
+    degree,
     restrict,
     sinf,
     superinduce,
@@ -71,8 +71,8 @@ def superinduce_via_permchar(mu, K, p, L=None):
             % (K.to_text(), L.to_text())
         )
     # both degrees are monic q-powers
-    (ek, ck), = degree_in(mu, K).coeffs.items()
-    (el, cl), = degree_in(sinf(mu, K, L), L).coeffs.items()
+    (ek, ck), = degree(mu, K).coeffs.items()
+    (el, cl), = degree(sinf(mu, K, L), L).coeffs.items()
     if ck != 1 or cl != 1:
         raise RuntimeError("degrees must be monic q-powers")
     sind_triv = superinduce(LabeledSetPartition(range(1, n + 1)), K, p, L)

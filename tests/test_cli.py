@@ -171,6 +171,22 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert "degree must be an int, got 2.7" in err
 
+    def test_ncsym_refuses_a_zero_denominator(self, capsys):
+        # a coefficient of 1/0 was an internal error (ZeroDivisionError), exit 4
+        element = {"basis": "m", "degree": 2, "terms": [{"partition": "{1,2}", "coeff": "1/0"}]}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: the rational '1/0' has a zero denominator\n")
+
+    def test_ncsym_refuses_a_negative_degree(self, capsys):
+        # a degree of -1 was answered with 0
+        element = {"basis": "m", "degree": -1, "terms": []}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: degree must be nonnegative, not -1\n")
+
     def test_ncsym_conversions_round_trip(self, capsys):
         from superchar import ncsym as nc
 

@@ -278,6 +278,13 @@ class TestSerialization:
         with pytest.raises(TypeError, match="degree must be an int"):
             NCSymElem("m", degree, {})
 
+    def test_a_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative, not -1"):
+            NCSymElem("m", -1, {})
+        with pytest.raises(ValueError, match="degree must be nonnegative, not -2"):
+            NCSymElem.from_json({"basis": "p", "degree": -2, "terms": []})
+        assert not NCSymElem("m", 0, {})
+
     def test_repeated_terms_are_summed(self):
         terms = [
             {"partition": "{1,2}", "coeff": 1},
@@ -341,6 +348,14 @@ class TestCoefficients:
             NCSymElem.single("m", K).scale(0.5)
         blob = {"basis": "m", "degree": 2, "terms": [{"partition": "{1|2}", "coeff": 0.5}]}
         with pytest.raises(TypeError, match="float"):
+            NCSymElem.from_json(blob)
+
+    def test_a_zero_denominator_is_refused(self):
+        K = pidx(2, [[1], [2]])
+        with pytest.raises(ValueError, match="zero denominator"):
+            NCSymElem("m", 2, {K: "2/0"})
+        blob = {"basis": "m", "degree": 2, "terms": [{"partition": "{1|2}", "coeff": "1/0"}]}
+        with pytest.raises(ValueError, match="zero denominator"):
             NCSymElem.from_json(blob)
 
     def test_repr_shows_the_element(self):

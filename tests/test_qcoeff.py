@@ -249,6 +249,15 @@ class TestCyclotomicBoundary:
         # JSON exponent keys are strings
         assert LaurentPoly.from_json({"-1": 2, "0": 1}) == LaurentPoly({-1: 2, 0: 1})
 
+    def test_a_zero_denominator_is_refused(self):
+        for make in (
+            lambda: Cyclotomic.from_json({"p": 3, "coords": ["1/0", "0"]}),
+            lambda: Cyclotomic(3, [0, "2/0"]),
+            lambda: Cyclotomic.from_rational(2, "1/0"),
+        ):
+            with pytest.raises(ValueError, match="zero denominator"):
+                make()
+
     def test_as_rational_is_a_fraction(self):
         for x in (
             Cyclotomic.one(3),

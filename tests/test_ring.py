@@ -12,11 +12,9 @@ from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.ring import (
     CharCombo,
     char_value,
-    char_value_in,
     chi_to_kappa,
     combo_value,
     degree,
-    degree_in,
     inner_product,
     kappa_to_chi,
     restrict,
@@ -84,7 +82,7 @@ class TestDegree:
     def test_degree_inside_a_subgroup_skips_gap_vertices(self):
         K = PartitionIndex(3, [[1, 3], [2]])
         lam = lsp(3, [(1, 3, 1)])
-        assert degree_in(lam, K) == LaurentPoly.one()
+        assert degree(lam, K) == LaurentPoly.one()
         assert degree(lam) == LaurentPoly({1: 1})
 
 
@@ -113,7 +111,7 @@ class TestCharValue:
         K = PartitionIndex(3, [[1, 3], [2]])
         lam = lsp(3, [(1, 3, 1)])
         # inside U_K the part {1,3} is a two-vertex group: value is zeta^1 = -1
-        assert char_value_in(lam, lam, K, 2) == -Cyclotomic.one(2)
+        assert char_value(lam, lam, 2, K) == -Cyclotomic.one(2)
 
 
 def per_arc_value(lam_arcs, mu_arcs, p):
@@ -177,7 +175,7 @@ class TestMonomialValues:
             full = len(K.parts) == 1
             for lam in labels:
                 for mu in labels:
-                    got = char_value_in(lam, mu, K, p)
+                    got = char_value(lam, mu, p, K)
                     assert got == per_part_value(lam, mu, K, p), (K.to_text(), lam, mu)
                     assert_canonical(got)
                     if full:
@@ -293,8 +291,8 @@ class TestLabelRange:
             lambda: star_K(lsp(1, []), lsp(2, [(1, 2, 3)]), PartitionIndex(3, [[1], [2, 3]]), 3),
             lambda: char_value(bad, good, 2),
             lambda: char_value(good, bad, 2),
-            lambda: char_value_in(bad, good, K, 2),
-            lambda: char_value_in(good, bad, K, 2),
+            lambda: char_value(bad, good, 2, K),
+            lambda: char_value(good, bad, 2, K),
             lambda: combo_value(CharCombo.of(bad), good, 2),
             lambda: combo_value(CharCombo.of(good), bad, 2),
         ]
@@ -318,7 +316,7 @@ class TestLabelRange:
         K = PartitionIndex(3, [[1, 3], [2]])
         # vertex 2 lies under the arc but outside its part of K
         assert restrict(lam, K, 3) == CharCombo.of(lam, K, LaurentPoly.q_power(1))
-        assert char_value(lam, lam, 3) == char_value_in(lam, lam, PartitionIndex.full(3), 3)
+        assert char_value(lam, lam, 3) == char_value(lam, lam, 3, PartitionIndex.full(3))
 
 
 class TestIndexSize:
@@ -335,8 +333,10 @@ class TestIndexSize:
             (lambda: superinduce(arc, K, 2), 2, 3),
             (lambda: superinduce(lsp(5, [(4, 5, 1)]), full3, 2), 5, 3),
             (lambda: sinf(arc, K, full3), 2, 3),
-            (lambda: char_value_in(chi, u, full, 2), 3, 5),
-            (lambda: char_value_in(u, chi, full, 2), 3, 5),
+            (lambda: char_value(chi, u, 2, full), 3, 5),
+            (lambda: char_value(u, chi, 2, full), 3, 5),
+            (lambda: char_value(chi, u, 2), 5, 3),
+            (lambda: degree(chi, full), 3, 5),
             (lambda: combo_value(CharCombo.of(chi), u, 2), 5, 3),
         ]
         for call, n, k in calls:

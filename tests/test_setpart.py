@@ -30,6 +30,17 @@ BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 NINE = LabeledSetPartition.from_text("n=9; 1-5:1, 5-7:2, 2-3:1, 6-8:1, 8-9:2")
 
 
+def crossing_pairs(lam):
+    """Every pair of arcs (i-k, j-l) of lam with i < j < k < l, counted one
+    pair at a time."""
+    out = []
+    for a, b in itertools.combinations(lam.arcs, 2):
+        first, second = (a, b) if a.left < b.left else (b, a)
+        if first.left < second.left < first.right < second.right:
+            out.append((first, second))
+    return out
+
+
 def random_labeled(rng, k, p):
     """A random labeled partition of {1..n} for a random n <= k."""
     verts = list(range(1, rng.randrange(k + 1) + 1))
@@ -128,10 +139,13 @@ class TestPartsAndCrossings:
             assert set(rebuilt) == {(a.left, a.right) for a in lam.arcs}
 
     def test_crossings(self):
-        (pair,) = NINE.crossing_pairs()
+        (pair,) = crossing_pairs(NINE)
         assert (pair[0].left, pair[0].right) == (5, 7)
         assert (pair[1].left, pair[1].right) == (6, 8)
         assert NINE.num_crossings() == 1
+        for n in range(7):
+            for lam in enumerate_compatible(PartitionIndex.full(n), 2):
+                assert lam.num_crossings() == len(crossing_pairs(lam)), lam
         assert LabeledSetPartition(range(1, 5), [Arc(1, 3, 1)]).num_crossings() == 0
         two = LabeledSetPartition(range(1, 5), [Arc(1, 3, 1), Arc(2, 4, 1)])
         assert two.num_crossings() == 1
