@@ -21,6 +21,7 @@ from superchar.ring import (
     CharCombo,
     restrict,
     restriction_table,
+    straighten,
     superinduce,
     superinduction_table,
     tensor,
@@ -103,7 +104,30 @@ def oracle_lines():
                     yield "%s sind %s: %s" % (at, lam.to_text(), _values(row))
 
 
-SWEEPS = {"branching": branching_lines, "oracle": oracle_lines, "verify": verify_lines}
+# (p, largest n) of the straighten sweep, and its largest multiset of arcs
+STRAIGHTEN_GROUPS = ((2, 6), (3, 5))
+STRAIGHTEN_MAX_ARCS = 3
+
+
+def straighten_lines():
+    """``straighten`` of every multiset of one to ``STRAIGHTEN_MAX_ARCS``
+    labeled arcs on {1..n}, for each (p, n) up to ``STRAIGHTEN_GROUPS``."""
+    for p, max_n in STRAIGHTEN_GROUPS:
+        for n in range(2, max_n + 1):
+            arcs = [(i, l, a) for i, l in itertools.combinations(range(1, n + 1), 2)
+                    for a in range(1, p)]
+            for k in range(1, STRAIGHTEN_MAX_ARCS + 1):
+                for chosen in itertools.combinations_with_replacement(arcs, k):
+                    text = ", ".join("%d-%d:%d" % arc for arc in chosen)
+                    yield "p=%d n=%d straighten %s: %s" % (p, n, text, straighten(chosen, n, p))
+
+
+SWEEPS = {
+    "branching": branching_lines,
+    "oracle": oracle_lines,
+    "straighten": straighten_lines,
+    "verify": verify_lines,
+}
 
 
 def digest(lines):
