@@ -136,11 +136,11 @@ class PatternGroup:
     def _label_vec(self, lam):
         """The coordinate vector of u_lam - 1."""
         vec = [0] * len(self.positions)
-        for arc in lam.arcs:
-            k = self.pos_at.get((arc.left, arc.right))
+        for i, l, a in lam.arcs:
+            k = self.pos_at.get((i, l))
             if k is None:
-                raise ValueError("arc %d-%d is not a position of this group" % (arc.left, arc.right))
-            vec[k] = arc.label % self.p
+                raise ValueError("arc %d-%d is not a position of this group" % (i, l))
+            vec[k] = a % self.p
             if vec[k] == 0:
                 raise ValueError("arc label vanishes mod p")
         return tuple(vec)

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .qcoeff import Cyclotomic, LaurentPoly, json_fields, reduce_full
 from .setpart import (
-    Arc,
     LabeledSetPartition,
     PartitionIndex,
     _crossings,
@@ -351,19 +350,19 @@ def combo_value(x, mu, p):
 
 
 # ---------------------------------------------------------------------------
-# Arc tuples: the internal representation of the branching rules
+# Arcs as tuples: the representation of partitions and of the rules
 # ---------------------------------------------------------------------------
 #
-# Inside the rules a character is a sorted tuple of (i, l, a) arcs and a
-# combination is a dict from such tuples to LaurentPoly coefficients.  Each
-# public rule checks its input at entry; its result is valid by construction
-# and is built unchecked (``_combo`` turns a dict into its CharCombo).
+# Inside the rules a character is its partition's sorted tuple of (i, l, a)
+# arcs and a combination is a dict from such tuples to LaurentPoly
+# coefficients.  Each public rule checks its input at entry; its result is
+# valid by construction and is built unchecked (``_combo``).
 
 def _combo(K, acc):
     """The combination on U_K of a dict from sorted straight arc tuples on
-    {1..n}, each inside a part of K, to nonzero coefficients."""
-    valid, arc = LabeledSetPartition._valid, functools.partial(tuple.__new__, Arc)
-    return CharCombo._make(K, {valid(K.n, tuple(map(arc, a))): c for a, c in acc.items()})
+    {1..n}, each inside a part of K, to nonzero coefficients: each key is
+    its partition's ``arcs`` as built."""
+    return CharCombo._make(K, {LabeledSetPartition._valid(K.n, a): c for a, c in acc.items()})
 
 
 def _numbering(part):
@@ -444,7 +443,7 @@ def tensor_pair(arc1, arc2, p):
         return [(merged + arcs, c) for arcs, c in _bracket(i1, l1, False, False, p)]
     # the longer arc sorts before every arc of the shorter one's bracket
     keep, (i, l, _) = (arc1, arc2) if l1 - i1 > l2 - i2 else (arc2, arc1)
-    return [((tuple(keep),) + arcs, c) for arcs, c in _bracket(i, l, l1 == l2, i1 == i2, p)]
+    return [((keep,) + arcs, c) for arcs, c in _bracket(i, l, l1 == l2, i1 == i2, p)]
 
 
 def _conflicting_pair(arcs):

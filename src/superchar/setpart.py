@@ -22,10 +22,8 @@ import itertools
 import math
 import re
 from operator import add
-from typing import NamedTuple
 
 __all__ = [
-    "Arc",
     "BudgetError",
     "check_walk_budget",
     "LabeledSetPartition",
@@ -38,13 +36,6 @@ __all__ = [
 ]
 
 from .qcoeff import LaurentPoly
-
-
-class Arc(NamedTuple):
-    """A labeled arc ``left-right:label`` with left < right, label >= 1."""
-    left: int
-    right: int
-    label: int
 
 
 def _check_ints(values, what):
@@ -82,28 +73,27 @@ class LabeledSetPartition:
         clean = []
         lefts, rights = set(), set()
         for arc in arcs:
-            a = Arc(arc[0], arc[1], arc[2])
-            _check_ints(a, "an arc end or label")
-            if not 1 <= a.left < a.right <= n:
-                raise ValueError("arc %d-%d is not an increasing arc on 1..%d"
-                                 % (a.left, a.right, n))
-            if a.label < 1:
+            i, l, a = arc
+            _check_ints((i, l, a), "an arc end or label")
+            if not 1 <= i < l <= n:
+                raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
+            if a < 1:
                 raise ValueError("arc label must be a nonzero residue")
-            if a.left in lefts:
-                raise ValueError("vertex %d starts two arcs" % a.left)
-            if a.right in rights:
-                raise ValueError("vertex %d ends two arcs" % a.right)
-            lefts.add(a.left)
-            rights.add(a.right)
-            clean.append(a)
+            if i in lefts:
+                raise ValueError("vertex %d starts two arcs" % i)
+            if l in rights:
+                raise ValueError("vertex %d ends two arcs" % l)
+            lefts.add(i)
+            rights.add(l)
+            clean.append((i, l, a))
         clean.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(clean))
 
     @classmethod
     def _valid(cls, n, arcs):
-        """The partition of {1..n} with ``arcs``, a tuple of :class:`Arc`
-        already sorted and valid, built without checking them."""
+        """The partition of {1..n} with ``arcs``, a tuple of (left, right,
+        label) tuples already sorted and valid, built without checking them."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", arcs)
@@ -120,8 +110,8 @@ class LabeledSetPartition:
         Parts are the chains: follow arcs from each vertex that is not the
         right endpoint of any arc.
         """
-        nxt = {a.left: a.right for a in self.arcs}
-        has_in = {a.right for a in self.arcs}
+        nxt = {i: l for i, l, _ in self.arcs}
+        has_in = set(nxt.values())
         out = []
         for v in range(1, self.n + 1):
             if v in has_in:
@@ -144,11 +134,9 @@ class LabeledSetPartition:
         arc is an error.
         """
         part_of = index.part_lookup()
-        for a in self.arcs:
-            if part_of[a.left] != part_of[a.right]:
-                raise ValueError(
-                    "arc %d-%d straddles the parts of %s" % (a.left, a.right, index.to_text())
-                )
+        for i, l, _ in self.arcs:
+            if part_of[i] != part_of[l]:
+                raise ValueError("arc %d-%d straddles the parts of %s" % (i, l, index.to_text()))
         return _crossings(self.arcs, part_of)
 
     # -- dunder -------------------------------------------------------------
@@ -170,7 +158,7 @@ class LabeledSetPartition:
 
     def to_text(self):
         """Canonical text: ``"n=9; 1-5:1, 5-7:2"`` (arcs sorted)."""
-        body = ", ".join("%d-%d:%d" % (a.left, a.right, a.label) for a in self.arcs)
+        body = ", ".join("%d-%d:%d" % arc for arc in self.arcs)
         return "n=%d; %s" % (self.n, body) if body else "n=%d" % self.n
 
     @classmethod
@@ -373,7 +361,7 @@ def enumerate_compatible(index, p, steps=None):
     starts = {}
     for part in index.parts:
         for k, v in enumerate(part[:-1]):
-            starts[v] = [(w, [_choice(Arc(v, w, a), tables) for a in range(1, p)])
+            starts[v] = [(w, [_choice((v, w, a), tables) for a in range(1, p)])
                          for w in part[k + 1:]]
     n, out = index.n, []
     _walk([starts[v] for v in sorted(starts)], 0, [False] * (n + 1), [], ((),) * len(tables), out)
@@ -476,6 +464,6 @@ def union_K(lam, mu, K):
     if (len(block1), len(block2)) != (lam.n, mu.n):
         raise ValueError("block sizes %d,%d do not match the factors' sizes %d,%d"
                          % (len(block1), len(block2), lam.n, mu.n))
-    arcs = [(block1[a.left - 1], block1[a.right - 1], a.label) for a in lam.arcs]
-    arcs += [(block2[a.left - 1], block2[a.right - 1], a.label) for a in mu.arcs]
+    arcs = [(block1[i - 1], block1[l - 1], a) for i, l, a in lam.arcs]
+    arcs += [(block2[i - 1], block2[l - 1], a) for i, l, a in mu.arcs]
     return LabeledSetPartition(range(1, K.n + 1), arcs)

@@ -51,7 +51,7 @@ def superinduce_trivial_twoblock(k, n, p):
     return CharCombo(full, [
         (lam, LaurentPoly.q_power(-lam.num_crossings()))
         for lam in enumerate_compatible(full, p)
-        if all(a.left <= k < a.right for a in lam.arcs)
+        if all(i <= k < l for i, l, _ in lam.arcs)
     ])
 
 

@@ -168,7 +168,7 @@ def reflect_partition(lam):
     (n+1-j)-(n+1-i):a."""
     n = lam.n
     return LabeledSetPartition(
-        range(1, n + 1), [(n + 1 - a.right, n + 1 - a.left, a.label) for a in lam.arcs]
+        range(1, n + 1), [(n + 1 - l, n + 1 - i, a) for i, l, a in lam.arcs]
     )
 
 

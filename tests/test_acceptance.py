@@ -16,7 +16,6 @@ from superchar.oracle import PatternGroup
 from superchar.qcoeff import Cyclotomic, LaurentPoly
 from superchar.ring import CharCombo, char_value, restrict, tensor
 from superchar.setpart import (
-    Arc,
     LabeledSetPartition,
     PartitionIndex,
     count_sn,
@@ -35,7 +34,7 @@ from routes import (
 
 
 def lsp(n, arcs):
-    return LabeledSetPartition(range(1, n + 1), [Arc(*a) for a in arcs])
+    return LabeledSetPartition(range(1, n + 1), [tuple(a) for a in arcs])
 
 
 def suite(name, p, max_n):
@@ -46,10 +45,7 @@ def suite(name, p, max_n):
 
 def term_dict(combo):
     """A combination as {sorted arc triples: coefficient}."""
-    return {
-        tuple(sorted((a.left, a.right, a.label) for a in t.arcs)): c
-        for t, c in combo.terms.items()
-    }
+    return {t.arcs: c for t, c in combo.terms.items()}
 
 
 def test_criterion_01_interval_restriction_worked_example():

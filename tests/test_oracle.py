@@ -20,7 +20,6 @@ from superchar.oracle import (
     z_value,
 )
 from superchar.setpart import (
-    Arc,
     LabeledSetPartition,
     PartitionIndex,
     count_sn,
@@ -39,7 +38,7 @@ from routes import (
 
 
 def lsp(n, arcs):
-    return LabeledSetPartition(range(1, n + 1), [Arc(*a) for a in arcs])
+    return LabeledSetPartition(range(1, n + 1), [tuple(a) for a in arcs])
 
 
 def assert_canonical(v):
