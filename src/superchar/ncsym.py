@@ -336,7 +336,13 @@ def star_K_product(x, y, K):
 
 
 def concat_product(x, y):
-    """Ordinary polynomial product: the shuffle along {1..m | m+1..m+n}."""
+    """Ordinary polynomial product: the shuffle along {1..m | m+1..m+n}, in
+    the m-basis.  A degree-0 factor is its coefficient times the unit, so
+    the product is the other factor, scaled by it."""
     m, n = x.degree, y.degree
+    if not (m and n):
+        unit, other = (x, y) if not m else (y, x)
+        other = m_from_p(other) if other.basis == "p" else other
+        return other.scale(unit.coeff(PartitionIndex.full(0)))
     K = PartitionIndex(m + n, [range(1, m + 1), range(m + 1, m + n + 1)])
     return star_K_product(x, y, K)

@@ -24,6 +24,7 @@ from .qcoeff import Cyclotomic, LaurentPoly, json_fields, reduce_full
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
+    _check_ints,
     _crossings,
     enumerate_compatible,
     union_K,
@@ -244,10 +245,12 @@ def degree(lam, index=None):
     """chi^lam(1) inside U_K (default: the full group, where it is the
     product over arcs i-l of q^(l-i-1)): q to the number of vertices
     strictly under an arc and in its part of K, each part's arcs read in
-    the part's own numbering as ``char_value`` reads them."""
+    the part's own numbering as ``char_value`` reads them.  A partition
+    with an arc across two parts of K is refused with ValueError."""
     if index is None:
         index = PartitionIndex.full(lam.n)
     _check_n((lam,), index)
+    lam.crossings_within(index)  # refuses an arc across two parts
     return LaurentPoly.q_power(sum(l - i - 1 for part in index.parts
                                    for i, l, _ in _local(lam.arcs, _numbering(part))))
 
@@ -305,17 +308,19 @@ def _char_value(lam, mu, index, p):
 
 def char_value(lam, mu, p, index=None):
     """chi^lam(u_mu), exact in Q(zeta_p), inside U_K (default: the full
-    group): the product of per-part values.
+    group): the product of per-part values.  A partition with an arc across
+    two parts of K is refused with ValueError.
 
     Each factor lives on the part alone, so the arcs are renumbered by the
     part's own vertices -- gap positions of a non-contiguous part do not
-    exist inside U_K and must not enter the exponent counts.  Arcs that
-    leave the part do not enter its factor.
+    exist inside U_K and must not enter the exponent counts.
     """
     if index is None:
         index = PartitionIndex.full(lam.n)
     _check_n((lam, mu), index)
     check_labels((lam, mu), p)
+    for x in (lam, mu):
+        x.crossings_within(index)  # refuses an arc across two parts
     return Cyclotomic._make(p, _mono_coords(_char_value(lam, mu, index, p), p))
 
 
@@ -343,9 +348,11 @@ def _combo_coords(x, labels, p, rows=None):
 
 
 def combo_value(x, mu, p):
-    """Pointwise value of a combination at the superclass of u_mu."""
+    """Pointwise value of a combination at the superclass of u_mu, which
+    must be a superclass of the ambient U_K (ValueError otherwise)."""
     _check_n((mu,), x.ambient)
     check_labels((mu, *x.terms), p)
+    mu.crossings_within(x.ambient)  # refuses an arc across two parts
     return Cyclotomic._make(p, _combo_coords(x, [mu], p)[0])
 
 
@@ -480,8 +487,10 @@ def _straighten(arcs, p):
 
 def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
-    basis by repeatedly rewriting the least conflicting pair."""
+    basis by repeatedly rewriting the least conflicting pair.  An arc end
+    or label that is not an int is refused with TypeError."""
     arcs = [tuple(a) for a in arcs]
+    _check_ints(itertools.chain.from_iterable(arcs), "an arc end or label")
     for i, l, a in arcs:
         if not 1 <= i < l <= n:
             raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))

@@ -57,9 +57,10 @@ def _stripped(text):
 class LabeledSetPartition:
     """An F_q-labeled set partition of {1..n}: the size n plus labeled arcs.
 
-    The constructor takes the vertex set, which must be {1..n}, and refuses
-    a vertex, arc end or label that is not an int with TypeError.  Immutable
-    and hashable; arcs are kept sorted by (left, right).
+    The constructor takes the vertex set, which must be {1..n}, refuses an
+    arc that is not three values with ValueError, and a vertex, arc end or
+    label that is not an int with TypeError.  Immutable and hashable; arcs
+    are kept as (left, right, label) tuples sorted by (left, right).
     """
 
     __slots__ = ("n", "arcs")
@@ -73,8 +74,11 @@ class LabeledSetPartition:
         clean = []
         lefts, rights = set(), set()
         for arc in arcs:
+            arc = tuple(arc)
+            if len(arc) != 3:
+                raise ValueError("arc %r is not (left, right, label)" % (arc,))
+            _check_ints(arc, "an arc end or label")
             i, l, a = arc
-            _check_ints((i, l, a), "an arc end or label")
             if not 1 <= i < l <= n:
                 raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
             if a < 1:
@@ -85,7 +89,7 @@ class LabeledSetPartition:
                 raise ValueError("vertex %d ends two arcs" % l)
             lefts.add(i)
             rights.add(l)
-            clean.append((i, l, a))
+            clean.append(arc)
         clean.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "arcs", tuple(clean))

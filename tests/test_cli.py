@@ -123,6 +123,11 @@ class TestCommands:
         )
         assert (code, out) == (0, "(1)*p[{1|2}]\n")
 
+    def test_ncsym_product_with_the_degree_zero_unit(self, capsys):
+        for left, right in (("{}", "{1,2}"), ("{1,2}", "{}")):
+            argv = ["ncsym", "--op", "product", "--left", left, "--right", right, "--q", "2"]
+            assert run(argv, capsys) == (0, "(1)*p[{1,2}]\n", "")
+
     def test_ncsym_product_along_blocks(self, capsys):
         from superchar import ncsym as nc
         from superchar.setpart import PartitionIndex
@@ -923,14 +928,17 @@ class TestCache:
         assert out == entry["output"] + "\n"
 
 
+def _readme():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _readme_examples():
     """Each ``$ superchar ...`` command of README.md with the output lines
     shown under it, up to the next blank line or fence."""
-    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
-    with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
     examples = []
-    for block in re.findall(r"^```\n(.*?)^```$", text, flags=re.M | re.S):
+    for block in re.findall(r"^```\n(.*?)^```$", _readme(), flags=re.M | re.S):
         for chunk in block.split("\n\n"):
             command, *shown = chunk.strip("\n").split("\n")
             if command.startswith("$ superchar ") and shown:
@@ -943,3 +951,11 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
     assert examples
     for argv, shown in examples:
         assert run(argv, capsys) == (0, shown, ""), argv
+
+
+def test_readme_python_blocks_run():
+    # each fenced python block runs on its own, asserts included
+    blocks = re.findall(r"^```python\n(.*?)^```$", _readme(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -177,6 +177,16 @@ class TestShuffleProducts:
         out = star_K_product(x, y, pidx(3, [[1, 3], [2]]))
         assert out == m_single(3, [[1, 3], [2]]) + m_single(3, [[1, 2, 3]])
 
+    def test_a_degree_zero_factor_is_the_unit_times_its_coefficient(self):
+        # the concatenation's index had an empty block, refused as a part
+        empty = PartitionIndex.full(0)
+        y = NCSymElem.single("p", pidx(2, [[1, 2]]))
+        for unit in (NCSymElem.single("p", empty), NCSymElem.single("m", empty, 3)):
+            want = m_from_p(y).scale(unit.coeff(empty))
+            assert concat_product(unit, y) == concat_product(y, unit) == want
+        assert concat_product(m_single(0, [], 2), NCSymElem.single("p", empty, 3)) == m_single(0, [], 6)
+        assert concat_product(NCSymElem.zero("p", 0), y) == NCSymElem.zero("m", 2)
+
     def test_index_validation(self):
         x = m_single(1, [[1]])
         with pytest.raises(ValueError):

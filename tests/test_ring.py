@@ -310,6 +310,12 @@ class TestLabelRange:
             with pytest.raises(ValueError, match="has a label outside 1..%d" % (p - 1)):
                 ring.straighten(arcs, n, p)
 
+    def test_straightening_refuses_arcs_that_are_not_ints(self):
+        # 1.5-3:1 was kept in a partition that rendered as 1-3:1
+        for arc in ((1.5, 3, 1), (True, 3, 1), (1, 3, 1.0)):
+            with pytest.raises(TypeError, match="an arc end or label must be an int"):
+                ring.straighten([arc], 3, 2)
+
     def test_the_largest_label_is_accepted(self):
         lam = lsp(3, [(1, 3, 2)])
         K = PartitionIndex(3, [[1, 3], [2]])
@@ -340,6 +346,27 @@ class TestIndexSize:
         ]
         for call, n, k in calls:
             with pytest.raises(ValueError, match="partition has n=%d, the index n=%d" % (n, k)):
+                call()
+
+
+class TestStraddlingArcs:
+    """A partition with an arc across two parts of the index is no label of
+    U_K: every public rule that takes both refuses it, as ``CharCombo``
+    does, where the values and degrees dropped the arc."""
+
+    def test_a_partition_across_the_parts_is_refused(self):
+        K = PartitionIndex(3, [[1, 2], [3]])
+        across, empty, inside = lsp(3, [(1, 3, 1)]), lsp(3, []), lsp(3, [(1, 2, 1)])
+        calls = [
+            lambda: degree(across, K),
+            lambda: char_value(empty, across, 2, K),
+            lambda: char_value(across, empty, 2, K),
+            lambda: combo_value(CharCombo.of(inside, K), across, 2),
+            lambda: superinduce(across, K, 2),
+            lambda: sinf(across, K, PartitionIndex.full(3)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"arc 1-3 straddles the parts of \{1,2\|3\}"):
                 call()
 
 

@@ -57,6 +57,12 @@ def random_labeled(rng, k, p):
 
 
 class TestValidation:
+    def test_an_arc_of_the_wrong_length_is_refused(self):
+        # a fourth value was dropped, and two values raised IndexError
+        for arc in ((1, 3, 1, 9), (1, 3)):
+            with pytest.raises(ValueError, match=r"arc \(1, 3.*\) is not \(left, right, label\)"):
+                LabeledSetPartition(range(1, 4), [arc])
+
     def test_rejected_arc_shapes(self):
         with pytest.raises(ValueError):
             LabeledSetPartition(range(1, 3), [(2, 1, 1)])
