@@ -183,7 +183,10 @@ class TestUnionK:
         K = PartitionIndex(7, [[1, 4, 6], [2, 3, 5, 7]])
         assert union_K(self.LAM, self.MU, K).to_text() == "n=7; 2-3:2, 3-7:3, 4-6:1"
         K = PartitionIndex(7, [[2, 3, 7], [1, 4, 5, 6]])
-        assert union_K(self.LAM, self.MU, K).to_text() == "n=7; 1-4:2, 3-7:1, 4-6:3"
+        glued = union_K(self.LAM, self.MU, K)
+        assert glued.to_text() == "n=7; 1-4:2, 3-7:1, 4-6:3"
+        # glued and parsed partitions hold plain arc tuples, as the rules build
+        assert all(type(arc) is tuple for arc in glued.arcs + NINE.arcs)
 
     def test_empty_factor_leaves_the_other_unchanged(self):
         empty = LabeledSetPartition((), [])
