@@ -17,26 +17,7 @@ import sys
 import tempfile
 import time
 
-from . import __version__
-from .qcoeff import is_prime
-from .setpart import (
-    BudgetError,
-    LabeledSetPartition,
-    PartitionIndex,
-    check_walk_budget,
-    count_sn,
-)
-from .ring import (
-    CharCombo,
-    char_value,
-    check_labels,
-    inner_product,
-    restrict_combo,
-    sinf,
-    star_K,
-    superinduce,
-    tensor,
-)
+from . import __version__, is_prime
 
 CACHE_FORMAT_VERSION = 1
 
@@ -52,6 +33,9 @@ def _parse_char(text, q, n=None):
     arc body alone ('1-3:1', possibly empty) with n supplied separately.
     A supplied n must agree with the text's own, and labels must be
     nonzero residues mod q."""
+    from .ring import check_labels
+    from .setpart import LabeledSetPartition
+
     text = text.strip()
     if text.startswith("n"):
         lam = LabeledSetPartition.from_text(text)
@@ -74,10 +58,14 @@ def _render(x, fmt):
 
 
 # ---------------------------------------------------------------------------
-# compute commands: each returns (exit_code, output string)
+# compute commands: each returns (exit_code, output string) and imports the
+# math it runs, so a cache hit or a refused --q or --budget loads none of it
 
 
 def cmd_restrict(args):
+    from .ring import CharCombo, restrict_combo
+    from .setpart import PartitionIndex
+
     lam = _parse_char(args.char, args.q, args.n)
     n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
@@ -86,6 +74,9 @@ def cmd_restrict(args):
 
 
 def cmd_tensor(args):
+    from .ring import CharCombo, tensor
+    from .setpart import PartitionIndex
+
     if len(args.char) < 2:
         raise ValueError("tensor needs at least two --char factors")
     chars = [_parse_char(c, args.q, args.n) for c in args.char]
@@ -100,6 +91,9 @@ def cmd_tensor(args):
 
 
 def cmd_sind(args):
+    from .ring import superinduce
+    from .setpart import PartitionIndex, check_walk_budget
+
     mu = _parse_char(args.char, args.q, args.n)
     n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
@@ -108,6 +102,9 @@ def cmd_sind(args):
 
 
 def cmd_sinf(args):
+    from .ring import CharCombo, sinf
+    from .setpart import PartitionIndex
+
     lam = _parse_char(args.char, args.q, args.n)
     n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
@@ -117,6 +114,9 @@ def cmd_sinf(args):
 
 
 def cmd_star(args):
+    from .ring import star_K
+    from .setpart import PartitionIndex, check_walk_budget
+
     lam = _parse_char(args.left, args.q)
     mu = _parse_char(args.right, args.q)
     m, n = lam.n, mu.n
@@ -132,6 +132,9 @@ def cmd_star(args):
 
 def _parse_combo(text, q):
     """A combination: either rendered combo text or a bare character."""
+    from .ring import CharCombo, check_labels
+    from .setpart import LabeledSetPartition, PartitionIndex
+
     text = text.strip()
     if "chi[" not in text:
         return CharCombo.of(_parse_char(text, q))
@@ -143,18 +146,24 @@ def _parse_combo(text, q):
 
 
 def cmd_inner(args):
+    from .ring import inner_product
+
     x = _parse_combo(args.left, args.q)
     y = _parse_combo(args.right, args.q)
     return EXIT_OK, _render(inner_product(x, y), args.format)
 
 
 def cmd_value(args):
+    from .ring import char_value
+
     lam = _parse_char(args.char, args.q, args.n)
     mu = _parse_char(args.at, args.q, lam.n)
     return EXIT_OK, _render(char_value(lam, mu, args.q), args.format)
 
 
 def cmd_count(args):
+    from .setpart import count_sn
+
     if args.n is None:
         raise ValueError("count needs --n")
     value = count_sn(args.n, args.q)
@@ -165,6 +174,7 @@ def cmd_count(args):
 
 def cmd_ncsym(args):
     from . import ncsym as nc
+    from .setpart import PartitionIndex
 
     if args.op == "product":
         if args.left is None or args.right is None:
@@ -405,13 +415,17 @@ def main(argv=None):
         code, output = run(args)
         print(output)
         return code
-    except BudgetError as exc:
-        print("budget refused: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, TypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:
+        # a BudgetError is a RuntimeError; naming it here, not in an except
+        # clause, keeps setpart off the path of a request that never loads it
+        from .setpart import BudgetError
+
+        if isinstance(exc, BudgetError):
+            print("budget refused: %s" % exc, file=sys.stderr)
+            return EXIT_BUDGET
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -28,7 +28,8 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from .qcoeff import Cyclotomic, is_prime, reduce_full
+from . import is_prime
+from .qcoeff import Cyclotomic, reduce_full
 from .setpart import BudgetError, PartitionIndex, enumerate_compatible
 
 __all__ = [

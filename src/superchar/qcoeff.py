@@ -24,23 +24,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from . import is_prime
+
 __all__ = [
     "LaurentPoly",
     "Cyclotomic",
     "is_prime",
 ]
-
-
-def is_prime(p):
-    """Trial-division primality check (inputs here are tiny)."""
-    if not isinstance(p, int) or p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def rational(c):

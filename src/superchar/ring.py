@@ -487,9 +487,13 @@ def _straighten(arcs, p):
 
 def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
-    basis by repeatedly rewriting the least conflicting pair.  An arc end
-    or label that is not an int is refused with TypeError."""
+    basis by repeatedly rewriting the least conflicting pair.  An arc that
+    is not three values is refused with ValueError, and an arc end or label
+    that is not an int with TypeError."""
     arcs = [tuple(a) for a in arcs]
+    for arc in arcs:
+        if len(arc) != 3:
+            raise ValueError("arc %r is not (left, right, label)" % (arc,))
     _check_ints(itertools.chain.from_iterable(arcs), "an arc end or label")
     for i, l, a in arcs:
         if not 1 <= i < l <= n:

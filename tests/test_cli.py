@@ -12,9 +12,15 @@ import time
 import pytest
 
 import superchar
-from superchar import cli, verify
+from superchar import cli, ring, verify
 from superchar.ring import CharCombo, char_value, combo_value
-from superchar.setpart import LabeledSetPartition, PartitionIndex, count_sn, enumerate_compatible
+from superchar.setpart import (
+    BudgetError,
+    LabeledSetPartition,
+    PartitionIndex,
+    count_sn,
+    enumerate_compatible,
+)
 
 
 def run(argv, capsys):
@@ -734,8 +740,9 @@ class TestErrors:
             def broken(*args):
                 raise fault
 
-            # the restrict command and the restriction suite each hold the rule
-            monkeypatch.setattr(cli, "restrict_combo", broken)
+            # the restrict command imports the rule from ring when it runs;
+            # the restriction suite holds its own name for it
+            monkeypatch.setattr(ring, "restrict_combo", broken)
             monkeypatch.setattr(verify, "restriction_table", broken)
             argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
             code, out, err = run(argv, capsys)
@@ -745,6 +752,18 @@ class TestErrors:
             code, out, _ = run(["verify", "--suite", "restriction", "--q", "2", "--max-n", "2"],
                                capsys)
             assert (code, out) == (cli.EXIT_INTERNAL, "")
+
+    def test_a_budget_refusal_inside_a_command_is_exit_three(self, capsys, monkeypatch):
+        # main names BudgetError only in its fault branch; a refusal raised
+        # inside a command must still exit 3, not 4
+        def refuse(*args):
+            raise BudgetError("the rule walks 99 labels, over the budget of 1")
+
+        monkeypatch.setattr(ring, "restrict_combo", refuse)
+        argv = ["restrict", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"]
+        assert run(argv, capsys) == (
+            cli.EXIT_BUDGET, "", "budget refused: the rule walks 99 labels, over the budget of 1\n"
+        )
 
     def test_argparse_usage_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -792,11 +811,11 @@ def run_in_a_fresh_process(probe):
 
 @pytest.mark.parametrize(
     "module, needed",
-    [("cli", ["cli", "qcoeff", "ring", "setpart"]), ("ncsym", ["ncsym", "qcoeff", "setpart"])],
+    [("cli", ["cli"]), ("ncsym", ["ncsym", "qcoeff", "setpart"])],
 )
 def test_import_loads_only_the_modules_needed(module, needed):
-    # the verify suites import oracle and ncsym when they run;
-    # a process that only loads the CLI, or NCSym, must not pay for them
+    # each command imports the math it runs; a process that only loads the
+    # CLI, or NCSym, must not pay for the rest
     probe = (
         "import sys, superchar.%s; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'superchar')))"
@@ -805,14 +824,39 @@ def test_import_loads_only_the_modules_needed(module, needed):
     assert run_in_a_fresh_process(probe) == ["superchar"] + ["superchar." + m for m in needed]
 
 
+@pytest.mark.parametrize(
+    "argv, output, loaded",
+    [
+        # the hit is served before any command runs: no math module at all
+        (["count", "--n", "3", "--q", "2", "--cache-dir", "{cache}"], "5", ["cli"]),
+        (["count", "--n", "3", "--q", "2"], "5", ["cli", "qcoeff", "setpart"]),
+        (["ncsym", "--op", "product", "--left", "{1}", "--right", "{1}", "--q", "2"],
+         "(1)*p[{1|2}]", ["cli", "ncsym", "qcoeff", "setpart"]),
+    ],
+    ids=["cache-hit", "count", "ncsym-product"],
+)
+def test_a_request_loads_only_the_modules_it_runs(argv, output, loaded, tmp_path):
+    argv = [a.replace("{cache}", str(tmp_path)) for a in argv]
+    if "--cache-dir" in argv:
+        # a first process computes the entry that the probe's request hits
+        assert run_in_a_fresh_process(
+            "from superchar import cli; cli.main(%r)" % argv) == [output]
+    probe = (
+        "import sys; from superchar import cli; cli.main(%r); "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'superchar')))"
+        % argv
+    )
+    assert run_in_a_fresh_process(probe) == [output, "superchar"] + ["superchar." + m for m in loaded]
+
+
 def test_the_suite_choices_are_the_verify_suites():
     # argparse lists them without importing superchar.verify
     assert cli.SUITE_NAMES == tuple(sorted(verify.SUITES))
 
 
 def test_a_request_without_the_oracle_does_not_load_it():
-    # BudgetError lives in setpart, so catching it loads no oracle; and only
-    # verify requests load the suites
+    # BudgetError lives in setpart, so telling a refusal from a fault loads
+    # no oracle; and only verify requests load the suites
     probe = (
         "import sys; from superchar import cli; "
         "code = cli.main(['count', '--n', '3', '--q', '2']); "

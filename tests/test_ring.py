@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,14 @@ class TestLabelRange:
         # 1.5-3:1 was kept in a partition that rendered as 1-3:1
         for arc in ((1.5, 3, 1), (True, 3, 1), (1, 3, 1.0)):
             with pytest.raises(TypeError, match="an arc end or label must be an int"):
+                ring.straighten([arc], 3, 2)
+
+    def test_straightening_refuses_arcs_that_are_not_three_values(self):
+        # refused by name, as the partition constructor refuses them, not by
+        # the unpacking error of the range check
+        for arc in ((1, 3), (1, 3, 1, 9)):
+            with pytest.raises(ValueError, match=r"^arc %s is not \(left, right, label\)$"
+                               % re.escape(repr(arc))):
                 ring.straighten([arc], 3, 2)
 
     def test_the_largest_label_is_accepted(self):
