@@ -33,18 +33,14 @@ def _parse_char(text, q, n=None):
     arc body alone ('1-3:1', possibly empty) with n supplied separately.
     A supplied n must agree with the text's own, and labels must be
     nonzero residues mod q."""
-    from .ring import check_labels
-    from .setpart import LabeledSetPartition
+    from .setpart import LabeledSetPartition, check_labels
 
     text = text.strip()
-    if text.startswith("n"):
-        lam = LabeledSetPartition.from_text(text)
-        if n is not None and lam.n != n:
-            raise ValueError("%r has n=%d, but n=%d was given" % (text, lam.n, n))
-    elif n is None:
+    if n is None and not text.startswith("n"):
         raise ValueError("arc list %r needs --n" % text)
-    else:
-        lam = LabeledSetPartition.from_text("n=%d; %s" % (n, text) if text else "n=%d" % n)
+    lam = LabeledSetPartition.from_text(text, n=n)
+    if n is not None and lam.n != n:
+        raise ValueError("%r has n=%d, but n=%d was given" % (text, lam.n, n))
     check_labels((lam,), q)
     return lam
 
@@ -58,23 +54,24 @@ def _render(x, fmt):
 
 
 # ---------------------------------------------------------------------------
-# compute commands: each returns (exit_code, output string) and imports the
-# math it runs, so a cache hit or a refused --q or --budget loads none of it
+# compute commands: each returns (exit_code, output string), parses its
+# arguments, then imports the math it runs, so a cache hit or a refused --q or
+# --budget loads none of it and a request refused at parse loads only setpart
 
 
 def cmd_restrict(args):
-    from .ring import CharCombo, restrict_combo
     from .setpart import PartitionIndex
 
     lam = _parse_char(args.char, args.q, args.n)
     n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
+    from .ring import CharCombo, restrict_combo
+
     x = CharCombo.of(lam, PartitionIndex.full(n))
     return EXIT_OK, _render(restrict_combo(x, K, args.q), args.format)
 
 
 def cmd_tensor(args):
-    from .ring import CharCombo, tensor
     from .setpart import PartitionIndex
 
     if len(args.char) < 2:
@@ -83,6 +80,8 @@ def cmd_tensor(args):
     n = chars[0].n
     if any(c.n != n for c in chars):
         raise ValueError("tensor factors live on different groups")
+    from .ring import CharCombo, tensor
+
     amb = PartitionIndex.full(n)
     out = CharCombo.of(chars[0], amb)
     for c in chars[1:]:
@@ -91,30 +90,31 @@ def cmd_tensor(args):
 
 
 def cmd_sind(args):
-    from .ring import superinduce
     from .setpart import PartitionIndex, check_walk_budget
 
     mu = _parse_char(args.char, args.q, args.n)
     n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     check_walk_budget(n, args.q, args.budget)
+    from .ring import superinduce
+
     return EXIT_OK, _render(superinduce(mu, K, args.q), args.format)
 
 
 def cmd_sinf(args):
-    from .ring import CharCombo, sinf
     from .setpart import PartitionIndex
 
     lam = _parse_char(args.char, args.q, args.n)
     n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     L = PartitionIndex.from_text(args.ambient, n=n) if args.ambient else PartitionIndex.full(n)
+    from .ring import CharCombo, sinf
+
     inflated = sinf(lam, K, L)
     return EXIT_OK, _render(CharCombo.of(inflated, L), args.format)
 
 
 def cmd_star(args):
-    from .ring import star_K
     from .setpart import PartitionIndex, check_walk_budget
 
     lam = _parse_char(args.left, args.q)
@@ -127,13 +127,15 @@ def cmd_star(args):
         blocks = (range(1, m + 1), range(m + 1, m + n + 1))
         K = PartitionIndex(m + n, [block for block in blocks if block])
     check_walk_budget(m + n, args.q, args.budget)
+    from .ring import star_K
+
     return EXIT_OK, _render(star_K(lam, mu, K, args.q), args.format)
 
 
 def _parse_combo(text, q):
     """A combination: either rendered combo text or a bare character."""
-    from .ring import CharCombo, check_labels
-    from .setpart import LabeledSetPartition, PartitionIndex
+    from .ring import CharCombo
+    from .setpart import LabeledSetPartition, PartitionIndex, check_labels
 
     text = text.strip()
     if "chi[" not in text:
@@ -154,10 +156,10 @@ def cmd_inner(args):
 
 
 def cmd_value(args):
-    from .ring import char_value
-
     lam = _parse_char(args.char, args.q, args.n)
     mu = _parse_char(args.at, args.q, lam.n)
+    from .ring import char_value
+
     return EXIT_OK, _render(char_value(lam, mu, args.q), args.format)
 
 

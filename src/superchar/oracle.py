@@ -221,14 +221,6 @@ class PatternGroup:
             self._char_rows = rows
         return self._char_rows
 
-    def char_values_of_functional(self, coords):
-        """Supercharacter values (per superclass) of the dual orbit through
-        the functional given as {(i,j): value}: its ``character_table`` row."""
-        vec = [0] * len(self.positions)
-        for pos, v in coords.items():
-            vec[self.pos_at[pos]] = v % self.p
-        return self.character_table()[self._dual_orbits()[1][tuple(vec)]]
-
 
 def _parabolic_positions(index):
     """The sorted positions of U_K: the pairs i < j inside a part of K."""

@@ -81,9 +81,9 @@ class LaurentPoly:
     exact shifts by q^k, and exact evaluation at a rational point.  The
     public constructor (and so ``const``, ``q_power``, ``from_text`` and
     ``from_json``) checks every exponent and coefficient and drops zeros,
-    refusing a non-int with ``TypeError``; arithmetic builds its results
-    with ``_make``, unchecked.  ``one`` and ``q_minus_one`` are shared
-    constants.
+    refusing a non-int (a bool too) with ``TypeError``; arithmetic builds
+    its results with ``_make``, unchecked.  ``one`` and ``q_minus_one`` are
+    shared constants.
     """
 
     __slots__ = ("coeffs",)
@@ -92,7 +92,8 @@ class LaurentPoly:
         clean = {}
         if coeffs:
             for e, c in coeffs.items():
-                if not isinstance(e, int) or not isinstance(c, int):
+                if (isinstance(e, bool) or isinstance(c, bool)
+                        or not isinstance(e, int) or not isinstance(c, int)):
                     raise TypeError("LaurentPoly wants int exponents and int coefficients")
                 if c != 0:
                     clean[e] = c

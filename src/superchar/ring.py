@@ -24,15 +24,16 @@ from .qcoeff import Cyclotomic, LaurentPoly, json_fields, reduce_full
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
-    _check_ints,
+    _check_arc,
+    _check_label,
     _crossings,
+    check_labels,
     enumerate_compatible,
     union_K,
 )
 
 __all__ = [
     "CharCombo",
-    "check_labels",
     "degree",
     "char_value",
     "combo_value",
@@ -49,18 +50,6 @@ __all__ = [
     "chi_to_kappa",
     "kappa_to_chi",
 ]
-
-_LABEL_OUTSIDE = "arc %d-%d:%d has a label outside 1..%d"
-
-
-def check_labels(lams, p):
-    """Refuse, with ValueError, a labeled partition in ``lams`` with an arc
-    label outside 1..p-1 (the labels of U_n(p)); the public rules call
-    this at their entry, their cores trust it."""
-    for lam in lams:
-        for i, l, a in lam.arcs:
-            if a >= p:
-                raise ValueError(_LABEL_OUTSIDE % (i, l, a, p - 1))
 
 
 def _check_n(lams, K):
@@ -487,19 +476,12 @@ def _straighten(arcs, p):
 
 def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
-    basis by repeatedly rewriting the least conflicting pair.  An arc that
-    is not three values is refused with ValueError, and an arc end or label
-    that is not an int with TypeError."""
-    arcs = [tuple(a) for a in arcs]
+    basis by repeatedly rewriting the least conflicting pair.  Each arc
+    must be three ints increasing on 1..n, as in a partition, with a label
+    in 1..p-1: ValueError otherwise, TypeError for a non-int."""
+    arcs = [_check_arc(arc, n) for arc in arcs]
     for arc in arcs:
-        if len(arc) != 3:
-            raise ValueError("arc %r is not (left, right, label)" % (arc,))
-    _check_ints(itertools.chain.from_iterable(arcs), "an arc end or label")
-    for i, l, a in arcs:
-        if not 1 <= i < l <= n:
-            raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
-        if not 0 < a < p:
-            raise ValueError(_LABEL_OUTSIDE % (i, l, a, p - 1))
+        _check_label(arc, p)
     return _combo(PartitionIndex.full(n), _straighten(arcs, p))
 
 

@@ -11,6 +11,10 @@ Labels are stored as plain positive ints and interpreted mod a prime p; the
 prime is passed to whichever operation enumerates labels or evaluates
 characters.
 
+This module imports nothing of the package: the checks on partition
+input (arcs, labels mod p) and the label count live here, so a request
+refused while it is parsed loads no algebra.
+
 A :class:`PartitionIndex` names a parabolic subgroup: an ordered list of
 disjoint parts covering {1..n}.  Part order matters for the two-block glue
 and product operations, so it is preserved as given.
@@ -25,17 +29,15 @@ from operator import add
 
 __all__ = [
     "BudgetError",
+    "check_labels",
     "check_walk_budget",
     "LabeledSetPartition",
     "PartitionIndex",
     "set_partitions",
     "enumerate_compatible",
     "count_sn",
-    "count_sn_poly",
     "union_K",
 ]
-
-from .qcoeff import LaurentPoly
 
 
 def _check_ints(values, what):
@@ -52,6 +54,34 @@ def _stripped(text):
     if not isinstance(text, str):
         raise TypeError("partition text must be a str, got %r" % (text,))
     return text.strip()
+
+
+def _check_arc(arc, n):
+    """``arc`` as a tuple, refused with ValueError unless it is three values
+    increasing on 1..n, and with TypeError unless they are ints."""
+    arc = tuple(arc)
+    if len(arc) != 3:
+        raise ValueError("arc %r is not (left, right, label)" % (arc,))
+    _check_ints(arc, "an arc end or label")
+    i, l, _ = arc
+    if not 1 <= i < l <= n:
+        raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
+    return arc
+
+
+def _check_label(arc, p):
+    """Refuse, with ValueError, an arc whose label is outside 1..p-1."""
+    if not 0 < arc[2] < p:
+        raise ValueError("arc %d-%d:%d has a label outside 1..%d" % (*arc, p - 1))
+
+
+def check_labels(lams, p):
+    """Refuse, with ValueError, a labeled partition in ``lams`` with an arc
+    label outside 1..p-1 (the labels of U_n(p)); the public rules call
+    this at their entry, their cores trust it."""
+    for lam in lams:
+        for arc in lam.arcs:
+            _check_label(arc, p)
 
 
 class LabeledSetPartition:
@@ -74,13 +104,7 @@ class LabeledSetPartition:
         clean = []
         lefts, rights = set(), set()
         for arc in arcs:
-            arc = tuple(arc)
-            if len(arc) != 3:
-                raise ValueError("arc %r is not (left, right, label)" % (arc,))
-            _check_ints(arc, "an arc end or label")
-            i, l, a = arc
-            if not 1 <= i < l <= n:
-                raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
+            i, l, a = arc = _check_arc(arc, n)
             if a < 1:
                 raise ValueError("arc label must be a nonzero residue")
             if i in lefts:
@@ -177,6 +201,8 @@ class LabeledSetPartition:
         else:
             if n is None:
                 raise ValueError("partition text without n= prefix needs explicit n")
+            if n < 0:
+                raise ValueError("n must be nonnegative, not %d" % n)
             body = s
         arcs = []
         body = body.strip()
@@ -409,29 +435,19 @@ class BudgetError(RuntimeError):
     the CLI's ``--budget``."""
 
 
-def count_sn_poly(n):
-    """The number of F_q-labeled set partitions of an n-set, as a polynomial
-    in q.  Satisfies s_{m+1} = sum_k C(m,k) (q-1)^k s_{m-k}."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    qm1 = LaurentPoly.q_minus_one()
-    s = [LaurentPoly.one()]
-    for m in range(n):
-        total = LaurentPoly.zero()
-        power = LaurentPoly.one()
-        for k in range(m + 1):
-            total = total + math.comb(m, k) * power * s[m - k]
-            power = power * qm1
-        s.append(total)
-    return s[n]
-
-
 def count_sn(n, q):
     """The number of F_q-labeled set partitions of an n-set (q >= 2 any
-    integer; the count is polynomial in q)."""
+    integer, else TypeError; the count is polynomial in q): s_n of the
+    recurrence s_{m+1} = sum_k C(m,k) (q-1)^k s_{m-k}, s_0 = 1."""
+    _check_ints((q,), "q")
     if q < 2:
         raise ValueError("q must be at least 2")
-    return count_sn_poly(n).eval_at(q)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    s = [1]
+    for m in range(n):
+        s.append(sum(math.comb(m, k) * (q - 1) ** k * s[m - k] for k in range(m + 1)))
+    return s[n]
 
 
 def check_walk_budget(n, q, budget, walk="superinduction to"):

@@ -80,6 +80,16 @@ def superinduce_via_permchar(mu, K, p, L=None):
     return tensor(lifted, sind_triv, p).scale(LaurentPoly.q_power(ek - el))
 
 
+def char_values_of_functional(G, coords):
+    """Supercharacter values (per superclass) of the pattern group G's dual
+    orbit through the functional given as {(i,j): value}: its
+    ``character_table`` row."""
+    vec = [0] * len(G.positions)
+    for pos, v in coords.items():
+        vec[G.pos_at[pos]] = v % G.p
+    return G.character_table()[G._dual_orbits()[1][tuple(vec)]]
+
+
 def permchar_hypothesis_check(G, H, mu_coords):
     """Check, by enumeration, the proportionality hypothesis and the
     factorization conclusion for a supercharacter of H inside G.
@@ -98,8 +108,8 @@ def permchar_hypothesis_check(G, H, mu_coords):
     g_table = G.superclass_table()
     h_table = H.superclass_table()
 
-    chi_h = H.char_values_of_functional(mu_coords)
-    sinf_g = G.char_values_of_functional(mu_coords)
+    chi_h = char_values_of_functional(H, mu_coords)
+    sinf_g = char_values_of_functional(G, mu_coords)
 
     # the identity sits in the class of the zero algebra element
     chi_deg = chi_h[h_table.class_of[(0,) * len(H.positions)]]
@@ -121,6 +131,24 @@ def permchar_hypothesis_check(G, H, mu_coords):
         for c in range(len(g_table))
     )
     return hypothesis, conclusion, ratio
+
+
+def count_sn_poly(n):
+    """The number of F_q-labeled set partitions of an n-set, as a polynomial
+    in q: the recurrence s_{m+1} = sum_k C(m,k) (q-1)^k s_{m-k} summed in
+    Laurent polynomials, the reference for ``setpart.count_sn``."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    qm1 = LaurentPoly.q_minus_one()
+    s = [LaurentPoly.one()]
+    for m in range(n):
+        total = LaurentPoly.zero()
+        power = LaurentPoly.one()
+        for k in range(m + 1):
+            total = total + math.comb(m, k) * power * s[m - k]
+            power = power * qm1
+        s.append(total)
+    return s[n]
 
 
 def sinfres_identities_check(i, j, k, l, a, b, n, p):

@@ -24,6 +24,7 @@ from superchar.setpart import (
 from superchar.verify import SUITES
 
 from routes import (
+    char_values_of_functional,
     permchar_hypothesis_check,
     sg_identity_a,
     sg_identity_b,
@@ -212,7 +213,7 @@ def test_criterion_10_permutation_character_factorization_remark():
         assert ratio == Fraction(1, p)
 
         # the two displayed values behind the failed hypothesis
-        values = H.char_values_of_functional({(1, 3): 1})
+        values = char_values_of_functional(H, {(1, 3): 1})
         assert values[H.class_of_label(lsp(3, [(1, 2, 1)]))] == Cyclotomic.one(p)
         lam = lsp(3, [(1, 3, 1)])
         mu = lsp(3, [(1, 2, 1)])

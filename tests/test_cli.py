@@ -591,6 +591,17 @@ class TestErrors:
         assert code == cli.EXIT_PARSE
         assert "needs --n" in err
 
+    @pytest.mark.parametrize("char, n, message", [
+        ("1-3:1", "-1", "n must be nonnegative, not -1"),
+        # an empty body on a negative n is no n=0 character
+        ("", "-1", "n must be nonnegative, not -1"),
+        ("n=3 1-3:1", "3", "bad arc 'n=3 1-3:1'"),
+    ], ids=["arcs-on-negative-n", "empty-on-negative-n", "prefix-without-semicolon"])
+    def test_a_character_read_on_a_given_n_names_its_fault(self, char, n, message, capsys):
+        # n was given, so the message must not say that it is missing
+        argv = ["value", "--char", char, "--n", n, "--at", "", "--q", "2"]
+        assert run(argv, capsys) == (cli.EXIT_PARSE, "", "error: %s\n" % message)
+
     def test_label_outside_the_field_is_refused(self, capsys):
         # label 2 is 0 at p = 2
         code, _, err = run(
@@ -798,20 +809,24 @@ class TestErrors:
         assert exc.value.code == 0
 
 
-def run_in_a_fresh_process(probe):
-    """The words that ``python -c probe`` prints, with the package on the
-    path and nothing imported yet."""
+def fresh_process(probe):
+    """``python -c probe`` run to its end, with the package on the path and
+    nothing imported yet; its stdout and stderr are captured."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(superchar.__file__)))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    return done.stdout.split()
+
+
+def run_in_a_fresh_process(probe):
+    """The words that ``python -c probe`` prints to stdout."""
+    return fresh_process(probe).stdout.split()
 
 
 @pytest.mark.parametrize(
     "module, needed",
-    [("cli", ["cli"]), ("ncsym", ["ncsym", "qcoeff", "setpart"])],
+    [("cli", ["cli"]), ("ncsym", ["ncsym", "qcoeff", "setpart"]), ("setpart", ["setpart"])],
 )
 def test_import_loads_only_the_modules_needed(module, needed):
     # each command imports the math it runs; a process that only loads the
@@ -825,28 +840,36 @@ def test_import_loads_only_the_modules_needed(module, needed):
 
 
 @pytest.mark.parametrize(
-    "argv, output, loaded",
+    "argv, code, output, error, loaded",
     [
         # the hit is served before any command runs: no math module at all
-        (["count", "--n", "3", "--q", "2", "--cache-dir", "{cache}"], "5", ["cli"]),
-        (["count", "--n", "3", "--q", "2"], "5", ["cli", "qcoeff", "setpart"]),
+        (["count", "--n", "3", "--q", "2", "--cache-dir", "{cache}"], 0, "5", "", ["cli"]),
+        (["count", "--n", "3", "--q", "2"], 0, "5", "", ["cli", "setpart"]),
         (["ncsym", "--op", "product", "--left", "{1}", "--right", "{1}", "--q", "2"],
-         "(1)*p[{1|2}]", ["cli", "ncsym", "qcoeff", "setpart"]),
+         0, "(1)*p[{1|2}]", "", ["cli", "ncsym", "qcoeff", "setpart"]),
+        # refused at parse: the arc, label and n checks need setpart alone
+        (["value", "--char", "n=2; 1-2:2", "--at", "1-2:1", "--q", "2"],
+         2, "", "error: arc 1-2:2 has a label outside 1..1", ["cli", "setpart"]),
+        (["restrict", "--char", "n=3; 1-3:1", "--n", "5", "--subgroup", "{1|2,3}", "--q", "2"],
+         2, "", "error: 'n=3; 1-3:1' has n=3, but n=5 was given", ["cli", "setpart"]),
     ],
-    ids=["cache-hit", "count", "ncsym-product"],
+    ids=["cache-hit", "count", "ncsym-product", "refused-label", "conflicting-n"],
 )
-def test_a_request_loads_only_the_modules_it_runs(argv, output, loaded, tmp_path):
+def test_a_request_loads_only_the_modules_it_runs(argv, code, output, error, loaded, tmp_path):
     argv = [a.replace("{cache}", str(tmp_path)) for a in argv]
     if "--cache-dir" in argv:
         # a first process computes the entry that the probe's request hits
         assert run_in_a_fresh_process(
             "from superchar import cli; cli.main(%r)" % argv) == [output]
     probe = (
-        "import sys; from superchar import cli; cli.main(%r); "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'superchar')))"
+        "import sys; from superchar import cli; code = cli.main(%r); "
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'superchar'))"
         % argv
     )
-    assert run_in_a_fresh_process(probe) == [output, "superchar"] + ["superchar." + m for m in loaded]
+    done = fresh_process(probe)
+    assert done.stdout.split() == (
+        output.split() + [str(code), "superchar"] + ["superchar." + m for m in loaded])
+    assert done.stderr.strip() == error
 
 
 def test_the_suite_choices_are_the_verify_suites():

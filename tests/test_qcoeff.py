@@ -151,6 +151,18 @@ class TestLaurentPoly:
         with pytest.raises(TypeError):
             LaurentPoly({0.5: 1})
 
+    def test_a_bool_is_not_an_int_coefficient_or_exponent(self):
+        # a bool would write back as JSON true, or as the key "True", which
+        # from_json cannot read: so JSON would not round-trip
+        for make in (
+            lambda: LaurentPoly({True: 1}),
+            lambda: LaurentPoly({0: True}),
+            lambda: LaurentPoly.from_json({"0": True}),
+            lambda: LaurentPoly.const(False),
+        ):
+            with pytest.raises(TypeError, match="int exponents and int coefficients"):
+                make()
+
 
 class TestCyclotomic:
     def test_theta_is_a_character(self):

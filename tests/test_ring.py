@@ -1031,6 +1031,12 @@ class TestSerialization:
         with pytest.raises(TypeError, match="partition text must be a str"):
             CharCombo.from_json(blob)
 
+    def test_json_coefficient_true_is_refused(self):
+        # JSON true is a bool, not the coefficient 1
+        blob = {"ambient": "{1,2}", "terms": [{"partition": "n=2", "coeff": {"0": True}}]}
+        with pytest.raises(TypeError, match="int coefficients"):
+            CharCombo.from_json(blob)
+
     def test_text_round_trip(self):
         full = PartitionIndex.full(4)
         x = CharCombo(

@@ -15,13 +15,12 @@ from superchar.setpart import (
     PartitionIndex,
     arcs_of_parts,
     count_sn,
-    count_sn_poly,
     enumerate_compatible,
     set_partitions,
     union_K,
 )
 
-from routes import reflect_index, reflect_partition
+from routes import count_sn_poly, reflect_index, reflect_partition
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 
@@ -106,6 +105,13 @@ class TestValidation:
         # an int from JSON raised AttributeError on .strip(), an internal fault
         with pytest.raises(TypeError, match="partition text must be a str"):
             parse(text, n=2)
+
+    def test_an_arc_list_on_a_negative_n_is_refused(self):
+        # range(1, n + 1) is empty for every n < 0, yet that is no n=0 partition
+        for text in ("", "1-2:1"):
+            with pytest.raises(ValueError, match="n must be nonnegative, not -1"):
+                LabeledSetPartition.from_text(text, n=-1)
+        assert LabeledSetPartition.from_text("", n=0) == LabeledSetPartition(())
 
     def test_each_vertex_carries_at_most_one_arc_end(self):
         with pytest.raises(ValueError):
@@ -246,9 +252,21 @@ class TestEnumerationAndCounting:
     def test_counting_polynomial(self):
         # s_3(q) = 1 + 3(q-1) + (q-1)^2 = q^2 + q - 1
         assert count_sn_poly(3) == LaurentPoly({2: 1, 1: 1, 0: -1})
-        for p in (2, 3, 5):
-            for n in range(0, 8):
-                assert count_sn_poly(n).eval_at(p) == count_sn(n, p)
+        # count_sn sums the recurrence in ints; this Laurent polynomial route
+        # (tests/routes.py) is its reference, at prime and composite q
+        for q in (2, 3, 4, 5, 7):
+            for n in range(0, 9):
+                assert count_sn(n, q) == count_sn_poly(n).eval_at(q)
+
+    def test_the_count_refuses_a_bad_n_or_q(self):
+        with pytest.raises(ValueError, match="q must be at least 2"):
+            count_sn(3, 1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            count_sn(-1, 2)
+        # the count is exact: a float q is refused, not summed in floats
+        for q in (2.0, True):
+            with pytest.raises(TypeError, match="q must be an int"):
+                count_sn(3, q)
 
     def test_set_partition_stream(self):
         for n in range(0, 8):
