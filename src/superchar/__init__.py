@@ -10,9 +10,9 @@ Subpackages:
 * verify   -- the verification suites and the second routes they run
 * cli      -- the command-line front end
 
-``is_prime`` lives here, not in qcoeff, so that the CLI can check ``--q``
-before it looks at the result cache without loading any math module;
-qcoeff and oracle import it from here.
+The scalar input checks, ``check_prime`` and ``check_ints``, are written
+once, here, so that the CLI can check ``--q`` before it looks at the result
+cache without loading any math module; the other modules import them.
 """
 
 __version__ = "0.1.0"
@@ -28,3 +28,17 @@ def is_prime(p):
             return False
         d += 1
     return True
+
+
+def check_prime(p, what="p"):
+    """Refuse, with ValueError, a ``p`` that is not a prime int."""
+    if not is_prime(p):
+        raise ValueError("%s must be prime, got %r" % (what, p))
+
+
+def check_ints(values, what):
+    """Refuse, with TypeError, a value of ``values`` that is not an int (a
+    bool too), rather than truncate it."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError("%s must be an int, got %r" % (what, v))

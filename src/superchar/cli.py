@@ -17,7 +17,7 @@ import sys
 import tempfile
 import time
 
-from . import __version__, is_prime
+from . import __version__, check_prime
 
 CACHE_FORMAT_VERSION = 1
 
@@ -90,24 +90,26 @@ def cmd_tensor(args):
 
 
 def cmd_sind(args):
-    from .setpart import PartitionIndex, check_walk_budget
+    from .setpart import PartitionIndex, check_on, check_walk_budget
 
     mu = _parse_char(args.char, args.q, args.n)
     n = mu.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     check_walk_budget(n, args.q, args.budget)
+    check_on((mu,), K)
     from .ring import superinduce
 
     return EXIT_OK, _render(superinduce(mu, K, args.q), args.format)
 
 
 def cmd_sinf(args):
-    from .setpart import PartitionIndex
+    from .setpart import PartitionIndex, check_on
 
     lam = _parse_char(args.char, args.q, args.n)
     n = lam.n
     K = PartitionIndex.from_text(args.subgroup, n=n)
     L = PartitionIndex.from_text(args.ambient, n=n) if args.ambient else PartitionIndex.full(n)
+    check_on((lam,), K)
     from .ring import CharCombo, sinf
 
     inflated = sinf(lam, K, L)
@@ -386,8 +388,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not is_prime(args.q):
-            raise ValueError("--q must be prime, got %d" % args.q)
+        check_prime(args.q, "--q")
         if args.budget is not None and args.budget < 0:
             raise ValueError("--budget must be nonnegative")
 

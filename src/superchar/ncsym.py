@@ -32,8 +32,9 @@ import functools
 import math
 from fractions import Fraction
 
+from . import check_ints
 from .qcoeff import json_fields, rational
-from .setpart import PartitionIndex, _check_ints, set_partitions
+from .setpart import PartitionIndex, set_partitions
 
 __all__ = [
     "NCSymElem",
@@ -108,7 +109,7 @@ class NCSymElem:
     def __init__(self, basis, degree, coeffs):
         if basis not in ("m", "p"):
             raise ValueError("basis must be 'm' or 'p', not %r" % (basis,))
-        _check_ints((degree,), "degree")
+        check_ints((degree,), "degree")
         if degree < 0:
             raise ValueError("degree must be nonnegative, not %d" % degree)
         clean = {}
@@ -207,7 +208,7 @@ class NCSymElem:
         """The element of ``to_json``'s form; the coefficients of repeated
         partitions are summed."""
         basis, degree, terms = json_fields(data, "NCSym", "basis", "degree", "terms")
-        _check_ints((degree,), "degree")
+        check_ints((degree,), "degree")
         if not isinstance(terms, list):
             raise ValueError("NCSym JSON terms must be a list")
         coeffs = {}

@@ -28,7 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import mul
 
-from . import is_prime
+from . import check_ints, check_prime
 from .qcoeff import Cyclotomic, reduce_full
 from .setpart import BudgetError, PartitionIndex, enumerate_compatible
 
@@ -67,9 +67,9 @@ class PatternGroup:
     """
 
     def __init__(self, n, positions, p, max_size=None, index=None):
-        if not is_prime(p):
-            raise ValueError("p must be prime, got %r" % (p,))
-        positions = tuple(sorted((int(i), int(j)) for (i, j) in positions))
+        check_prime(p)
+        positions = tuple(sorted((i, j) for (i, j) in positions))
+        check_ints(itertools.chain(*positions), "a position end")
         for (i, j) in positions:
             if not (1 <= i < j <= n):
                 raise ValueError("position (%d,%d) is not strictly upper in 1..%d" % (i, j, n))

@@ -24,24 +24,23 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from . import is_prime
+from . import check_ints, check_prime
 
 __all__ = [
     "LaurentPoly",
     "Cyclotomic",
-    "is_prime",
 ]
 
 
 def rational(c):
     """``c`` as an exact rational: an int when integral, else a Fraction in
-    lowest terms.  Anything ``Fraction`` accepts except a float, which is
-    refused with ``TypeError`` (a float is a binary approximation), and a
-    zero denominator, refused with ``ValueError``."""
+    lowest terms.  Anything ``Fraction`` accepts except a float (a binary
+    approximation) or a bool (JSON true is not the number 1), each refused
+    with ``TypeError``, and a zero denominator, refused with ``ValueError``."""
     if type(c) is int:
         return c
-    if isinstance(c, float):
-        raise TypeError("exact coefficients only, not the float %r" % (c,))
+    if isinstance(c, (bool, float)):
+        raise TypeError("exact coefficients only, not the %s %r" % (type(c).__name__, c))
     if type(c) is not Fraction:
         try:
             c = Fraction(c)
@@ -89,15 +88,10 @@ class LaurentPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if (isinstance(e, bool) or isinstance(c, bool)
-                        or not isinstance(e, int) or not isinstance(c, int)):
-                    raise TypeError("LaurentPoly wants int exponents and int coefficients")
-                if c != 0:
-                    clean[e] = c
-        object.__setattr__(self, "coeffs", clean)
+        coeffs = coeffs or {}
+        for term in coeffs.items():
+            check_ints(term, "a Laurent exponent or coefficient")
+        object.__setattr__(self, "coeffs", {e: c for e, c in coeffs.items() if c})
 
     @classmethod
     def _make(cls, coeffs):
@@ -334,10 +328,8 @@ class Cyclotomic:
     __slots__ = ("p", "coords")
 
     def __init__(self, p, coords):
-        if not isinstance(p, int):
-            raise TypeError("cyclotomic order must be an int, got %r" % (p,))
-        if not is_prime(p):
-            raise ValueError("cyclotomic order must be prime, got %r" % (p,))
+        check_ints((p,), "cyclotomic order")
+        check_prime(p, "cyclotomic order")
         coords = [rational(c) for c in coords]
         if len(coords) != p - 1:
             raise ValueError("expected %d coordinates, got %d" % (p - 1, len(coords)))
@@ -378,15 +370,13 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, p, r):
-        if not is_prime(p):
-            raise ValueError("cyclotomic order must be prime, got %r" % (p,))
+        check_prime(p, "cyclotomic order")
         return cls._make(p, [rational(r)] + [0] * (p - 2))
 
     @classmethod
     def zeta_power(cls, p, k):
         """zeta_p^k, k any integer."""
-        if not is_prime(p):
-            raise ValueError("cyclotomic order must be prime, got %r" % (p,))
+        check_prime(p, "cyclotomic order")
         vec = [0] * p
         vec[k % p] = 1
         return cls._from_full(p, vec)

@@ -20,6 +20,7 @@ import itertools
 import re
 from fractions import Fraction
 
+from . import check_prime
 from .qcoeff import Cyclotomic, LaurentPoly, json_fields, reduce_full
 from .setpart import (
     LabeledSetPartition,
@@ -28,6 +29,7 @@ from .setpart import (
     _check_label,
     _crossings,
     check_labels,
+    check_on,
     enumerate_compatible,
     union_K,
 )
@@ -50,13 +52,6 @@ __all__ = [
     "chi_to_kappa",
     "kappa_to_chi",
 ]
-
-
-def _check_n(lams, K):
-    """Refuse, with ValueError, a partition in ``lams`` off the index K's n."""
-    for lam in lams:
-        if lam.n != K.n:
-            raise ValueError("partition has n=%d, the index n=%d" % (lam.n, K.n))
 
 
 def _add(acc, key, c):
@@ -89,9 +84,7 @@ class CharCombo:
                 c = LaurentPoly.const(c)
             if not c:
                 continue
-            if lam.n != ambient.n:
-                raise ValueError("term n=%d does not match ambient n=%d" % (lam.n, ambient.n))
-            lam.crossings_within(ambient)  # refuses an arc across two parts
+            check_on((lam,), ambient)
             _add(acc, lam, c)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", acc)
@@ -238,8 +231,7 @@ def degree(lam, index=None):
     with an arc across two parts of K is refused with ValueError."""
     if index is None:
         index = PartitionIndex.full(lam.n)
-    _check_n((lam,), index)
-    lam.crossings_within(index)  # refuses an arc across two parts
+    check_on((lam,), index)
     return LaurentPoly.q_power(sum(l - i - 1 for part in index.parts
                                    for i, l, _ in _local(lam.arcs, _numbering(part))))
 
@@ -306,10 +298,7 @@ def char_value(lam, mu, p, index=None):
     """
     if index is None:
         index = PartitionIndex.full(lam.n)
-    _check_n((lam, mu), index)
-    check_labels((lam, mu), p)
-    for x in (lam, mu):
-        x.crossings_within(index)  # refuses an arc across two parts
+    check_on((lam, mu), index, p)
     return Cyclotomic._make(p, _mono_coords(_char_value(lam, mu, index, p), p))
 
 
@@ -339,9 +328,7 @@ def _combo_coords(x, labels, p, rows=None):
 def combo_value(x, mu, p):
     """Pointwise value of a combination at the superclass of u_mu, which
     must be a superclass of the ambient U_K (ValueError otherwise)."""
-    _check_n((mu,), x.ambient)
-    check_labels((mu, *x.terms), p)
-    mu.crossings_within(x.ambient)  # refuses an arc across two parts
+    check_on((mu, *x.terms), x.ambient, p)
     return Cyclotomic._make(p, _combo_coords(x, [mu], p)[0])
 
 
@@ -478,7 +465,8 @@ def straighten(arcs, n, p):
     """Expand a multiset of labeled arcs on {1..n} into the supercharacter
     basis by repeatedly rewriting the least conflicting pair.  Each arc
     must be three ints increasing on 1..n, as in a partition, with a label
-    in 1..p-1: ValueError otherwise, TypeError for a non-int."""
+    in 1..p-1 and p prime: ValueError otherwise, TypeError for a non-int."""
+    check_prime(p)
     arcs = [_check_arc(arc, n) for arc in arcs]
     for arc in arcs:
         _check_label(arc, p)
@@ -618,9 +606,8 @@ def _row(K, traces, p):
 
 def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
-    _check_n((lam,), K)
-    check_labels((lam,), p)
-    _, where, walk = _walk_parts(K, None)
+    L, where, walk = _walk_parts(K, None)
+    check_on((lam,), L, p)
     return _combo(K, _row(K, [_trace(lam.arcs, rank, block, where) for rank, block in walk], p))
 
 
@@ -628,10 +615,8 @@ def restrict_combo(x, K, p):
     """Restrict a combination on U_L to a finer parabolic U_K (every part of
     K inside a part of L): each term's row (``_row``) of its parts'
     ``_trace``s, scaled and summed."""
-    if not K.refines(x.ambient):
-        raise ValueError("target index must refine the ambient")
-    check_labels(x.terms, p)
     _, where, walk = _walk_parts(K, x.ambient)
+    check_labels(x.terms, p)
     acc = {}
     for lam, c in x.terms.items():
         traces = [_trace(lam.arcs, rank, block, where) for rank, block in walk]
@@ -645,6 +630,7 @@ def restriction_table(K, p, L=None):
     of U_L (default: the full group) -> ``restrict_combo(CharCombo.of(nu,
     L), K, p)``, from one walk over the labels nu that carries each nu's
     traces (``_step_tables``) to ``_row``."""
+    check_prime(p)
     L, where, walk = _walk_parts(K, L)
     valid = LabeledSetPartition._valid
     return {valid(L.n, arcs): _combo(K, _row(K, traces, p))
@@ -658,10 +644,9 @@ def restriction_table(K, p, L=None):
 def sinf(lam, K, L):
     """Superinflation at the index level: the same arcs, read in the coarser
     group.  Validates that K refines L and that lam is K-compatible."""
-    _check_n((lam,), K)
+    check_on((lam,), K)
     if not K.refines(L):
         raise ValueError("superinflation needs the source index to refine the target")
-    lam.crossings_within(K)  # refuses an arc across two parts
     return lam
 
 
@@ -691,9 +676,8 @@ def superinduce(mu, K, p, L=None):
     part keeps the entry read at each trace.  The label walk carries the
     traces (``_step_tables``): a label costs a read per part until one is
     0, and only a kept label is built."""
-    _check_n((mu,), K)
+    check_on((mu,), K, p)
     L, where, walk = _walk_parts(K, L)
-    check_labels((mu,), p)
     c_mu = mu.crossings_within(K)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
@@ -719,6 +703,7 @@ def superinduction_table(K, p, L=None):
     its carried traces, each term c chi^mu of nu's row adding
     q^(cr_K mu - cr_L nu) c chi^nu to mu's column; one mu alone is cheaper
     through ``superinduce``."""
+    check_prime(p)
     L, where, walk = _walk_parts(K, L)
     cols = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
     for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):

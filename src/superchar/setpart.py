@@ -11,9 +11,10 @@ Labels are stored as plain positive ints and interpreted mod a prime p; the
 prime is passed to whichever operation enumerates labels or evaluates
 characters.
 
-This module imports nothing of the package: the checks on partition
-input (arcs, labels mod p) and the label count live here, so a request
-refused while it is parsed loads no algebra.
+This module imports only the package root's scalar checks: the checks on
+partition input (arcs, labels mod p, and ``check_on``, whether partitions
+label U_K(p)) and the label count live here, so a request refused while
+it is parsed loads no algebra.
 
 A :class:`PartitionIndex` names a parabolic subgroup: an ordered list of
 disjoint parts covering {1..n}.  Part order matters for the two-block glue
@@ -27,9 +28,12 @@ import math
 import re
 from operator import add
 
+from . import check_ints, check_prime
+
 __all__ = [
     "BudgetError",
     "check_labels",
+    "check_on",
     "check_walk_budget",
     "LabeledSetPartition",
     "PartitionIndex",
@@ -38,14 +42,6 @@ __all__ = [
     "count_sn",
     "union_K",
 ]
-
-
-def _check_ints(values, what):
-    """Refuse, with TypeError, a value of ``values`` that is not an int (a
-    bool too), rather than truncate it."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError("%s must be an int, got %r" % (what, v))
 
 
 def _stripped(text):
@@ -62,7 +58,7 @@ def _check_arc(arc, n):
     arc = tuple(arc)
     if len(arc) != 3:
         raise ValueError("arc %r is not (left, right, label)" % (arc,))
-    _check_ints(arc, "an arc end or label")
+    check_ints(arc, "an arc end or label")
     i, l, _ = arc
     if not 1 <= i < l <= n:
         raise ValueError("arc %d-%d is not an increasing arc on 1..%d" % (i, l, n))
@@ -76,12 +72,29 @@ def _check_label(arc, p):
 
 
 def check_labels(lams, p):
-    """Refuse, with ValueError, a labeled partition in ``lams`` with an arc
-    label outside 1..p-1 (the labels of U_n(p)); the public rules call
-    this at their entry, their cores trust it."""
+    """Refuse, with ValueError, a p that is not prime, or a labeled
+    partition in ``lams`` with an arc label outside 1..p-1 (the labels of
+    U_n(p)); the public rules call this at their entry, their cores trust
+    it."""
+    check_prime(p)
     for lam in lams:
         for arc in lam.arcs:
             _check_label(arc, p)
+
+
+def check_on(lams, index, p=None):
+    """Refuse, with ValueError, a partition in ``lams`` that does not label
+    U_K(p), K the PartitionIndex ``index``: one off K's n, one refused by
+    ``check_labels`` when p is given, or one with an arc across two parts
+    of K (``crossings_within``, run only when K has more than one part)."""
+    for lam in lams:
+        if lam.n != index.n:
+            raise ValueError("partition has n=%d, the index n=%d" % (lam.n, index.n))
+    if p is not None:
+        check_labels(lams, p)
+    if len(index.parts) > 1:
+        for lam in lams:
+            lam.crossings_within(index)
 
 
 class LabeledSetPartition:
@@ -97,7 +110,7 @@ class LabeledSetPartition:
 
     def __init__(self, support, arcs=()):
         vertices = sorted(support)
-        _check_ints(vertices, "a vertex")
+        check_ints(vertices, "a vertex")
         n = len(vertices)
         if vertices != list(range(1, n + 1)):
             raise ValueError("partition vertices %s are not 1..%d" % (vertices, n))
@@ -237,12 +250,12 @@ class PartitionIndex:
     __slots__ = ("n", "parts")
 
     def __init__(self, n, parts):
-        _check_ints((n,), "n")
+        check_ints((n,), "n")
         clean = []
         seen = set()
         for part in parts:
             tup = tuple(sorted(part))
-            _check_ints(tup, "a part element")
+            check_ints(tup, "a part element")
             if not tup:
                 raise ValueError("empty part")
             for v in tup:
@@ -357,7 +370,7 @@ def set_partitions(elements):
     order of :func:`enumerate_compatible`, carried onto the sorted
     elements, which must be ints (TypeError otherwise)."""
     elements = list(elements)
-    _check_ints(elements, "element")
+    check_ints(elements, "element")
     elems = sorted(set(elements))
     for lam in enumerate_compatible(PartitionIndex.full(len(elems)), 2):
         yield tuple(tuple(elems[v - 1] for v in part) for part in lam.parts())
@@ -439,7 +452,7 @@ def count_sn(n, q):
     """The number of F_q-labeled set partitions of an n-set (q >= 2 any
     integer, else TypeError; the count is polynomial in q): s_n of the
     recurrence s_{m+1} = sum_k C(m,k) (q-1)^k s_{m-k}, s_0 = 1."""
-    _check_ints((q,), "q")
+    check_ints((q,), "q")
     if q < 2:
         raise ValueError("q must be at least 2")
     if n < 0:

@@ -190,6 +190,15 @@ class TestCommands:
         )
         assert (code, out, err) == (2, "", "error: the rational '1/0' has a zero denominator\n")
 
+    def test_ncsym_refuses_a_bool_coefficient(self, capsys):
+        # a coefficient of true was answered as 1
+        element = {"basis": "m", "degree": 1, "terms": [{"partition": "{1}", "coeff": True}]}
+        code, out, err = run(
+            ["ncsym", "--op", "to-p", "--element", json.dumps(element), "--q", "2"], capsys
+        )
+        assert (code, out, err) == (
+            2, "", "error: exact coefficients only, not the bool True\n")
+
     def test_ncsym_refuses_a_negative_degree(self, capsys):
         # a degree of -1 was answered with 0
         element = {"basis": "m", "degree": -1, "terms": []}
@@ -852,8 +861,12 @@ def test_import_loads_only_the_modules_needed(module, needed):
          2, "", "error: arc 1-2:2 has a label outside 1..1", ["cli", "setpart"]),
         (["restrict", "--char", "n=3; 1-3:1", "--n", "5", "--subgroup", "{1|2,3}", "--q", "2"],
          2, "", "error: 'n=3; 1-3:1' has n=3, but n=5 was given", ["cli", "setpart"]),
+        # the arc across two parts of the subgroup is refused before ring loads
+        (["sind", "--char", "n=3; 1-3:1", "--subgroup", "{1|2,3}", "--q", "2"],
+         2, "", "error: arc 1-3 straddles the parts of {1|2,3}", ["cli", "setpart"]),
     ],
-    ids=["cache-hit", "count", "ncsym-product", "refused-label", "conflicting-n"],
+    ids=["cache-hit", "count", "ncsym-product", "refused-label", "conflicting-n",
+         "straddling-sind"],
 )
 def test_a_request_loads_only_the_modules_it_runs(argv, code, output, error, loaded, tmp_path):
     argv = [a.replace("{cache}", str(tmp_path)) for a in argv]

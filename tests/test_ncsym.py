@@ -288,6 +288,12 @@ class TestSerialization:
         with pytest.raises(TypeError, match="degree must be an int"):
             NCSymElem("m", degree, {})
 
+    def test_a_bool_coefficient_is_refused(self):
+        # JSON true was read as the coefficient 1
+        blob = {"basis": "m", "degree": 1, "terms": [{"partition": "{1}", "coeff": True}]}
+        with pytest.raises(TypeError, match="not the bool True"):
+            NCSymElem.from_json(blob)
+
     def test_a_negative_degree_is_refused(self):
         with pytest.raises(ValueError, match="degree must be nonnegative, not -1"):
             NCSymElem("m", -1, {})

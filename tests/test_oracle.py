@@ -76,6 +76,8 @@ class TestConstruction:
             PatternGroup(3, [(2, 2)], 2)  # not strictly upper
         with pytest.raises(ValueError):
             PatternGroup(3, [(1, 2), (1, 2)], 2)  # repeated
+        with pytest.raises(TypeError):
+            PatternGroup(3, [(1.9, 2.5)], 2)  # not ints: was truncated to (1, 2)
 
     def test_refuses_an_index_its_positions_do_not_match(self):
         with pytest.raises(ValueError, match="parabolic positions"):

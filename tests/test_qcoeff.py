@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from superchar.qcoeff import Cyclotomic, LaurentPoly, is_prime
+from superchar import is_prime
+from superchar.qcoeff import Cyclotomic, LaurentPoly, rational
 
 
 def random_poly(rng):
@@ -160,7 +161,7 @@ class TestLaurentPoly:
             lambda: LaurentPoly.from_json({"0": True}),
             lambda: LaurentPoly.const(False),
         ):
-            with pytest.raises(TypeError, match="int exponents and int coefficients"):
+            with pytest.raises(TypeError, match="a Laurent exponent or coefficient must be an int"):
                 make()
 
 
@@ -260,6 +261,16 @@ class TestCyclotomicBoundary:
                 make()
         # JSON exponent keys are strings
         assert LaurentPoly.from_json({"-1": 2, "0": 1}) == LaurentPoly({-1: 2, 0: 1})
+
+    def test_a_bool_is_not_a_rational(self):
+        # JSON true read as the coordinate 1
+        for make in (
+            lambda: rational(True),
+            lambda: Cyclotomic.from_rational(3, True),
+            lambda: Cyclotomic.from_json({"p": 3, "coords": [True, 0]}),
+        ):
+            with pytest.raises(TypeError, match="^exact coefficients only, not the bool True$"):
+                make()
 
     def test_a_zero_denominator_is_refused(self):
         for make in (

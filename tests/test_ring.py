@@ -333,6 +333,32 @@ class TestLabelRange:
         assert char_value(lam, lam, 3) == char_value(lam, lam, 3, PartitionIndex.full(3))
 
 
+# each rule that takes p, on a valid input, keyed by its name
+NOT_PRIME_CALLS = {
+    "restrict": lambda p: restrict(lsp(3, []), PartitionIndex(3, [[1, 2], [3]]), p),
+    "restrict_combo": lambda p: restrict_combo(
+        CharCombo.of(lsp(3, [])), PartitionIndex(3, [[1, 2], [3]]), p),
+    "tensor": lambda p: tensor(CharCombo.of(lsp(3, [])), CharCombo.of(lsp(3, [])), p),
+    # U_3's trivial character from {1,2|3} was induced at p = 1 to (1)*chi[n=3]
+    "superinduce": lambda p: superinduce(lsp(3, []), PartitionIndex(3, [[1, 2], [3]]), p),
+    "star_K": lambda p: star_K(lsp(2, []), lsp(1, []), PartitionIndex(3, [[1, 2], [3]]), p),
+    # chi(u) at p = 4 was the Cyclotomic(p=4, 4*z) of a field that does not exist
+    "char_value": lambda p: char_value(lsp(3, [(1, 3, 1)]), lsp(3, [(1, 3, 1)]), p),
+    "combo_value": lambda p: combo_value(CharCombo.of(lsp(3, [])), lsp(3, []), p),
+    "chi_to_kappa": lambda p: chi_to_kappa(CharCombo.of(lsp(2, [])), p),
+    "straighten": lambda p: ring.straighten([], 3, p),
+    "restriction_table": lambda p: restriction_table(PartitionIndex(3, [[1, 2], [3]]), p),
+    "superinduction_table": lambda p: superinduction_table(PartitionIndex(3, [[1, 2], [3]]), p),
+}
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("rule", sorted(NOT_PRIME_CALLS))
+def test_a_rule_refuses_a_p_that_is_not_prime(rule, p):
+    with pytest.raises(ValueError, match="^p must be prime, got %d$" % p):
+        NOT_PRIME_CALLS[rule](p)
+
+
 class TestIndexSize:
     """A partition on another n than the index is refused by every public
     rule that takes both, with one message."""
@@ -918,7 +944,7 @@ class TestBoundary:
     rules build their results unchecked, so those must be valid as built."""
 
     def test_a_term_on_another_n_is_refused(self):
-        with pytest.raises(ValueError, match="does not match ambient n=3"):
+        with pytest.raises(ValueError, match="partition has n=4, the index n=3"):
             CharCombo(PartitionIndex.full(3), [(lsp(4, []), 1)])
 
     def test_an_arc_across_two_parts_is_refused(self):
@@ -961,7 +987,8 @@ class TestBoundary:
 
     def test_restriction_to_an_index_off_the_ambient_is_refused(self):
         x = CharCombo.of(lsp(3, []), PartitionIndex(3, [[1, 2], [3]]))
-        with pytest.raises(ValueError, match="must refine the ambient"):
+        with pytest.raises(ValueError, match="must refine the target of superinduction, "
+                           "the source of restriction"):
             restrict_combo(x, PartitionIndex(3, [[1], [2, 3]]), 2)
 
     def test_superinduction_from_an_index_off_the_target_is_refused(self):
@@ -1034,7 +1061,7 @@ class TestSerialization:
     def test_json_coefficient_true_is_refused(self):
         # JSON true is a bool, not the coefficient 1
         blob = {"ambient": "{1,2}", "terms": [{"partition": "n=2", "coeff": {"0": True}}]}
-        with pytest.raises(TypeError, match="int coefficients"):
+        with pytest.raises(TypeError, match="a Laurent exponent or coefficient must be an int"):
             CharCombo.from_json(blob)
 
     def test_text_round_trip(self):

@@ -14,6 +14,7 @@ from superchar.setpart import (
     LabeledSetPartition,
     PartitionIndex,
     arcs_of_parts,
+    check_on,
     count_sn,
     enumerate_compatible,
     set_partitions,
@@ -168,6 +169,21 @@ class TestPartsAndCrossings:
         assert lam.crossings_within(PartitionIndex(4, [[1, 3], [2, 4]])) == 0
         with pytest.raises(ValueError):
             lam.crossings_within(PartitionIndex(4, [[1, 2], [3, 4]]))
+
+    def test_check_on_refuses_what_does_not_label_the_index(self):
+        lam = LabeledSetPartition(range(1, 5), [(1, 3, 2), (2, 4, 1)])
+        K = PartitionIndex(4, [[1, 3], [2, 4]])
+        check_on((lam,), K, 3)
+        check_on((lam,), PartitionIndex.full(4))  # no p: the labels go unchecked
+        for index, p, message in (
+            (PartitionIndex.full(3), None, "^partition has n=4, the index n=3$"),
+            (K, 2, "^arc 1-3:2 has a label outside 1..1$"),
+            (K, 4, "^p must be prime, got 4$"),
+            (PartitionIndex(4, [[1, 2], [3, 4]]), 3,
+             r"^arc 1-3 straddles the parts of \{1,2\|3,4\}$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_on((lam,), index, p)
 
 
 class TestTransport:
