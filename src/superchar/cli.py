@@ -117,7 +117,7 @@ def cmd_sinf(args):
 
 
 def cmd_star(args):
-    from .setpart import PartitionIndex, check_walk_budget
+    from .setpart import PartitionIndex, check_walk_budget, shuffle_index
 
     lam = _parse_char(args.left, args.q)
     mu = _parse_char(args.right, args.q)
@@ -125,9 +125,7 @@ def cmd_star(args):
     if args.blocks:
         K = PartitionIndex.from_text(args.blocks, n=m + n)
     else:
-        # an index carries no empty block, so an n=0 factor's block is left out
-        blocks = (range(1, m + 1), range(m + 1, m + n + 1))
-        K = PartitionIndex(m + n, [block for block in blocks if block])
+        K = shuffle_index(m, n)
     check_walk_budget(m + n, args.q, args.budget)
     from .ring import star_K
 

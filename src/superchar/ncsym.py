@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import check_ints
 from .qcoeff import json_fields, rational
-from .setpart import PartitionIndex, set_partitions
+from .setpart import PartitionIndex, set_partitions, shuffle_blocks, shuffle_index
 
 __all__ = [
     "NCSymElem",
@@ -269,18 +269,6 @@ def m_from_p(x):
 # shuffle products
 
 
-def _validate_shuffle_index(K, m, n):
-    if len(K.parts) != 2:
-        raise ValueError("shuffle index must have exactly two blocks")
-    if K.n != m + n:
-        raise ValueError("shuffle index covers %d, factors give %d" % (K.n, m + n))
-    if (len(K.parts[0]), len(K.parts[1])) != (m, n):
-        raise ValueError(
-            "block sizes (%d,%d) do not match factor degrees (%d,%d)"
-            % (len(K.parts[0]), len(K.parts[1]), m, n)
-        )
-
-
 def _pushed(K, positions):
     """The blocks of K carried onto ``positions`` (sorted) by the increasing
     bijection from {1..n}."""
@@ -307,10 +295,12 @@ def _partial_matchings(left, right, free, parts):
 
 
 def star_K_product(x, y, K):
-    """Shuffle product along a two-block index, in the m-basis.
+    """Shuffle product along a shuffle index (``setpart.shuffle_blocks``),
+    in the m-basis.
 
     The first factor's positions are laid onto the first block of K (in
-    increasing order), the second factor's onto the second block.  A p-basis
+    increasing order), the second factor's onto the second block; a
+    degree-0 factor's block is empty, so it pushes nothing.  A p-basis
     factor is rewritten in the m-basis first.  By the Rosas-Sagan rule,
     m_A *_K m_B is the sum of m_C over the partitions C whose traces on the
     two blocks of K are the pushed A and B, i.e. one C per partial matching
@@ -319,12 +309,11 @@ def star_K_product(x, y, K):
     class by class.
     """
     m, n = x.degree, y.degree
-    _validate_shuffle_index(K, m, n)
+    pos1, pos2 = shuffle_blocks(K, m, n)
     if x.basis == "p":
         x = m_from_p(x)
     if y.basis == "p":
         y = m_from_p(y)
-    pos1, pos2 = K.parts
     right = [(_pushed(B, pos2), cb) for B, cb in y.coeffs.items()]
     coeffs = {}
     for A, ca in x.coeffs.items():
@@ -338,12 +327,6 @@ def star_K_product(x, y, K):
 
 def concat_product(x, y):
     """Ordinary polynomial product: the shuffle along {1..m | m+1..m+n}, in
-    the m-basis.  A degree-0 factor is its coefficient times the unit, so
-    the product is the other factor, scaled by it."""
-    m, n = x.degree, y.degree
-    if not (m and n):
-        unit, other = (x, y) if not m else (y, x)
-        other = m_from_p(other) if other.basis == "p" else other
-        return other.scale(unit.coeff(PartitionIndex.full(0)))
-    K = PartitionIndex(m + n, [range(1, m + 1), range(m + 1, m + n + 1)])
-    return star_K_product(x, y, K)
+    the m-basis.  A degree-0 factor's block is absent from the index, so
+    the product is the other factor, scaled by its coefficient."""
+    return star_K_product(x, y, shuffle_index(x.degree, y.degree))

@@ -184,7 +184,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        check_ints((k,), "a Laurent exponent or coefficient")
+        if k < 0:
             raise ValueError("LaurentPoly powers must be nonnegative ints")
         acc = LaurentPoly.one()
         for _ in range(k):
@@ -193,8 +194,7 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by q^k (k may be negative; always exact for Laurent)."""
-        if not isinstance(k, int):
-            raise TypeError("LaurentPoly shifts by an int power of q")
+        check_ints((k,), "a Laurent exponent or coefficient")
         return LaurentPoly._make({e + k: c for e, c in self.coeffs.items()})
 
     # -- queries ------------------------------------------------------------
@@ -377,6 +377,7 @@ class Cyclotomic:
     def zeta_power(cls, p, k):
         """zeta_p^k, k any integer."""
         check_prime(p, "cyclotomic order")
+        check_ints((k,), "a zeta exponent")
         vec = [0] * p
         vec[k % p] = 1
         return cls._from_full(p, vec)

@@ -743,6 +743,7 @@ def kappa_to_chi(values, p):
     (q^{cr lam} z_mu), where z_mu = sum over nu of |chi^nu(u_mu)|^2 /
     q^{cr nu} is |U_n| over the size of the superclass of u_mu.  Returns
     superchar label -> Cyclotomic coefficient."""
+    check_prime(p)
     if not values:
         return {}
     n = min(lam.n for lam in values)

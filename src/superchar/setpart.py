@@ -12,9 +12,10 @@ prime is passed to whichever operation enumerates labels or evaluates
 characters.
 
 This module imports only the package root's scalar checks: the checks on
-partition input (arcs, labels mod p, and ``check_on``, whether partitions
-label U_K(p)) and the label count live here, so a request refused while
-it is parsed loads no algebra.
+partition input (arcs, labels mod p, ``check_on``, whether partitions
+label U_K(p), and ``shuffle_blocks``, whether an index glues two factors)
+and the label count live here, so a request refused while it is parsed
+loads no algebra.
 
 A :class:`PartitionIndex` names a parabolic subgroup: an ordered list of
 disjoint parts covering {1..n}.  Part order matters for the two-block glue
@@ -40,6 +41,8 @@ __all__ = [
     "set_partitions",
     "enumerate_compatible",
     "count_sn",
+    "shuffle_blocks",
+    "shuffle_index",
     "union_K",
 ]
 
@@ -376,17 +379,6 @@ def set_partitions(elements):
         yield tuple(tuple(elems[v - 1] for v in part) for part in lam.parts())
 
 
-def arcs_of_parts(parts):
-    """The arc skeleton of an unlabeled partition: consecutive pairs inside
-    each part, sorted by (left, right)."""
-    arcs = []
-    for part in parts:
-        for u, v in zip(part, part[1:]):
-            arcs.append((u, v))
-    arcs.sort()
-    return tuple(arcs)
-
-
 def enumerate_compatible(index, p, steps=None):
     """All F_p-labeled partitions of {1..n} whose arcs stay inside the
     parts of ``index`` -- the supercharacter/superclass labels of U_index.
@@ -478,25 +470,33 @@ def check_walk_budget(n, q, budget, walk="superinduction to"):
         )
 
 
+def shuffle_blocks(K, m, n):
+    """The two blocks of ``K``, in order, that carry factors on m and n
+    vertices in a shuffle or a glue along K.  An index has no empty block,
+    so an empty factor's block is absent from K and comes back as ``()``;
+    any other K is refused with ValueError."""
+    if [len(block) for block in K.parts] != [s for s in (m, n) if s]:
+        raise ValueError("%s is not a shuffle index for factors of sizes %d and %d"
+                         % (K.to_text(), m, n))
+    blocks = iter(K.parts)
+    return (next(blocks) if m else (), next(blocks) if n else ())
+
+
+def shuffle_index(m, n):
+    """The concatenation index {1..m | m+1..m+n}, an empty factor's block
+    left out."""
+    blocks = (range(1, m + 1), range(m + 1, m + n + 1))
+    return PartitionIndex(m + n, [block for block in blocks if block])
+
+
 def union_K(lam, mu, K):
     """Glue two labeled partitions along a two-block index.
 
-    ``lam`` lives on {1..m}, ``mu`` on {1..n}; ``K`` has exactly two parts in
-    order, of sizes m and n, covering {1..m+n}.  Vertex v of each factor goes
-    to the v-th element of its block.  Indices cannot carry an empty block,
-    so an empty factor is glued along a one-part index, and two empty
-    factors along the zero-part index of U_0.
+    ``lam`` lives on {1..m}, ``mu`` on {1..n}; ``K`` is a shuffle index for
+    them (``shuffle_blocks``), its blocks in order carrying the factors.
+    Vertex v of each factor goes to the v-th element of its block.
     """
-    blocks = K.parts
-    if len(blocks) < 2 and not (lam.n and mu.n):
-        pad = ((),) * (2 - len(blocks))
-        blocks = pad + blocks if not lam.n else blocks + pad
-    if len(blocks) != 2:
-        raise ValueError("union needs a two-block index")
-    block1, block2 = blocks
-    if (len(block1), len(block2)) != (lam.n, mu.n):
-        raise ValueError("block sizes %d,%d do not match the factors' sizes %d,%d"
-                         % (len(block1), len(block2), lam.n, mu.n))
+    block1, block2 = shuffle_blocks(K, lam.n, mu.n)
     arcs = [(block1[i - 1], block1[l - 1], a) for i, l, a in lam.arcs]
     arcs += [(block2[i - 1], block2[l - 1], a) for i, l, a in mu.arcs]
     return LabeledSetPartition(range(1, K.n + 1), arcs)

@@ -33,10 +33,10 @@ from .ring import (
 from .setpart import (
     LabeledSetPartition,
     PartitionIndex,
-    arcs_of_parts,
     check_walk_budget,
     enumerate_compatible,
     set_partitions,
+    shuffle_index,
     union_K,
 )
 
@@ -80,12 +80,6 @@ def _class_product(x, y, traces):
     that :func:`superchar.ncsym.star_K_product` enumerates.
     """
     return {C: x[a] * y[b] for C, a, b in traces if a in x and b in y}
-
-
-def _labeled_of_parts(parts, n):
-    """The labeled partition with the arc skeleton of an unlabeled one; all
-    labels 1, which is the only choice at p = 2."""
-    return LabeledSetPartition(range(1, n + 1), [(u, v, 1) for u, v in arcs_of_parts(parts)])
 
 
 def _suite_orthogonality(q, max_n, budget, samples, seed):
@@ -191,7 +185,7 @@ def _suite_superinduction(q, max_n, budget, samples, seed):
                     checks += 1
         # closed form for the two-block trivial case
         for k in range(1, n):
-            K = PartitionIndex(n, [range(1, k + 1), range(k + 1, n + 1)])
+            K = shuffle_index(k, n - k)
             trivial = LabeledSetPartition(range(1, n + 1), [])
             if superinduce(trivial, K, q) != superinduce_trivial_twoblock(k, n, q):
                 return False, "closed form at k=%d n=%d" % (k, n)
@@ -205,16 +199,17 @@ def _suite_words(q, max_n, budget, samples, seed):
     # the class route reads every set partition of {1..max_n}: the labels
     # of U_max_n(2)
     check_walk_budget(max_n, 2, budget, "the words suite on")
-    partitions = {d: list(set_partitions(range(1, d + 1))) for d in range(1, max_n + 1)}
-    # per degree: each p-basis single with its labeled partition and its
-    # m-coefficients keyed by parts, built once for every product
+    partitions = {d: list(set_partitions(range(1, d + 1))) for d in range(2, max_n + 1)}
+    # per degree: each p-basis single with its label of U_d(2), read off the
+    # walk that set_partitions follows, and its m-coefficients keyed by
+    # parts, built once for every product
     singles = {}
     for d in range(1, max_n):
         singles[d] = []
-        for parts in partitions[d]:
-            x = nc.NCSymElem.single("p", PartitionIndex(d, parts))
+        for lam in enumerate_compatible(PartitionIndex.full(d), 2):
+            x = nc.NCSymElem.single("p", PartitionIndex(d, lam.parts()))
             coeffs = {P.parts: c for P, c in nc.m_from_p(x).coeffs.items()}
-            singles[d].append((x, _labeled_of_parts(parts, d), coeffs))
+            singles[d].append((x, lam, coeffs))
     checks = 0
     for total in range(2, max_n + 1):
         for m in range(1, total):
@@ -271,11 +266,9 @@ def _suite_charmap(q, max_n, budget, samples, seed):
                 K = PartitionIndex(total, [block1, block2])
                 H = PatternGroup.parabolic(K, q, max_size=budget)
                 ht = H.superclass_table()
-                for mu_parts in set_partitions(range(1, m + 1)):
-                    mu = _labeled_of_parts(mu_parts, m)
+                for mu in enumerate_compatible(PartitionIndex.full(m), 2):
                     z_mu = z_value(Gm, mu)
-                    for nu_parts in set_partitions(range(1, n + 1)):
-                        nu = _labeled_of_parts(nu_parts, n)
+                    for nu in enumerate_compatible(PartitionIndex.full(n), 2):
                         z_nu = z_value(Gn, nu)
                         glued = union_K(mu, nu, K)
                         z_glued = z_value(G, glued)

@@ -18,7 +18,6 @@ import warnings
 from superchar.ncsym import (
     NCSymElem,
     _coarsenings_with_mobius,
-    _validate_shuffle_index,
     canonical_index,
     m_from_p,
 )
@@ -33,7 +32,12 @@ from superchar.ring import (
     superinduce,
     tensor,
 )
-from superchar.setpart import LabeledSetPartition, PartitionIndex, set_partitions
+from superchar.setpart import (
+    LabeledSetPartition,
+    PartitionIndex,
+    set_partitions,
+    shuffle_blocks,
+)
 from superchar.verify import _class_product, _shuffle_traces
 
 
@@ -189,6 +193,17 @@ def sinfres_identities_check(i, j, k, l, a, b, n, p):
             ((chi((i, l, a)), chi((i, l, b))), (chi((i, l, ab)), res((i, l, ab), i + 1, l - 1)))
         )
     return all(values(*lhs) == values(*rhs) for lhs, rhs in checks)
+
+
+def arcs_of_parts(parts):
+    """The arc skeleton of an unlabeled partition: consecutive pairs inside
+    each part, sorted by (left, right)."""
+    arcs = []
+    for part in parts:
+        for u, v in zip(part, part[1:]):
+            arcs.append((u, v))
+    arcs.sort()
+    return tuple(arcs)
 
 
 def reflect_partition(lam):
@@ -444,11 +459,10 @@ def _star_K_product_words(x, y, K):
     recognized back into the m-basis.
     """
     m, n = x.degree, y.degree
-    _validate_shuffle_index(K, m, n)
+    pos1, pos2 = shuffle_blocks(K, m, n)
     N = max(m + n, 1)
     xe = expand(x, N)
     ye = expand(y, N)
-    pos1, pos2 = K.parts
     coeffs = {}
     for u, cu in xe.coeffs.items():
         for v, cv in ye.coeffs.items():
@@ -472,7 +486,7 @@ def star_K_product_classes(x, y, K):
     """The shuffle product by the class route of ``superchar.verify``, as an
     m-basis element."""
     m, n = x.degree, y.degree
-    _validate_shuffle_index(K, m, n)
+    shuffle_blocks(K, m, n)
     x, y = (e if e.basis == "m" else m_from_p(e) for e in (x, y))
     coeffs = _class_product(
         {P.parts: c for P, c in x.coeffs.items()},

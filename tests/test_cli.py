@@ -133,6 +133,8 @@ class TestCommands:
         for left, right in (("{}", "{1,2}"), ("{1,2}", "{}")):
             argv = ["ncsym", "--op", "product", "--left", left, "--right", right, "--q", "2"]
             assert run(argv, capsys) == (0, "(1)*p[{1,2}]\n", "")
+            # the unit's block is absent from the index, as with star
+            assert run(argv + ["--blocks", "{1,2}"], capsys) == (0, "(1)*p[{1,2}]\n", "")
 
     def test_ncsym_product_along_blocks(self, capsys):
         from superchar import ncsym as nc

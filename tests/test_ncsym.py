@@ -4,10 +4,12 @@ import gc
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from superchar import cli
 from superchar.ncsym import (
     NCSymElem,
     _coarsenings_with_mobius,
@@ -186,8 +188,17 @@ class TestShuffleProducts:
             assert concat_product(unit, y) == concat_product(y, unit) == want
         assert concat_product(m_single(0, [], 2), NCSymElem.single("p", empty, 3)) == m_single(0, [], 6)
         assert concat_product(NCSymElem.zero("p", 0), y) == NCSymElem.zero("m", 2)
+        # along a one-part index, the empty factor's block is absent, in either order
+        K = PartitionIndex.full(2)
+        for basis in "pm":
+            unit = NCSymElem.single(basis, empty, 3)
+            y = NCSymElem.single(basis, pidx(2, [[1], [2]]), 2)
+            want = m_from_p(y).scale(3) if basis == "p" else y.scale(3)
+            assert star_K_product(unit, y, K) == concat_product(unit, y) == want
+            assert star_K_product(y, unit, K) == concat_product(y, unit) == want
+            assert _star_K_product_words(unit, y, K) == _star_K_product_words(y, unit, K) == want
 
-    def test_index_validation(self):
+    def test_index_validation(self, capsys):
         x = m_single(1, [[1]])
         with pytest.raises(ValueError):
             star_K_product(x, x, pidx(2, [[1, 2]]))
@@ -195,6 +206,15 @@ class TestShuffleProducts:
             star_K_product(x, x, pidx(3, [[1], [2, 3]]))
         with pytest.raises(ValueError):
             star_K_product(m_single(2, [[1, 2]]), x, pidx(3, [[1], [2, 3]]))
+        # the blocks in order carry the factors: {1,3} cannot carry a size-1 factor
+        message = re.escape("{1,3|2} is not a shuffle index for factors of sizes 1 and 2")
+        for route in (star_K_product, _star_K_product_words, star_K_product_classes):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                route(x, m_single(2, [[1, 2]]), pidx(3, [[1, 3], [2]]))
+        argv = ["ncsym", "--op", "product", "--left", "{1}", "--right", "{1,2}",
+                "--blocks", "{1,3|2}", "--q", "2"]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert re.fullmatch("error: %s\n" % message, capsys.readouterr().err)
 
     def test_concat_is_the_interval_shuffle(self):
         x = m_single(2, [[1], [2]])

@@ -58,6 +58,8 @@ class TestLaurentPoly:
         assert q ** 0 == LaurentPoly.one()
         assert LaurentPoly.q_minus_one() ** 2 == LaurentPoly({2: 1, 1: -2, 0: 1})
         assert LaurentPoly.q_power(-3, 2) == LaurentPoly({-3: 2})
+        with pytest.raises(ValueError, match="nonnegative"):
+            q ** -1
 
     def test_text_and_json_round_trips(self):
         f = LaurentPoly({2: 3, -1: -1, 0: 1})
@@ -160,6 +162,9 @@ class TestLaurentPoly:
             lambda: LaurentPoly({0: True}),
             lambda: LaurentPoly.from_json({"0": True}),
             lambda: LaurentPoly.const(False),
+            # q^2 and q, each read off True as 1
+            lambda: LaurentPoly({1: 1}).shift(True),
+            lambda: LaurentPoly({1: 1}) ** True,
         ):
             with pytest.raises(TypeError, match="a Laurent exponent or coefficient must be an int"):
                 make()
@@ -271,6 +276,12 @@ class TestCyclotomicBoundary:
         ):
             with pytest.raises(TypeError, match="^exact coefficients only, not the bool True$"):
                 make()
+
+    def test_a_zeta_exponent_is_an_int(self):
+        # True was read as 1, giving z; 1.5 failed inside as a list index
+        for k in (True, 1.5):
+            with pytest.raises(TypeError, match="^a zeta exponent must be an int, got %r$" % k):
+                Cyclotomic.zeta_power(3, k)
 
     def test_a_zero_denominator_is_refused(self):
         for make in (

@@ -3,17 +3,17 @@ counting."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from superchar import ring
+from superchar import cli, ring
 from superchar.qcoeff import LaurentPoly
 from superchar.setpart import (
     LabeledSetPartition,
     PartitionIndex,
-    arcs_of_parts,
     check_on,
     count_sn,
     enumerate_compatible,
@@ -21,7 +21,7 @@ from superchar.setpart import (
     union_K,
 )
 
-from routes import count_sn_poly, reflect_index, reflect_partition
+from routes import arcs_of_parts, count_sn_poly, reflect_index, reflect_partition
 
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 
@@ -219,9 +219,18 @@ class TestUnionK:
         with pytest.raises(ValueError):
             union_K(empty, empty, K)
 
-    def test_size_mismatch_rejected(self):
+    def test_size_mismatch_rejected(self, capsys):
         with pytest.raises(ValueError):
             union_K(self.LAM, self.MU, PartitionIndex(7, [[1, 2], [3, 4, 5, 6, 7]]))
+        # one message for a shuffle index of the wrong shape, as on the NCSym side
+        arc = LabeledSetPartition(range(1, 3), [(1, 2, 1)])
+        message = re.escape("{1,3|2} is not a shuffle index for factors of sizes 1 and 2")
+        with pytest.raises(ValueError, match="^%s$" % message):
+            union_K(LabeledSetPartition((1,)), arc, PartitionIndex(3, [[1, 3], [2]]))
+        argv = ["star", "--left", "n=1", "--right", "n=2; 1-2:1",
+                "--blocks", "{1,3|2}", "--q", "2"]
+        assert cli.main(argv) == cli.EXIT_PARSE
+        assert re.fullmatch("error: %s\n" % message, capsys.readouterr().err)
 
     def test_gluing_never_loses_crossings(self):
         # exhaustive at q=2 for all two-block shapes with m+n <= 7
