@@ -56,7 +56,8 @@ def canonical_index(K):
     return K if grouping == K.parts else PartitionIndex(K.n, grouping)
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: the key r counts an index's blocks, and no request reaches 32
+@functools.lru_cache(maxsize=1 << 5)
 def _merges_with_mobius(r):
     """The set partitions of range(r), each with its Mobius factor (see
     ``_coarsenings_with_mobius``).  They depend only on r, so every index

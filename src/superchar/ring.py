@@ -15,6 +15,7 @@ q = p.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
@@ -232,11 +233,13 @@ def degree(lam, index=None):
     if index is None:
         index = PartitionIndex.full(lam.n)
     check_on((lam,), index)
-    return LaurentPoly.q_power(sum(l - i - 1 for part in index.parts
-                                   for i, l, _ in _local(lam.arcs, _numbering(part))))
+    fwds = _layout(index, PartitionIndex.full(lam.n)).fwds
+    return LaurentPoly.q_power(sum(l - i - 1 for fwd in fwds for i, l, _ in _local(lam.arcs, fwd)))
 
 
-@functools.lru_cache(maxsize=None)
+# bounded: the restriction suite at q = 2 to U_6 reads 41209 pairs, and at
+# q = 3 to U_5 about 66000 more
+@functools.lru_cache(maxsize=1 << 17)
 def _char_value_std(arcs_lam, arcs_mu, p):
     """chi^lam(u_mu) on {1..n}, arcs as sorted (i, l, a) tuples, as a
     monomial: None when the value is 0, else (e, k) for p^e zeta^k, with e
@@ -264,7 +267,7 @@ def _char_value_std(arcs_lam, arcs_mu, p):
     return e, k % p
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 10)
 def _mono_coords(mono, p):
     """Cyclotomic's coordinates of the monomial (e, k), p^e zeta^k, or of 0
     for None: slot i minus slot p-1 of the full vector with p^e in slot k."""
@@ -274,12 +277,11 @@ def _mono_coords(mono, p):
     return reduce_full(vec)
 
 
-def _char_value(lam, mu, index, p):
+def _char_value(lam, mu, fwds, p):
     """char_value's core: the monomial (or None) of chi^lam(u_mu) inside
-    U_K, the per-part monomials multiplied."""
+    U_K, the monomials of K's parts (numbered by ``_layout``'s ``fwds``) multiplied."""
     e = k = 0
-    for part in index.parts:
-        fwd = _numbering(part)
+    for fwd in fwds:
         mono = _char_value_std(_local(lam.arcs, fwd), _local(mu.arcs, fwd), p)
         if mono is None:
             return None
@@ -299,14 +301,16 @@ def char_value(lam, mu, p, index=None):
     if index is None:
         index = PartitionIndex.full(lam.n)
     check_on((lam, mu), index, p)
-    return Cyclotomic._make(p, _mono_coords(_char_value(lam, mu, index, p), p))
+    fwds = _layout(index, PartitionIndex.full(index.n)).fwds
+    return Cyclotomic._make(p, _mono_coords(_char_value(lam, mu, fwds, p), p))
 
 
 def _value_rows(terms, labels, K, p):
     """Each partition of ``terms`` -> its monomials inside U_K
     (``_char_value``) at ``labels``, in order: a table read once per
     pair."""
-    return {lam: [_char_value(lam, mu, K, p) for mu in labels] for lam in terms}
+    fwds = _layout(K, PartitionIndex.full(K.n)).fwds
+    return {lam: [_char_value(lam, mu, fwds, p) for mu in labels] for lam in terms}
 
 
 def _combo_coords(x, labels, p, rows=None):
@@ -327,8 +331,10 @@ def _combo_coords(x, labels, p, rows=None):
 
 def combo_value(x, mu, p):
     """Pointwise value of a combination at the superclass of u_mu, which
-    must be a superclass of the ambient U_K (ValueError otherwise)."""
-    check_on((mu, *x.terms), x.ambient, p)
+    must be a superclass of the ambient U_K (ValueError otherwise).  The
+    terms lie on U_K already; only their labels are checked against p."""
+    check_on((mu,), x.ambient, p)
+    check_labels(x.terms, p)
     return Cyclotomic._make(p, _combo_coords(x, [mu], p)[0])
 
 
@@ -348,42 +354,64 @@ def _combo(K, acc):
     return CharCombo._make(K, {LabeledSetPartition._valid(K.n, a): c for a, c in acc.items()})
 
 
-def _numbering(part):
-    """The increasing numbering of a sorted part by 1..m."""
-    return {v: t for t, v in enumerate(part, 1)}
-
-
 def _local(arcs, fwd):
     """The arcs with both ends in a part, renumbered by the part's
     numbering ``fwd`` (vertex -> 1..m)."""
     return tuple((fwd[i], fwd[l], a) for i, l, a in arcs if i in fwd and l in fwd)
 
 
-def _superimpose(K, factors, coeff, acc):
-    """Add coeff times a product over the parts of K into ``acc``.
+def _ranks(part, n):
+    """Every vertex's rank against the sorted part P, indexed by v in
+    0..n+1: 2k-1 on P's k-th vertex, 2k in the gap after it."""
+    rank = []
+    for k, v in enumerate(part):
+        rank += [2 * k] * (v - len(rank)) + [2 * k + 1]
+    return tuple(rank + [2 * len(part)] * (n + 2 - len(rank)))
+
+
+_Layout = collections.namedtuple("_Layout", "L where walk fwds lifts K_where")
+
+
+# bounded above the working set, which an LRU must hold or miss on every call:
+# a ``branching`` round reads about 95 (K, L); an entry at n = 9 is <= 4.2 KB
+@functools.lru_cache(maxsize=1 << 9)
+def _layout(K, L):
+    """The structure of U_K inside U_L that every rule reads, keyed by the
+    indices alone (callers pass the full group for L = None): L, its part
+    lookup, and K's; for each part P of K, P's ``_ranks`` and part of L
+    (``walk``), its numbering vertex -> 1..m (``fwds``) and the inverse
+    ``(0,) + P`` (``lifts``).  A K not refining L is refused (ValueError)."""
+    if not K.refines(L):
+        raise ValueError("the subgroup must refine the target of superinduction, "
+                         "the source of restriction")
+    where = L.part_lookup()
+    return _Layout(L, where, tuple((_ranks(P, K.n), where[P[0]]) for P in K.parts),
+                   tuple({v: t for t, v in enumerate(P, 1)} for P in K.parts),
+                   tuple((0,) + P for P in K.parts), K.part_lookup())
+
+
+def _superimpose(lifts, factors, coeff):
+    """coeff times a product over the parts of K, as a dict from sorted arc
+    tuples to coefficients.
 
     U_K is the direct product of its parts' groups, so every branching rule
     computes one factor per part and superimposes the factors.  ``factors``
     gives each part's factor, in ``K.parts`` order, as (arcs, LaurentPoly)
-    pairs with the arcs in the part's numbering 1..m.  The arcs are carried
-    back onto the part, and each choice of one term per part adds its
-    superimposed arcs, sorted, to ``acc`` (arc tuple -> LaurentPoly).  A
-    running coefficient that is the shared ``one`` is skipped, not multiplied.
+    pairs with the arcs in the part's numbering 1..m, which ``lifts``
+    (``_layout``) carry back onto the part.  Each choice of one term per
+    part gives its own arcs, as the parts are disjoint.  A running
+    coefficient that is the shared ``one`` is skipped, not multiplied.
     """
     one = LaurentPoly.one()
     partial = [((), coeff)]
-    for part, factor in zip(K.parts, factors):
-        terms = [
-            (tuple((part[i - 1], part[l - 1], a) for i, l, a in arcs), c)
-            for arcs, c in factor
-        ]
+    for lift, factor in zip(lifts, factors):
+        terms = [(tuple([(lift[i], lift[l], a) for i, l, a in arcs]), c) for arcs, c in factor]
         partial = [(base + arcs, c if bc is one else bc * c)
                    for base, bc in partial for arcs, c in terms]
-    for arcs, c in partial:
-        _add(acc, tuple(sorted(arcs)), c)
+    return {tuple(sorted(arcs)): c for arcs, c in partial}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1 << 10)
 def _bracket(i, l, left, right, p):
     """The subset restriction rule's bracket of an arc i-l for a vertex set
     that keeps i (``left``), keeps l (``right``) or keeps neither, with its
@@ -391,7 +419,8 @@ def _bracket(i, l, left, right, p):
     LaurentPoly) pairs.  Keeping l, it is the empty diagram plus every j-l;
     keeping i, the empty diagram plus every i-k; keeping neither,
     (q-1)(l-i-1)+1 times the empty diagram plus q-1 times every j-k with
-    i < j < k < l.  A table: the key is bounded by n and p."""
+    i < j < k < l.  A table: the key is bounded by n and p, and the CI's
+    requests read fewer than 100 entries."""
     units = range(1, p)
     between = range(i + 1, l)
     one = LaurentPoly.one()
@@ -479,27 +508,20 @@ def tensor(x, y, p):
     x._same_ambient(y)
     check_labels(itertools.chain(x.terms, y.terms), p)
     K = x.ambient
+    layout = _layout(K, PartitionIndex.full(K.n))
     acc = {}
     for lam1, c1 in x.terms.items():
         for lam2, c2 in y.terms.items():
             arcs = lam1.arcs + lam2.arcs
-            factors = [_straighten(_local(arcs, _numbering(part)), p).items() for part in K.parts]
-            _superimpose(K, factors, c1 * c2, acc)
+            factors = [_straighten(_local(arcs, fwd), p).items() for fwd in layout.fwds]
+            for key, c in _superimpose(layout.lifts, factors, c1 * c2).items():
+                _add(acc, key, c)
     return _combo(K, acc)
 
 
 # ---------------------------------------------------------------------------
 # Restriction to parabolic subgroups
 # ---------------------------------------------------------------------------
-
-def _ranks(part, n):
-    """Every vertex's rank against the sorted part P, indexed by v in
-    0..n+1: 2k-1 on P's k-th vertex, 2k in the gap after it."""
-    rank = []
-    for k, v in enumerate(part):
-        rank += [2 * k] * (v - len(rank)) + [2 * k + 1]
-    return rank + [2 * len(part)] * (n + 2 - len(rank))
-
 
 def _trace(arcs, rank, block, where):
     """All that part P of K sees of the character of U_L with ``arcs``
@@ -573,54 +595,45 @@ def _factor(trace, p):
     return dict(_step_bracket(trace[0], p)) if trace else {(): LaurentPoly.one()}
 
 
-def _walk_parts(K, L):
-    """L (default: the full group, which K refines), once a given L is
-    checked, its part lookup, and each part of K's ``_ranks`` and part of
-    L, for ``_trace``."""
-    if L is None:
-        L = PartitionIndex.full(K.n)
-    elif not K.refines(L):
-        raise ValueError("the subgroup must refine the target of superinduction, "
-                         "the source of restriction")
-    where = L.part_lookup()
-    return L, where, [(_ranks(part, K.n), where[part[0]]) for part in K.parts]
-
-
-def _step_tables(L, p, where, walk):
+# bounded as ``_layout`` is: a ``branching`` round walks about 50 (K, L, p);
+# an entry at n = 9, p = 5 is <= 86 KB
+@functools.lru_cache(maxsize=1 << 7)
+def _steps(K, L, p):
     """For each part of K, every arc (i, l, a) inside a part of L -> its
-    ``_trace`` there: ``enumerate_compatible``'s step tables for carrying
-    each label's traces (``where`` and ``walk`` from ``_walk_parts``)."""
+    ``_trace`` there: ``enumerate_compatible``'s step tables, keyed by the
+    indices (as ``_layout``) and p, which its callers only read."""
+    layout = _layout(K, L)
     arcs = [(i, l, a) for part in L.parts for i, l in itertools.combinations(part, 2)
             for a in range(1, p)]
-    return [{arc: _trace((arc,), rank, block, where) for arc in arcs} for rank, block in walk]
+    return tuple({arc: _trace((arc,), rank, block, layout.where) for arc in arcs}
+                 for rank, block in layout.walk)
 
 
-def _row(K, traces, p):
+def _row(lifts, traces, p):
     """The restriction from U_L to a refinement U_K of the character whose
     parts' ``_trace``s are ``traces`` (in ``K.parts`` order), as a dict from
     sorted arc tuples to coefficients: the parts' factors, superimposed."""
-    acc = {}
-    _superimpose(K, [_factor(trace, p).items() for trace in traces], LaurentPoly.one(), acc)
-    return acc
+    return _superimpose(lifts, [_factor(trace, p).items() for trace in traces], LaurentPoly.one())
 
 
 def restrict(lam, K, p):
     """Restriction of chi^lam from U_n to the parabolic U_K."""
-    L, where, walk = _walk_parts(K, None)
-    check_on((lam,), L, p)
-    return _combo(K, _row(K, [_trace(lam.arcs, rank, block, where) for rank, block in walk], p))
+    layout = _layout(K, PartitionIndex.full(K.n))
+    check_on((lam,), layout.L, p)
+    traces = [_trace(lam.arcs, rank, block, layout.where) for rank, block in layout.walk]
+    return _combo(K, _row(layout.lifts, traces, p))
 
 
 def restrict_combo(x, K, p):
     """Restrict a combination on U_L to a finer parabolic U_K (every part of
     K inside a part of L): each term's row (``_row``) of its parts'
     ``_trace``s, scaled and summed."""
-    _, where, walk = _walk_parts(K, x.ambient)
+    layout = _layout(K, x.ambient)
     check_labels(x.terms, p)
     acc = {}
     for lam, c in x.terms.items():
-        traces = [_trace(lam.arcs, rank, block, where) for rank, block in walk]
-        for mu, b in _row(K, traces, p).items():
+        traces = [_trace(lam.arcs, rank, block, layout.where) for rank, block in layout.walk]
+        for mu, b in _row(layout.lifts, traces, p).items():
             _add(acc, mu, c * b)
     return _combo(K, acc)
 
@@ -629,12 +642,12 @@ def restriction_table(K, p, L=None):
     """The matrix of branching coefficients by rows: each supercharacter nu
     of U_L (default: the full group) -> ``restrict_combo(CharCombo.of(nu,
     L), K, p)``, from one walk over the labels nu that carries each nu's
-    traces (``_step_tables``) to ``_row``."""
+    traces (``_steps``) to ``_row``."""
     check_prime(p)
-    L, where, walk = _walk_parts(K, L)
-    valid = LabeledSetPartition._valid
-    return {valid(L.n, arcs): _combo(K, _row(K, traces, p))
-            for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk))}
+    L = PartitionIndex.full(K.n) if L is None else L
+    lifts, valid = _layout(K, L).lifts, LabeledSetPartition._valid
+    return {valid(L.n, arcs): _combo(K, _row(lifts, traces, p))
+            for arcs, traces in enumerate_compatible(L, p, _steps(K, L, p))}
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +667,12 @@ def inner_product(x, y):
     """<x, y> over the common ambient: supercharacters are orthogonal with
     squared norm q^(number of same-part crossings)."""
     x._same_ambient(y)
+    where = _layout(x.ambient, PartitionIndex.full(x.ambient.n)).K_where
     total = LaurentPoly.zero()
     for lam, cx in x.terms.items():
         cy = y.terms.get(lam)
         if cy is not None:
-            total = total + (cx * cy).shift(lam.crossings_within(x.ambient))
+            total = total + (cx * cy).shift(_crossings(lam.arcs, where))
     return total
 
 
@@ -674,16 +688,17 @@ def superinduce(mu, K, p, L=None):
     factor is a function of nu's ``_trace`` on P alone, read from the
     factor table (``_factor``) that every call and rule shares, and each
     part keeps the entry read at each trace.  The label walk carries the
-    traces (``_step_tables``): a label costs a read per part until one is
-    0, and only a kept label is built."""
-    check_on((mu,), K, p)
-    L, where, walk = _walk_parts(K, L)
-    c_mu = mu.crossings_within(K)
+    traces (``_steps``): a label costs a read per part until one is 0, and
+    only a kept label is built."""
+    crossings = check_on((mu,), K, p)
+    L = PartitionIndex.full(K.n) if L is None else L
+    layout = _layout(K, L)
     if K.grouping() == L.grouping():
         return CharCombo.of(mu, L)
-    reads = [(_local(mu.arcs, _numbering(part)), {}) for part in K.parts]
+    c_mu = crossings[0]  # K is finer than L, so check_on counted them
+    reads = [(_local(mu.arcs, fwd), {}) for fwd in layout.fwds]
     terms = {}
-    for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):
+    for arcs, traces in enumerate_compatible(L, p, _steps(K, L, p)):
         b = None
         for (loc, read), trace in zip(reads, traces):
             if trace not in read:
@@ -693,7 +708,8 @@ def superinduce(mu, K, p, L=None):
                 break
             b = c if b is None else b * c
         else:
-            terms[LabeledSetPartition._valid(L.n, arcs)] = b.shift(c_mu - _crossings(arcs, where))
+            nu = LabeledSetPartition._valid(L.n, arcs)
+            terms[nu] = b.shift(c_mu - _crossings(arcs, layout.where))
     return CharCombo._make(L, terms)
 
 
@@ -704,11 +720,13 @@ def superinduction_table(K, p, L=None):
     q^(cr_K mu - cr_L nu) c chi^nu to mu's column; one mu alone is cheaper
     through ``superinduce``."""
     check_prime(p)
-    L, where, walk = _walk_parts(K, L)
-    cols = {mu.arcs: (mu, mu.crossings_within(K), {}) for mu in enumerate_compatible(K, p)}
-    for arcs, traces in enumerate_compatible(L, p, _step_tables(L, p, where, walk)):
-        nu, c_nu = LabeledSetPartition._valid(L.n, arcs), _crossings(arcs, where)
-        for key, c in _row(K, traces, p).items():
+    L = PartitionIndex.full(K.n) if L is None else L
+    layout = _layout(K, L)
+    cols = {mu.arcs: (mu, _crossings(mu.arcs, layout.K_where), {})
+            for mu in enumerate_compatible(K, p)}
+    for arcs, traces in enumerate_compatible(L, p, _steps(K, L, p)):
+        nu, c_nu = LabeledSetPartition._valid(L.n, arcs), _crossings(arcs, layout.where)
+        for key, c in _row(layout.lifts, traces, p).items():
             mu, c_mu, col = cols[key]
             col[nu] = c.shift(c_mu - c_nu)
     return {mu: CharCombo._make(L, col) for mu, _, col in cols.values()}

@@ -24,6 +24,7 @@ and product operations, so it is preserved as given.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -89,15 +90,17 @@ def check_on(lams, index, p=None):
     """Refuse, with ValueError, a partition in ``lams`` that does not label
     U_K(p), K the PartitionIndex ``index``: one off K's n, one refused by
     ``check_labels`` when p is given, or one with an arc across two parts
-    of K (``crossings_within``, run only when K has more than one part)."""
+    of K (``crossings_within``, run only when K has more than one part).
+    Returns the crossings that test counts, one per partition inside the
+    parts of K, or None for a K of one part, which needs no test."""
     for lam in lams:
         if lam.n != index.n:
             raise ValueError("partition has n=%d, the index n=%d" % (lam.n, index.n))
     if p is not None:
         check_labels(lams, p)
     if len(index.parts) > 1:
-        for lam in lams:
-            lam.crossings_within(index)
+        return [lam.crossings_within(index) for lam in lams]
+    return None
 
 
 class LabeledSetPartition:
@@ -277,9 +280,12 @@ class PartitionIndex:
         raise AttributeError("PartitionIndex is immutable")
 
     @classmethod
+    @functools.lru_cache(maxsize=1 << 6, typed=True)
     def full(cls, n):
         """The one-part index of U_n; at n = 0, the empty index.  Only ``n``
-        is checked (an int, at least 0): the part is valid by construction."""
+        is checked (an int, at least 0): the part is valid by construction.
+        One shared index per n, so a table keyed by it finds it by identity
+        (``ring._layout``); no refusal is kept."""
         part = tuple(range(1, n + 1))
         if n < 0:
             raise ValueError("n must be nonnegative, not %d" % n)

@@ -63,11 +63,13 @@ def _trace(C, rank):
     return tuple(sorted(b for b in blocks if b))
 
 
-def _shuffle_traces(K, partitions):
-    """Each of ``partitions``, the set partitions C of {1..K.n} as
-    canonical parts, with its standardized traces on the two blocks of K."""
-    ranks = [{v: i for i, v in enumerate(block, 1)} for block in K.parts]
-    return [(C, _trace(C, ranks[0]), _trace(C, ranks[1])) for C in partitions]
+def _shuffle_traces(blocks, partitions):
+    """Each of ``partitions``, the set partitions C of {1..m+n} as canonical
+    parts, with its standardized traces on the two ``blocks`` of a shuffle
+    index (``shuffle_blocks``: ``()`` for an empty factor, whose trace is
+    ``()``)."""
+    first, second = ({v: i for i, v in enumerate(block, 1)} for block in blocks)
+    return [(C, _trace(C, first), _trace(C, second)) for C in partitions]
 
 
 def _class_product(x, y, traces):
@@ -75,7 +77,8 @@ def _class_product(x, y, traces):
     coefficient at C is x's at C's first trace times y's at its second.
 
     ``x`` and ``y`` map canonical parts to the factors' nonzero m-basis
-    coefficients, and ``traces`` is :func:`_shuffle_traces` of the index.
+    coefficients, and ``traces`` is :func:`_shuffle_traces` of the index's
+    blocks.
     Every C is read, so the route is independent of the partial matchings
     that :func:`superchar.ncsym.star_K_product` enumerates.
     """
@@ -217,7 +220,7 @@ def _suite_words(q, max_n, budget, samples, seed):
             for block1 in itertools.combinations(range(1, total + 1), m):
                 block2 = tuple(v for v in range(1, total + 1) if v not in block1)
                 K = PartitionIndex(total, [block1, block2])
-                traces = _shuffle_traces(K, partitions[total])
+                traces = _shuffle_traces((block1, block2), partitions[total])
                 for x, mu, xm in singles[m]:
                     for y, nu, ym in singles[n]:
                         product = nc.star_K_product(x, y, K)

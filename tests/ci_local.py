@@ -6,16 +6,21 @@ block.  Every step with a ``run:`` is run with bash from the repository
 root, as the workflow runs it, except the steps that ``pip install``, which
 are skipped with a note so that nothing is installed into this Python.
 Each step's exit code and wall time are printed, and the exit status is 1
-if any step failed.
+if any step failed.  With ``--max-seconds S`` a step still running after S
+seconds is stopped, with every process it started, and reported as over
+the limit; that is not counted as a failure.
 
     python tests/ci_local.py                     # every step
     python tests/ci_local.py --match 'U_6\\(2\\)'  # the steps whose name matches
+    python tests/ci_local.py --max-seconds 5     # stop each step after 5 s
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -66,10 +71,32 @@ def parse_steps(text):
     return [(s.get("name"), s["run"]) for s in steps if "run" in s]
 
 
+def run_step(command, max_seconds=None):
+    """Run one step's command with bash from the repository root, in a
+    session of its own: its exit code, or None if it ran past
+    ``max_seconds``.  Whatever of the session is still running when the
+    step ends, is stopped or is interrupted is killed."""
+    proc = subprocess.Popen(
+        ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", command],
+        cwd=ROOT, start_new_session=True,
+    )
+    try:
+        return proc.wait(timeout=max_seconds)
+    except subprocess.TimeoutExpired:
+        return None
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--match", metavar="REGEX",
                         help="run only the steps whose name this regular expression finds")
+    parser.add_argument("--max-seconds", type=float, metavar="S",
+                        help="stop a step still running after S seconds; it is reported "
+                             "as over the limit, not as a failure")
     args = parser.parse_args(argv)
     results = []
     for name, command in parse_steps(WORKFLOW.read_text()):
@@ -81,15 +108,16 @@ def main(argv=None):
             continue
         print("--- %s" % label, flush=True)
         start = time.perf_counter()
-        code = subprocess.run(
-            ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", command], cwd=ROOT
-        ).returncode
-        results.append((code, time.perf_counter() - start, label))
-        print("--- exit %d in %.1f s" % results[-1][:2], flush=True)
+        code = run_step(command, args.max_seconds)
+        results.append(("over" if code is None else code, time.perf_counter() - start, label))
+        if code is None:
+            print("--- over the limit of %g s: stopped" % args.max_seconds, flush=True)
+        else:
+            print("--- exit %d in %.1f s" % (code, results[-1][1]), flush=True)
     print("\nexit  wall_s  step")
     for code, wall, label in results:
-        print("%4d  %6.1f  %s" % (code, wall, label))
-    return 1 if any(code for code, _, _ in results) else 0
+        print("%4s  %6.1f  %s" % (code, wall, label))
+    return 1 if any(code not in (0, "over") for code, _, _ in results) else 0
 
 
 if __name__ == "__main__":

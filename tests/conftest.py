@@ -7,9 +7,13 @@ from superchar import ring
 
 @pytest.fixture
 def fresh_factor_table():
-    """An empty restriction factor table (``ring._factor``) for the test,
-    emptied again after it: the test builds every factor it reads under its
-    own patches, and leaves none of them to later tests."""
-    ring._factor.cache_clear()
+    """Empty restriction factor and index tables (``ring._factor``,
+    ``ring._layout``, ``ring._steps``) for the test, emptied again after
+    it: the test builds every entry it reads under its own patches, and
+    leaves none of them to later tests."""
+    tables = (ring._factor, ring._layout, ring._steps)
+    for table in tables:
+        table.cache_clear()
     yield
-    ring._factor.cache_clear()
+    for table in tables:
+        table.cache_clear()

@@ -486,11 +486,11 @@ def star_K_product_classes(x, y, K):
     """The shuffle product by the class route of ``superchar.verify``, as an
     m-basis element."""
     m, n = x.degree, y.degree
-    shuffle_blocks(K, m, n)
+    blocks = shuffle_blocks(K, m, n)
     x, y = (e if e.basis == "m" else m_from_p(e) for e in (x, y))
     coeffs = _class_product(
         {P.parts: c for P, c in x.coeffs.items()},
         {P.parts: c for P, c in y.coeffs.items()},
-        _shuffle_traces(K, set_partitions(range(1, m + n + 1))),
+        _shuffle_traces(blocks, set_partitions(range(1, m + n + 1))),
     )
     return NCSymElem("m", m + n, {PartitionIndex(m + n, C): c for C, c in coeffs.items()})

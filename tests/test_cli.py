@@ -363,9 +363,9 @@ class TestVerify:
         assert json.loads(out)["ok"] is False
 
     def test_words_suite_catches_a_wrong_class_route(self, capsys, monkeypatch):
-        def first_ranks_twice(K, partitions):
-            # standardizes K's second block with the first block's ranks
-            rank = {v: i for i, v in enumerate(K.parts[0], 1)}
+        def first_ranks_twice(blocks, partitions):
+            # standardizes the second block with the first block's ranks
+            rank = {v: i for i, v in enumerate(blocks[0], 1)}
             return [(C, verify._trace(C, rank), verify._trace(C, rank))
                     for C in partitions]
 

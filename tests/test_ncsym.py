@@ -198,6 +198,15 @@ class TestShuffleProducts:
             assert star_K_product(y, unit, K) == concat_product(y, unit) == want
             assert _star_K_product_words(unit, y, K) == _star_K_product_words(y, unit, K) == want
 
+    def test_the_class_route_takes_an_empty_factor(self):
+        # the empty factor's block is (), on either side, in both bases
+        empty, K = PartitionIndex.full(0), PartitionIndex.full(2)
+        for basis in "pm":
+            unit = NCSymElem.single(basis, empty, 3)
+            y = NCSymElem.single(basis, pidx(2, [[1], [2]]), 2)
+            assert star_K_product_classes(unit, y, K) == star_K_product(unit, y, K)
+            assert star_K_product_classes(y, unit, K) == star_K_product(y, unit, K)
+
     def test_index_validation(self, capsys):
         x = m_single(1, [[1]])
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """The supercharacter calculus over a pattern group: values, branching, products."""
 
 import gc
+import importlib
 import itertools
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -27,6 +29,7 @@ from superchar.ring import (
     superinduction_table,
     tensor,
 )
+import superchar
 from superchar import ring
 from superchar.setpart import (
     LabeledSetPartition,
@@ -407,6 +410,26 @@ class TestStraddlingArcs:
                 call()
 
 
+class TestCountedOnce:
+    """``superinduce`` reads mu's crossings off its one check, and
+    ``combo_value`` checks only the labels of terms already on the
+    ambient: both still refuse what they refused."""
+
+    def test_mu_across_two_parts_is_refused(self):
+        K = PartitionIndex(4, [[1, 2], [3, 4]])
+        for L in (None, PartitionIndex.full(4)):
+            with pytest.raises(ValueError, match=r"arc 2-3 straddles the parts of \{1,2\|3,4\}"):
+                superinduce(lsp(4, [(2, 3, 1)]), K, 2, L)
+
+    def test_a_term_label_p_or_larger_is_refused(self):
+        # a combination built at p = 5 and read at p = 3, on two parts
+        K = PartitionIndex(4, [[1, 2], [3, 4]])
+        x = CharCombo(K, [(lsp(4, [(1, 2, 4), (3, 4, 1)]), 1)])
+        assert combo_value(x, lsp(4, []), 5) == Cyclotomic.one(5)
+        with pytest.raises(ValueError, match="arc 1-2:4 has a label outside 1..2"):
+            combo_value(x, lsp(4, []), 3)
+
+
 class TestRestrict:
     def test_pointwise_against_direct_evaluation(self):
         # small sweep; the full one is in the acceptance suite
@@ -630,10 +653,10 @@ class TestRestrictionFactor:
         for n in range(1, 6):
             labels = list(enumerate_compatible(PartitionIndex.full(n), 2))
             for K in refinements(PartitionIndex.full(n)):
-                _, where, walk = ring._walk_parts(K, None)
+                layout = ring._layout(K, PartitionIndex.full(n))
                 for nu in labels:
-                    for rank, block in walk:
-                        trace = ring._trace(nu.arcs, rank, block, where)
+                    for rank, block in layout.walk:
+                        trace = ring._trace(nu.arcs, rank, block, layout.where)
                         held[trace] = ring._factor(trace, 2)
         copies = {trace: snapshot(factor) for trace, factor in held.items()}
         for n in range(1, 6):
@@ -651,6 +674,88 @@ class TestRestrictionFactor:
         assert len(held) > 100
         assert all(ring._factor(trace, 2) is factor for trace, factor in held.items())
         assert {trace: snapshot(factor) for trace, factor in held.items()} == copies
+
+
+def rule_results(cases, copy=lambda K: K, full_l=False):
+    """The rendered results of every rule that reads the index tables, on
+    each (K, p, labels) of ``cases``, K passed through ``copy`` and the
+    walkers given L = None, or the full group if ``full_l``."""
+    out = []
+    for K, p, nus in cases:
+        K, full = copy(K), PartitionIndex.full(K.n)
+        target = full if full_l else None
+        x = CharCombo(full, [(nu, t + 1) for t, nu in enumerate(nus)])
+        y = restrict_combo(x, K, p)
+        mus = list(enumerate_compatible(K, p))[-3:]
+        out.append([restrict(nu, K, p).to_text() for nu in nus])
+        out.append([y.to_text(), tensor(y, y, p).to_text()])
+        out.append([(k.to_text(), v.to_text()) for k, v in restriction_table(K, p, target).items()])
+        out.append([superinduce(mu, K, p, target).to_text() for mu in mus])
+        out.append([(k.to_text(), v.to_text())
+                    for k, v in superinduction_table(K, p, target).items()])
+    return out
+
+
+class TestIndexTables:
+    """The rules read each index's structure from two tables keyed by the
+    indices alone (``ring._layout``, ``ring._steps``): a result is the same
+    whether they hold its entries or not."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(39)
+        cases = []
+        for n, p in ((4, 2), (5, 2), (4, 3)):
+            labels = list(enumerate_compatible(PartitionIndex.full(n), p))
+            indices = [PartitionIndex(n, parts) for parts in set_partitions(range(1, n + 1))]
+            cases += [(K, p, rng.sample(labels, 3)) for K in rng.sample(indices, 5)]
+        return cases
+
+    def test_cold_and_warm_tables_give_the_same_results(self, fresh_factor_table):
+        cases = self.cases()
+        cold = rule_results(cases)
+        assert ring._layout.cache_info().misses and ring._steps.cache_info().misses
+        hits = ring._layout.cache_info().hits, ring._steps.cache_info().hits
+        assert rule_results(cases) == cold
+        assert (ring._layout.cache_info().hits, ring._steps.cache_info().hits) > hits
+
+    def test_equal_indices_and_the_default_l_share_their_results(self, fresh_factor_table):
+        cases = self.cases()
+        want = rule_results(cases)
+        assert rule_results(cases, copy=lambda K: PartitionIndex(K.n, K.parts)) == want
+        assert rule_results(cases, full_l=True) == want
+        ring._layout.cache_clear()
+        ring._steps.cache_clear()
+        assert rule_results(cases, full_l=True) == want
+
+    def test_a_k_that_does_not_refine_l_is_refused_after_k_is_cached(self, fresh_factor_table):
+        K, L = PartitionIndex(4, [[1, 3], [2, 4]]), PartitionIndex(4, [[1, 2], [3, 4]])
+        mu = lsp(4, [(1, 3, 1)])
+        restrict(lsp(4, [(1, 4, 1)]), K, 2)
+        superinduce(mu, K, 2)
+        calls = [
+            lambda: restrict_combo(CharCombo.of(lsp(4, []), L), K, 2),
+            lambda: restriction_table(K, 2, L),
+            lambda: superinduce(mu, K, 2, L),
+            lambda: superinduction_table(K, 2, L),
+        ]
+        for call in calls * 2:
+            with pytest.raises(ValueError, match="the subgroup must refine the target"):
+                call()
+
+
+def test_every_process_table_is_bounded():
+    # a table kept for the life of the process holds at most maxsize entries
+    tables = {}
+    for info in pkgutil.iter_modules(superchar.__path__):
+        module = importlib.import_module("superchar." + info.name)
+        for obj in vars(module).values():
+            for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                fn = getattr(fn, "__func__", fn)
+                if hasattr(fn, "cache_parameters"):
+                    tables[fn.__qualname__] = fn.cache_parameters()["maxsize"]
+    assert len(tables) >= 8, sorted(tables)
+    assert [name for name, bound in tables.items() if bound is None] == []
 
 
 class TestSuperinduce:

@@ -349,16 +349,15 @@ class TestEnumerationAndCounting:
         # of position inside L
         for X in covered_indices():
             split = [part[side::2] for part in X.parts for side in (0, 1) if part[side::2]]
-            for K, L in ((X, None), (PartitionIndex(X.n, split), X)):
-                L, where, walk = ring._walk_parts(K, L)
+            for K, L in ((X, PartitionIndex.full(X.n)), (PartitionIndex(X.n, split), X)):
+                layout = ring._layout(K, L)
                 for p in (2, 3):
-                    tables = ring._step_tables(L, p, where, walk)
-                    items = list(enumerate_compatible(L, p, tables))
+                    items = list(enumerate_compatible(L, p, ring._steps(K, L, p)))
                     assert [arcs for arcs, _ in items] == [
                         label.arcs for label in enumerate_compatible(L, p)]
                     for arcs, traces in items:
-                        assert traces == tuple(ring._trace(arcs, rank, block, where)
-                                               for rank, block in walk)
+                        assert traces == tuple(ring._trace(arcs, rank, block, layout.where)
+                                               for rank, block in layout.walk)
 
 
 def covered_indices():
