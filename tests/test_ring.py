@@ -715,9 +715,10 @@ class TestIndexTables:
         cases = self.cases()
         cold = rule_results(cases)
         assert ring._layout.cache_info().misses and ring._steps.cache_info().misses
-        hits = ring._layout.cache_info().hits, ring._steps.cache_info().hits
+        tables = (ring._layout, ring._steps)
+        hits = [table.cache_info().hits for table in tables]
         assert rule_results(cases) == cold
-        assert (ring._layout.cache_info().hits, ring._steps.cache_info().hits) > hits
+        assert all(table.cache_info().hits > h for table, h in zip(tables, hits))
 
     def test_equal_indices_and_the_default_l_share_their_results(self, fresh_factor_table):
         cases = self.cases()
