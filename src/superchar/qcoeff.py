@@ -195,7 +195,11 @@ class LaurentPoly:
     def shift(self, k):
         """Multiply by q^k (k may be negative; always exact for Laurent)."""
         check_ints((k,), "a Laurent exponent or coefficient")
-        return LaurentPoly._make({e + k: c for e, c in self.coeffs.items()})
+        return self._shift(k)
+
+    def _shift(self, k):
+        """``shift`` of an int k, unchecked: the polynomial itself at k = 0."""
+        return LaurentPoly._make({e + k: c for e, c in self.coeffs.items()}) if k else self
 
     # -- queries ------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from .setpart import (
     check_on,
     enumerate_compatible,
     union_K,
+    walk_choices,
 )
 
 __all__ = [
@@ -596,17 +597,18 @@ def _factor(trace, p):
 
 
 # bounded as ``_layout`` is: a ``branching`` round walks about 50 (K, L, p);
-# an entry at n = 9, p = 5 is <= 86 KB
+# an entry at n = 9, p = 5 is <= 60 KB (tracemalloc; 71 KB of objects)
 @functools.lru_cache(maxsize=1 << 7)
 def _steps(K, L, p):
-    """For each part of K, every arc (i, l, a) inside a part of L -> its
-    ``_trace`` there: ``enumerate_compatible``'s step tables, keyed by the
-    indices (as ``_layout``) and p, which its callers only read."""
+    """The choices of the walk over U_L(p) that carries each label's
+    ``_trace``s on the parts of K: ``walk_choices`` of each part's table
+    from every arc inside a part of L to its trace there.  Keyed by the
+    indices (as ``_layout``) and p; its callers only read it."""
     layout = _layout(K, L)
     arcs = [(i, l, a) for part in L.parts for i, l in itertools.combinations(part, 2)
             for a in range(1, p)]
-    return tuple({arc: _trace((arc,), rank, block, layout.where) for arc in arcs}
-                 for rank, block in layout.walk)
+    return walk_choices(L, p, [{arc: _trace((arc,), rank, block, layout.where) for arc in arcs}
+                               for rank, block in layout.walk])
 
 
 def _row(lifts, traces, p):
@@ -688,8 +690,10 @@ def superinduce(mu, K, p, L=None):
     factor is a function of nu's ``_trace`` on P alone, read from the
     factor table (``_factor``) that every call and rule shares, and each
     part keeps the entry read at each trace.  The label walk carries the
-    traces (``_steps``): a label costs a read per part until one is 0, and
-    only a kept label is built."""
+    traces, from choices built once per (K, L, p) (``_steps``): a label
+    costs a read per part until one is 0, a read that is the shared one is
+    not multiplied in, and only a kept label is built and shifted by its
+    crossings (``_shift``, no work at 0)."""
     crossings = check_on((mu,), K, p)
     L = PartitionIndex.full(K.n) if L is None else L
     layout = _layout(K, L)
@@ -697,19 +701,20 @@ def superinduce(mu, K, p, L=None):
         return CharCombo.of(mu, L)
     c_mu = crossings[0]  # K is finer than L, so check_on counted them
     reads = [(_local(mu.arcs, fwd), {}) for fwd in layout.fwds]
-    terms = {}
+    one, terms = LaurentPoly.one(), {}
     for arcs, traces in enumerate_compatible(L, p, _steps(K, L, p)):
-        b = None
+        b = one
         for (loc, read), trace in zip(reads, traces):
             if trace not in read:
                 read[trace] = _factor(trace, p).get(loc)
             c = read[trace]
             if c is None:
                 break
-            b = c if b is None else b * c
+            if c is not one:
+                b = c if b is one else b * c
         else:
             nu = LabeledSetPartition._valid(L.n, arcs)
-            terms[nu] = b.shift(c_mu - _crossings(arcs, layout.where))
+            terms[nu] = b._shift(c_mu - _crossings(arcs, layout.where))
     return CharCombo._make(L, terms)
 
 
@@ -728,7 +733,7 @@ def superinduction_table(K, p, L=None):
         nu, c_nu = LabeledSetPartition._valid(L.n, arcs), _crossings(arcs, layout.where)
         for key, c in _row(layout.lifts, traces, p).items():
             mu, c_mu, col = cols[key]
-            col[nu] = c.shift(c_mu - c_nu)
+            col[nu] = c._shift(c_mu - c_nu)
     return {mu: CharCombo._make(L, col) for mu, _, col in cols.values()}
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "PartitionIndex",
     "set_partitions",
     "enumerate_compatible",
+    "walk_choices",
     "count_sn",
     "shuffle_blocks",
     "shuffle_index",
@@ -250,10 +251,12 @@ class PartitionIndex:
     Parts are kept in the order given (the glue and product operations read
     the first/second block off that order); semantic comparisons that should
     ignore order go through :meth:`grouping`.  The constructor refuses an n
-    or a part element that is not an int with TypeError.
+    or a part element that is not an int with TypeError.  Its hash is
+    computed once, when it is built (``_hash``), since the rules' tables
+    are keyed by indices.
     """
 
-    __slots__ = ("n", "parts")
+    __slots__ = ("n", "parts", "_hash")
 
     def __init__(self, n, parts):
         check_ints((n,), "n")
@@ -273,8 +276,10 @@ class PartitionIndex:
             clean.append(tup)
         if len(seen) != n:
             raise ValueError("parts must cover {1..%d}" % n)
+        clean = tuple(clean)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parts", tuple(clean))
+        object.__setattr__(self, "parts", clean)
+        object.__setattr__(self, "_hash", hash((n, clean)))
 
     def __setattr__(self, name, value):
         raise AttributeError("PartitionIndex is immutable")
@@ -290,8 +295,10 @@ class PartitionIndex:
         if n < 0:
             raise ValueError("n must be nonnegative, not %d" % n)
         self = object.__new__(cls)
-        object.__setattr__(self, "n", len(part))
-        object.__setattr__(self, "parts", (part,) if part else ())
+        n, parts = len(part), (part,) if part else ()
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash((n, parts)))
         return self
 
     @classmethod
@@ -328,7 +335,7 @@ class PartitionIndex:
         )
 
     def __hash__(self):
-        return hash((self.n, self.parts))
+        return self._hash
 
     def to_text(self):
         return "{" + "|".join(",".join(str(v) for v in part) for part in self.parts) + "}"
@@ -385,7 +392,7 @@ def set_partitions(elements):
         yield tuple(tuple(elems[v - 1] for v in part) for part in lam.parts())
 
 
-def enumerate_compatible(index, p, steps=None):
+def enumerate_compatible(index, p, choices=None):
     """All F_p-labeled partitions of {1..n} whose arcs stay inside the
     parts of ``index`` -- the supercharacter/superclass labels of U_index.
 
@@ -393,20 +400,15 @@ def enumerate_compatible(index, p, steps=None):
     starts no arc, or an arc, with each label in 1..p-1, to a later vertex
     of its own part that ends no arc yet.  The empty partition comes first,
     and every label's arcs come out sorted.  The walk fills one list per
-    call, then yields from it.  Given ``steps``, tables each mapping every
-    arc (i, l, a) inside a part to the steps it appends to one trace, it
-    yields per label its arc tuple and its traces, one per table: an arc's
-    steps are appended at the vertex choosing it, shared by all below."""
-    tables = () if steps is None else steps
-    # the arcs each vertex may start, by right end, for the vertices in order
-    starts = {}
-    for part in index.parts:
-        for k, v in enumerate(part[:-1]):
-            starts[v] = [(w, [_choice((v, w, a), tables) for a in range(1, p)])
-                         for w in part[k + 1:]]
+    call, then yields from it.  Its choices are ``walk_choices(index, p)``;
+    given ``choices``, a ``walk_choices`` of index and p with trace tables
+    built once by the caller, it yields per label its arc tuple and its
+    traces, one per table: an arc's steps are appended at the vertex
+    choosing it, shared by all below."""
+    starts, traces = walk_choices(index, p) if choices is None else choices
     n, out = index.n, []
-    _walk([starts[v] for v in sorted(starts)], 0, [False] * (n + 1), [], ((),) * len(tables), out)
-    if steps is not None:
+    _walk(starts, 0, [False] * (n + 1), [], traces, out)
+    if choices is not None:
         yield from out
         return
     valid = LabeledSetPartition._valid
@@ -414,11 +416,25 @@ def enumerate_compatible(index, p, steps=None):
         yield valid(n, arcs)
 
 
-def _choice(arc, tables):
+def walk_choices(index, p, tables=()):
+    """``enumerate_compatible``'s choices and empty traces: for each vertex
+    v of ``index`` that can start an arc, in increasing order, each later
+    vertex w of its part with, per label a, the arc (v, w, a) and what it
+    appends to the trace of each of ``tables`` (arc -> steps), None for
+    nothing to any; equal appends are one tuple."""
+    starts, seen = {}, {}
+    for part in index.parts:
+        for k, v in enumerate(part[:-1]):
+            starts[v] = tuple([(w, tuple([_choice((v, w, a), tables, seen) for a in range(1, p)]))
+                               for w in part[k + 1:]])
+    return tuple([starts[v] for v in sorted(starts)]), ((),) * len(tables)
+
+
+def _choice(arc, tables, seen):
     """``arc`` and what it appends to each trace of ``tables`` (None for
-    nothing to any)."""
+    nothing to any), the first equal one in ``seen``."""
     appends = tuple([table[arc] for table in tables])
-    return arc, appends if any(appends) else None
+    return arc, seen.setdefault(appends, appends) if any(appends) else None
 
 
 def _walk(starts, k, ended, arcs, traces, out):

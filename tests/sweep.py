@@ -16,6 +16,7 @@ import io
 import itertools
 
 from superchar import cli
+from superchar.ncsym import NCSymElem, m_from_p, p_from_m, star_K_product
 from superchar.oracle import PatternGroup, _classes_in, brute_superinduction_table
 from superchar.ring import (
     CharCombo,
@@ -55,6 +56,29 @@ def branching_lines():
             for lam, mu in itertools.product(labels, repeat=2):
                 t = tensor(CharCombo.of(lam, full), CharCombo.of(mu, full), p)
                 yield "p=%d tensor %s (x) %s: %s" % (p, lam.to_text(), mu.to_text(), t)
+
+
+# (p, largest n) of the superinduction sweep
+SUPERINDUCTION_GROUPS = ((2, 5), (3, 4), (5, 3))
+
+
+def superinduction_lines():
+    """``superinduce`` of every label of U_K up to an intermediate U_L, and
+    ``superinduction_table`` from K to L, for every pair of parabolics with
+    K refining L, K other than L and L other than U_n, for each (p, n) up
+    to ``SUPERINDUCTION_GROUPS``."""
+    for p, max_n in SUPERINDUCTION_GROUPS:
+        for n in range(1, max_n + 1):
+            indices = [PartitionIndex(n, parts) for parts in set_partitions(range(1, n + 1))]
+            for L in indices[1:]:  # the first is U_n itself
+                for K in indices:
+                    if K == L or not K.refines(L):
+                        continue
+                    at = "p=%d %s in %s" % (p, K.to_text(), L.to_text())
+                    for mu in enumerate_compatible(K, p):
+                        yield "%s superinduce %s: %s" % (at, mu.to_text(), superinduce(mu, K, p, L))
+                    for mu, col in superinduction_table(K, p, L).items():
+                        yield "%s superinduction_table %s: %s" % (at, mu.to_text(), col)
 
 
 # the settings of the verify sweep, each after ``verify --suite all``
@@ -122,10 +146,40 @@ def straighten_lines():
                     yield "p=%d n=%d straighten %s: %s" % (p, n, text, straighten(chosen, n, p))
 
 
+# the largest total degree of the NCSym sweep
+NCSYM_MAX_DEGREE = 5
+
+
+def ncsym_lines():
+    """``star_K_product`` of every ordered pair of m-basis singles, and of
+    p-basis singles, of positive degrees with sum at most
+    ``NCSYM_MAX_DEGREE``, along every two-block shuffle index for them;
+    then ``p_from_m`` and ``m_from_p`` of every single up to that degree."""
+    singles = {d: [PartitionIndex(d, parts) for parts in set_partitions(range(1, d + 1))]
+               for d in range(NCSYM_MAX_DEGREE + 1)}
+    for basis in ("m", "p"):
+        for m, n in itertools.product(range(1, NCSYM_MAX_DEGREE), repeat=2):
+            if m + n > NCSYM_MAX_DEGREE:
+                continue
+            shuffles = [PartitionIndex(m + n, [first, sorted(set(range(1, m + n + 1)) - set(first))])
+                        for first in itertools.combinations(range(1, m + n + 1), m)]
+            for A, B in itertools.product(singles[m], singles[n]):
+                x, y = NCSymElem.single(basis, A), NCSymElem.single(basis, B)
+                for K in shuffles:
+                    yield "%s[%s] *%s %s[%s]: %s" % (basis, A.to_text(), K.to_text(), basis,
+                                                    B.to_text(), star_K_product(x, y, K))
+    for d, indices in singles.items():
+        for A in indices:
+            yield "p_from_m m[%s]: %s" % (A.to_text(), p_from_m(NCSymElem.single("m", A)))
+            yield "m_from_p p[%s]: %s" % (A.to_text(), m_from_p(NCSymElem.single("p", A)))
+
+
 SWEEPS = {
     "branching": branching_lines,
+    "ncsym": ncsym_lines,
     "oracle": oracle_lines,
     "straighten": straighten_lines,
+    "superinduction": superinduction_lines,
     "verify": verify_lines,
 }
 

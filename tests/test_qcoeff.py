@@ -170,6 +170,15 @@ class TestLaurentPoly:
                 make()
 
 
+    def test_shift_refuses_a_bool_or_a_float_and_keeps_a_zero_shift(self):
+        x = LaurentPoly({1: 2, -1: 1})
+        for k in (True, 1.0, 0.0):
+            with pytest.raises(TypeError, match="a Laurent exponent or coefficient must be an int"):
+                x.shift(k)
+        assert x.shift(0) is x and x._shift(0) is x
+        assert x.shift(-2) == x._shift(-2) == LaurentPoly({-1: 2, -3: 1})
+
+
 class TestCyclotomic:
     def test_theta_is_a_character(self):
         # theta: a -> zeta_p^a is a character of F_p with values summing to 0

@@ -729,6 +729,29 @@ class TestIndexTables:
         ring._steps.cache_clear()
         assert rule_results(cases, full_l=True) == want
 
+    def test_superinduce_is_the_same_from_cold_and_warm_tables(self, fresh_factor_table):
+        # the walk's choices (``_steps``) and the factors, cold then warm,
+        # on seeded (K, L, p) with L intermediate or the full group
+        rng = random.Random(40)
+        cases = []
+        for n, p in ((5, 2), (4, 3), (3, 5)):
+            indices = [PartitionIndex(n, parts) for parts in set_partitions(range(1, n + 1))]
+            for L in rng.sample(indices, 3):
+                finer = list(refinements(L))
+                cases += [(K, L, p) for K in rng.sample(finer, min(2, len(finer)))]
+
+        def results():
+            return [{mu: superinduce(mu, K, p, L) for mu in enumerate_compatible(K, p)}
+                    for K, L, p in cases]
+
+        cold = results()
+        misses = ring._steps.cache_info().misses
+        warm = results()
+        assert ring._steps.cache_info().misses == misses
+        assert warm == cold
+        assert [{mu: x.to_text() for mu, x in r.items()} for r in warm] == [
+            {mu: x.to_text() for mu, x in r.items()} for r in cold]
+
     def test_a_k_that_does_not_refine_l_is_refused_after_k_is_cached(self, fresh_factor_table):
         K, L = PartitionIndex(4, [[1, 3], [2, 4]]), PartitionIndex(4, [[1, 2], [3, 4]])
         mu = lsp(4, [(1, 3, 1)])

@@ -19,6 +19,7 @@ from superchar.setpart import (
     enumerate_compatible,
     set_partitions,
     union_K,
+    walk_choices,
 )
 
 from routes import arcs_of_parts, count_sn_poly, reflect_index, reflect_partition
@@ -342,22 +343,40 @@ class TestEnumerationAndCounting:
                 assert got == sorted(brute_force_labels(K, p), key=lambda arcs: walk_key(arcs, K.n))
                 assert got[0] == ()
 
-    def test_carried_traces_are_the_traces_of_each_label(self):
-        # with superinduce's step tables, each label comes with its _trace
-        # on every part of K: K a covered index inside U_n, and the
-        # refinement of a covered index L splitting each part by parity
-        # of position inside L
+    def test_carried_traces_are_the_traces_of_each_label(self, fresh_factor_table):
+        # with superinduce's walk choices (ring._steps), read cold and warm,
+        # each label comes with its _trace on every part of K, in the plain
+        # walk's order, as from choices built afresh from the per-part
+        # trace tables: K a covered index inside U_n, and the refinement of
+        # a covered index L splitting each part by parity of position
         for X in covered_indices():
             split = [part[side::2] for part in X.parts for side in (0, 1) if part[side::2]]
             for K, L in ((X, PartitionIndex.full(X.n)), (PartitionIndex(X.n, split), X)):
                 layout = ring._layout(K, L)
-                for p in (2, 3):
-                    items = list(enumerate_compatible(L, p, ring._steps(K, L, p)))
+                for p in (2, 3, 5):
+                    arcs = [(i, l, a) for part in L.parts
+                            for i, l in itertools.combinations(part, 2) for a in range(1, p)]
+                    tables = [{arc: ring._trace((arc,), rank, block, layout.where) for arc in arcs}
+                              for rank, block in layout.walk]
+                    items = list(enumerate_compatible(L, p, walk_choices(L, p, tables)))
                     assert [arcs for arcs, _ in items] == [
                         label.arcs for label in enumerate_compatible(L, p)]
-                    for arcs, traces in items:
+                    # each trace at p <= 3; at p = 5 the walks are compared alone
+                    for arcs, traces in items if p < 5 else ():
                         assert traces == tuple(ring._trace(arcs, rank, block, layout.where)
                                                for rank, block in layout.walk)
+                    for _ in "cold", "warm":
+                        assert list(enumerate_compatible(L, p, ring._steps(K, L, p))) == items
+        assert ring._steps.cache_info().hits
+
+    def test_the_plain_walk_builds_its_choices_with_no_tables(self):
+        # with no trace tables every choice appends nothing, and the walk
+        # starts from no traces
+        K = PartitionIndex(5, [[1, 4], [2, 3, 5]])
+        starts, traces = walk_choices(K, 3)
+        assert traces == ()
+        assert [[w for w, _ in choices] for choices in starts] == [[4], [3, 5], [5]]
+        assert starts[0] == ((4, (((1, 4, 1), None), ((1, 4, 2), None))),)
 
 
 def covered_indices():
@@ -411,6 +430,26 @@ class TestPartitionIndex:
         full, checked = PartitionIndex.full(n), PartitionIndex(n, [range(1, n + 1)] if n else [])
         assert full == checked and hash(full) == hash(checked)
         assert (type(full.n), full.parts, full.to_text()) == (int, checked.parts, checked.to_text())
+
+    def test_the_hash_is_kept_and_is_the_hash_of_n_and_parts(self):
+        # computed once when the index is built, by every route that builds one
+        routes = [
+            PartitionIndex(5, [[1, 4], [2, 3, 5]]),
+            PartitionIndex.from_text("{1,4|2,3,5}"),
+            PartitionIndex.from_subset([1, 4], 5),
+            PartitionIndex.from_text("[2,4]", 5),
+            PartitionIndex.full(5),
+            PartitionIndex(5, [range(1, 6)]),
+            PartitionIndex.full(0),
+            PartitionIndex.from_text("{}"),
+        ]
+        for K in routes:
+            assert hash(K) == hash((K.n, K.parts)) == K._hash
+        for x, y in itertools.combinations(routes, 2):
+            if x == y:
+                assert hash(x) == hash(y)
+        assert routes[0] == routes[1] and routes[4] == routes[5] and routes[6] == routes[7]
+        assert PartitionIndex.from_subset([2, 3, 4], 5) == routes[3]
 
     @pytest.mark.parametrize("n, error", [
         (-1, ValueError), (-7, ValueError),
