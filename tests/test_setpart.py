@@ -354,10 +354,10 @@ class TestEnumerationAndCounting:
             for K, L in ((X, PartitionIndex.full(X.n)), (PartitionIndex(X.n, split), X)):
                 layout = ring._layout(K, L)
                 for p in (2, 3, 5):
-                    arcs = [(i, l, a) for part in L.parts
-                            for i, l in itertools.combinations(part, 2) for a in range(1, p)]
-                    tables = [{arc: ring._trace((arc,), rank, block, layout.where) for arc in arcs}
-                              for rank, block in layout.walk]
+                    inside = [(i, l, a) for part in L.parts
+                              for i, l in itertools.combinations(part, 2) for a in range(1, p)]
+                    tables = [{arc: ring._trace((arc,), rank, block, layout.where)
+                               for arc in inside} for rank, block in layout.walk]
                     items = list(enumerate_compatible(L, p, walk_choices(L, p, tables)))
                     assert [arcs for arcs, _ in items] == [
                         label.arcs for label in enumerate_compatible(L, p)]
